@@ -11,6 +11,13 @@ Representation notes:
 * a ``TPoly`` of order ``N`` is an element ``c_0 + c_1*t + .. + c_N*t^N``
   of ``A[t]/t^(N+1)`` stored as exactly ``N+1`` Poly slots; arithmetic
   truncates above ``t^N``,
+* every product goes through one kernel, ``add_truncated_product``: it adds
+  ``t^shift * a * b`` term by term into a list of per-slot accumulators
+  (plain ``{exponent: Fraction}`` dicts), skipping slot pairs past the last
+  slot, and only the finished slots become ``Poly`` values.  ``Poly`` and
+  ``TPoly`` multiplication, ``LineData.alpha_apply``/``partial_alpha`` and
+  the trivialization sweeps all accumulate this way instead of building a
+  whole ``TPoly`` per partial product,
 * mixing generator lists or truncation orders is an error, never a silent
   coercion.
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Fraction
@@ -163,10 +171,7 @@ class Poly:
             return Poly(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], Rat] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(a + b for a, b in zip(ea, eb))
-                out[expo] = out.get(expo, Fraction(0)) + ca * cb
+        _accumulate_product(out, self.terms, other.terms)
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -300,6 +305,12 @@ class TPoly:
         return cls(ring, order, coeffs)
 
     @classmethod
+    def from_slots(cls, ring: PolyRing, slots: Sequence[Mapping[tuple[int, ...], Rat]]) -> TPoly:
+        """The TPoly of order ``len(slots) - 1`` whose t^k coefficient has the
+        terms ``slots[k]`` (the accumulators filled by ``add_truncated_product``)."""
+        return cls(ring, len(slots) - 1, [Poly(ring, terms) for terms in slots])
+
+    @classmethod
     def build(cls, ring: PolyRing, order: int, coeffs: Mapping[int, Poly]) -> TPoly:
         slots = [ring.zero()] * (order + 1)
         for k, p in coeffs.items():
@@ -348,17 +359,9 @@ class TPoly:
             c = _as_rat(other)
             return TPoly(self.ring, self.order, [p * c for p in self.coeffs])
         other = self._coerce(other)
-        slots = [self.ring.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.order:
-                    break
-                if b.is_zero():
-                    continue
-                slots[i + j] = slots[i + j] + a * b
-        return TPoly(self.ring, self.order, slots)
+        slots = new_slots(self.order)
+        add_truncated_product(slots, self.coeffs, other.coeffs)
+        return TPoly.from_slots(self.ring, slots)
 
     __rmul__ = __mul__
 
@@ -495,6 +498,55 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"<TPoly[{self.order}] {self}>"
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+Slots = list[dict[tuple[int, ...], Rat]]
+
+
+def new_slots(order: int) -> Slots:
+    """Empty accumulators for the t^0 .. t^order slots."""
+    return [{} for _ in range(order + 1)]
+
+
+def _accumulate_product(
+    out: dict[tuple[int, ...], Rat],
+    a: Mapping[tuple[int, ...], Rat],
+    b: Mapping[tuple[int, ...], Rat],
+) -> None:
+    # Accumulated coefficients may cancel to 0; Poly drops those terms.
+    b_items = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            expo = tuple(map(add, ea, eb))
+            if expo in out:
+                out[expo] += ca * cb
+            else:
+                out[expo] = ca * cb
+
+
+def add_truncated_product(
+    slots: Slots, a: Sequence[Poly], b: Sequence[Poly], shift: int = 0
+) -> None:
+    """Add ``t^shift * a * b`` into ``slots``, dropping powers past the last slot.
+
+    ``a`` and ``b`` are t-slot sequences (entry k is the t^k coefficient) over
+    one ring; ``slots[k]`` accumulates the terms of the t^k coefficient.
+    """
+    top = len(slots) - 1
+    for i, pa in enumerate(a):
+        if i + shift > top:
+            break
+        if not pa.terms:
+            continue
+        for j, pb in enumerate(b):
+            k = i + j + shift
+            if k > top:
+                break
+            if pb.terms:
+                _accumulate_product(slots[k], pa.terms, pb.terms)
 
 
 def invert_unit(u: TPoly) -> TPoly:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .algebra import Derivation, TPoly
 from .instances import random_gauge_twist, random_instance
+from .line import default_degree_bound
 from .modelfile import (
     ModelError,
     ModelFile,
@@ -278,14 +279,9 @@ def _cmd_roundtrip(args: argparse.Namespace) -> RunReport:
         if not twisted.verify().passed:
             failures.append(f"seed {seed}: twisted system failed verification")
             continue
-        result = twisted.trivialize()
-        for (a, b), value in trivial.structure.base_table().items():
-            expected = TPoly.from_poly(value, model.order).substitute(result.lifts)
-            actual = twisted.structure.bracket(result.lifts[a], result.lifts[b])
-            if actual != expected:
-                failures.append(f"seed {seed}: relation {{{a},{b}}} not recovered")
-        if not result.verified:
-            failures.append(f"seed {seed}: lifts not verified")
+        # trivialize() raises unless every lift is flat and every relation is
+        # recovered, so a returned result is a recovered case.
+        twisted.trivialize()
     passed = not failures
     return RunReport(
         "roundtrip",
@@ -312,6 +308,13 @@ _HANDLERS = {
 }
 
 
+def _check_environment() -> None:
+    try:
+        default_degree_bound()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -320,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
+        _check_environment()
         report = _HANDLERS[args.command](args)
     except (ModelError, UsageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,11 @@ from .algebra import (
     PolyRing,
     Rat,
     RatLike,
+    Slots,
     TPoly,
+    add_truncated_product,
     invert_unit,
+    new_slots,
 )
 from .poisson import PoissonStructure
 from .reporting import Check, Finding
@@ -106,10 +109,20 @@ class LineData:
     def alpha_items(self) -> list[tuple[str, TPoly]]:
         return [(g, v) for g, v in self._alpha.items() if not v.is_zero()]
 
-    def zero_module(self) -> TPoly:
-        return TPoly.constant(self.ring, 0, self.module_order)
-
     # -- the module datum as a map on the deformed ring -----------------------
+
+    def add_alpha(self, slots: Slots, c: Poly, shift: int = 0) -> None:
+        """Add t^shift * alpha(c) for a t-free c into module-order accumulators.
+
+        alpha(c) = sum over g of alpha(g) * dc/dg, so alpha(g)[j] * dc/dg lands
+        in slot shift + j; slots past the module order are dropped.
+        """
+        if shift >= len(slots):
+            return
+        for g, value in self._alpha.items():
+            partial = c.diff(g)
+            if partial.terms:
+                add_truncated_product(slots, value.coeffs, (partial,), shift)
 
     def alpha_apply(self, f: TPoly) -> TPoly:
         """Extend alpha over t-powers: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
@@ -119,27 +132,18 @@ class LineData:
         """
         if f.ring != self.ring:
             raise GeneratorMismatch("argument from a different ring")
-        if f.order == self.module_order:
-            f = f.lift(self.order)
-        elif f.order != self.order:
+        if f.order not in (self.order, self.module_order):
             raise OrderMismatch(
                 f"argument at order {f.order}, expected {self.order} or {self.module_order}"
             )
-        result = self.zero_module()
+        slots = new_slots(self.module_order)
         for k, c in enumerate(f.coeffs):
             if c.is_zero():
                 continue
-            if k >= 1 and k - 1 <= self.module_order:
-                bump = TPoly.from_poly(c * k, self.module_order).t_shift(k - 1)
-                result = result + bump
-            if k <= self.module_order:
-                dc = self.zero_module()
-                for g in self.ring.gens:
-                    partial = c.diff(g)
-                    if not partial.is_zero():
-                        dc = dc + self._alpha[g] * partial
-                result = result + dc.t_shift(k)
-        return result
+            if k >= 1:
+                add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
+            self.add_alpha(slots, c, k)
+        return TPoly.from_slots(self.ring, slots)
 
     def partial_alpha(self, f: TPoly) -> TPoly:
         """The t-linear extension of alpha (no t-power bump), at order N-1.
@@ -151,12 +155,11 @@ class LineData:
             raise GeneratorMismatch("argument from a different ring")
         if f.order != self.module_order:
             raise OrderMismatch(f"argument at order {f.order}, expected {self.module_order}")
-        result = self.zero_module()
-        for g in self.ring.gens:
-            partial = f.diff(g)
-            if not partial.is_zero():
-                result = result + self._alpha[g] * partial
-        return result
+        slots = new_slots(self.module_order)
+        for k, c in enumerate(f.coeffs):
+            if not c.is_zero():
+                self.add_alpha(slots, c, k)
+        return TPoly.from_slots(self.ring, slots)
 
     def module_bracket(self, a: TPoly, m: Union[TPoly, Poly, RatLike]) -> TPoly:
         """Coefficient of e in {a, m*e}: H_a(m) + m*alpha(a).

@@ -10,12 +10,24 @@ cancelled by subtracting (1/k)*t^k*r from the lift, because
 must be exact rationals in characteristic zero.  A correction at order k can
 only disturb the residual at order >= k, so exactly n sweeps terminate, and
 the canonical (t-independent) lift of r makes the output reproducible.
+
+The residual alpha(lift) is kept up to date incrementally, one slot at a
+time, in per-slot accumulators.  Since alpha(t^k c) = k t^(k-1) c + t^k
+alpha(c), the correction c = -r/k at slot k zeroes residual slot k-1 (never
+read again) and adds alpha(c)*t^k to the slots above it: O(n) slot products
+per sweep instead of a full alpha_apply of the lift.  The postconditions are
+still checked independently, with a full alpha_apply of every finished lift
+and the recovery of every bracket relation.
+
+A MomentSystem is immutable, so ``verify()`` computes its report once and
+caches it; ``trivialize`` and ``extend_conformal`` reuse that report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .algebra import (
@@ -28,6 +40,7 @@ from .algebra import (
     RatLike,
     TPoly,
     exact_rank,
+    new_slots,
 )
 from .line import LineData, TotElement
 from .poisson import ConformalField, Point, PoissonStructure
@@ -147,7 +160,14 @@ class MomentSystem:
 
     def verify(self) -> Report:
         """Aggregate verification: Jacobi at order n, the cocycle condition,
-        and the structural normalizations on t."""
+        and the structural normalizations on t.
+
+        Computed on first use and cached: every call returns the same Report.
+        """
+        return self._report
+
+    @cached_property
+    def _report(self) -> Report:
         structural = Check(
             "structural",
             True,
@@ -183,19 +203,20 @@ class MomentSystem:
     # -- trivialization ------------------------------------------------------
 
     def trivialize(self) -> TrivializationResult:
-        report = self.verify()
-        if not report.passed:
+        if not self._report.passed:
             raise ValueError("refusing to trivialize a system that fails verification")
         lifts: dict[str, TPoly] = {}
         for g in self.ring.gens:
-            lift = TPoly.generator(self.ring, g, self.n)
+            x = self.ring.var(g)
+            slots = [x] + [self.ring.zero()] * self.n
+            residual = new_slots(self.n - 1)
+            self.line.add_alpha(residual, x)
             for k in range(1, self.n + 1):
-                residual = self.line.alpha_apply(lift)
-                r = residual.coefficient(k - 1)
-                if not r.is_zero():
-                    correction = TPoly.from_poly(r * Fraction(1, k), self.n).t_shift(k)
-                    lift = lift - correction
-            lifts[g] = lift
+                c = Poly(self.ring, residual[k - 1]) * Fraction(-1, k)
+                if not c.is_zero():
+                    slots[k] = c
+                    self.line.add_alpha(residual, c, k)
+            lifts[g] = TPoly(self.ring, self.n, slots)
 
         flat_findings = []
         for g, lift in lifts.items():
@@ -308,8 +329,7 @@ class MomentSystem:
             raise ValueError(
                 f"field is not conformal of weight {weight} on the undeformed base: {base_check}"
             )
-        system_report = self.verify()
-        if not system_report.passed:
+        if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
 
         def extended(tp: TPoly, mu: Rat) -> TPoly:

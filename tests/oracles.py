@@ -3,7 +3,9 @@
 Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
-separate multiplication by s.  Keep these independent of the code under test.
+separate multiplication by s, and flat lifts by a sweep that recomputes the
+whole residual from the derivation formula at every order.  Keep these
+independent of the code under test.
 """
 
 from fractions import Fraction
@@ -111,3 +113,30 @@ def tot_bracket_free_laurent(line, p, f, q, g):
     for d, v in shifted.items():
         out[d] = out.get(d, TPoly.constant(line.ring, 0, low)) + v
     return {d: v for d, v in out.items() if not v.is_zero()}
+
+
+def alpha_by_derivation(line, f):
+    """alpha(f) = df/dt + sum_g alpha(g) * df/dg at the module order.
+
+    alpha(t) = 1 makes the extension a derivation in t as well; the library
+    instead bumps slot by slot with alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
+    """
+    low = line.module_order
+    total = TPoly(line.ring, low, [f.coefficient(k + 1) * (k + 1) for k in range(low + 1)])
+    for g in line.ring.gens:
+        total = total + line.alpha_of(g) * f.diff(g).truncate(low)
+    return total
+
+
+def trivialize_by_full_recompute(system):
+    """Flat lifts by the plain sweep: at each order k recompute the whole
+    residual alpha(lift) and cancel its t^(k-1) slot r by subtracting t^k r/k."""
+    lifts = {}
+    for g in system.ring.gens:
+        lift = TPoly.generator(system.ring, g, system.n)
+        for k in range(1, system.n + 1):
+            r = alpha_by_derivation(system.line, lift).coefficient(k - 1)
+            if not r.is_zero():
+                lift = lift - TPoly.from_poly(r * Fraction(1, k), system.n).t_shift(k)
+        lifts[g] = lift
+    return lifts

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -38,11 +39,12 @@ def corrupted_model(tmp_path):
     return str(path)
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "momentkit", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -79,6 +81,15 @@ def test_usage_error_exits_two(worked_model):
     assert run_cli("frobnicate", worked_model).returncode == 2
     assert run_cli("rank", worked_model, "--point", "nope").returncode == 2
     assert run_cli("tot", worked_model, "--left", "x*(", "--right", "s").returncode == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_degree_bound_variable_exits_two(worked_model, value):
+    proc = run_cli("verify", worked_model, env={"MOMENTKIT_DEGREE_BOUND": value})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: MOMENTKIT_DEGREE_BOUND must be")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_main_returns_exit_codes(worked_model, capsys):

@@ -1,0 +1,123 @@
+"""Cross-check of the truncated-product kernel against sympy expansion.
+
+sympy is not a dependency: these tests are skipped when it cannot be
+imported.  Each library result is compared with the sympy expansion of the
+same expression, truncated in t, on hypothesis-drawn inputs:
+
+* ``TPoly`` product: ``a * b`` with the powers of t above the order dropped,
+* ``alpha_apply``: ``df/dt + sum_g alpha(g) * df/dg`` (alpha(t) = 1),
+* ``partial_alpha``: ``sum_g alpha(g) * df/dg`` (t treated as a scalar).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentkit.algebra import Poly, PolyRing, TPoly
+from momentkit.line import LineData
+from momentkit.poisson import PoissonStructure
+
+sympy = pytest.importorskip("sympy")
+
+GENS = ("x", "y", "z")
+T = sympy.Symbol("t")
+SYMBOLS = sympy.symbols(GENS)
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def polys(draw, ring):
+    exponents = st.tuples(*[st.integers(0, 2)] * ring.arity)
+    return Poly(ring, draw(st.dictionaries(exponents, coefficients, max_size=3)))
+
+
+@st.composite
+def tpolys(draw, ring, order):
+    return TPoly(ring, order, [draw(polys(ring)) for _ in range(order + 1)])
+
+
+@st.composite
+def rings_and_orders(draw, min_order=0):
+    ring = PolyRing(GENS[: draw(st.integers(1, 3))])
+    return ring, draw(st.integers(min_order, 4))
+
+
+def to_sympy(tp):
+    symbols = SYMBOLS[: tp.ring.arity]
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * T**k
+            * sympy.Mul(*(s**e for s, e in zip(symbols, expo)))
+            for k, slot in enumerate(tp.coeffs)
+            for expo, c in slot.terms.items()
+        )
+    )
+
+
+def truncated_terms(expr, ring, order):
+    """{(t-power, *exponents): Fraction} of expr with t-powers above order dropped."""
+    expanded = sympy.expand(expr)
+    if expanded == 0:
+        return {}
+    poly = sympy.Poly(expanded, T, *SYMBOLS[: ring.arity])
+    return {
+        monom: Fraction(int(c.p), int(c.q))
+        for monom, c in poly.terms()
+        if monom[0] <= order and c != 0
+    }
+
+
+def terms_of(tp):
+    return {
+        (k, *expo): c for k, slot in enumerate(tp.coeffs) for expo, c in slot.terms.items()
+    }
+
+
+def line_data(draw, ring, order):
+    base = PoissonStructure(ring, order, {})
+    alpha = {g: draw(tpolys(ring, order - 1)) for g in ring.gens}
+    return LineData(base, alpha)
+
+
+def alpha_part(line, f):
+    return sympy.Add(
+        *(
+            to_sympy(line.alpha_of(g)) * sympy.diff(f, s)
+            for g, s in zip(line.ring.gens, SYMBOLS)
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tpoly_product_matches_truncated_expansion(data):
+    ring, order = data.draw(rings_and_orders())
+    a = data.draw(tpolys(ring, order))
+    b = data.draw(tpolys(ring, order))
+    expected = truncated_terms(to_sympy(a) * to_sympy(b), ring, order)
+    assert terms_of(a * b) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_alpha_apply_matches_derivation_formula(data):
+    ring, order = data.draw(rings_and_orders(min_order=1))
+    line = line_data(data.draw, ring, order)
+    f = data.draw(tpolys(ring, data.draw(st.sampled_from((order, order - 1)))))
+    expr = to_sympy(f)
+    expected = truncated_terms(sympy.diff(expr, T) + alpha_part(line, expr), ring, order - 1)
+    assert terms_of(line.alpha_apply(f)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partial_alpha_matches_t_linear_formula(data):
+    ring, order = data.draw(rings_and_orders(min_order=1))
+    line = line_data(data.draw, ring, order)
+    f = data.draw(tpolys(ring, order - 1))
+    expected = truncated_terms(alpha_part(line, to_sympy(f)), ring, order - 1)
+    assert terms_of(line.partial_alpha(f)) == expected

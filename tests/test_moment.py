@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from momentkit.algebra import PolyRing, TPoly
-from momentkit.instances import random_gauge_twist, random_instance, random_point
+from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
 from momentkit.line import LineData
 from momentkit.moment import GaugeTwist, MomentSystem, invert_generator_map
 from momentkit.poisson import Point, PoissonStructure
 
-from oracles import pfaffian, rank_by_minors
+from oracles import pfaffian, rank_by_minors, trivialize_by_full_recompute
 
 
 @pytest.fixture
@@ -47,6 +47,10 @@ def test_make_trivial_rejects_non_jacobi(so3_ring):
     )
     with pytest.raises(ValueError):
         MomentSystem.trivial(bad, 1)
+
+
+def test_verify_report_is_computed_once(worked):
+    assert worked.verify() is worked.verify()
 
 
 def test_verify_reports_corrupted_alpha(plane):
@@ -207,6 +211,17 @@ def test_roundtrip_recovers_base_relations():
             expected = TPoly.from_poly(value, model.order).substitute(result.lifts)
             actual = twisted.structure.bracket(result.lift(a), result.lift(b))
             assert actual == expected, (seed, a, b)
+
+
+@pytest.mark.parametrize("name, build", CATALOG, ids=[name for name, _ in CATALOG])
+def test_incremental_lifts_match_full_recompute_oracle(name, build):
+    base = build()
+    rng = random.Random(f"oracle/{name}")
+    for n in range(1, 9):
+        system = MomentSystem.trivial(base, n).twist(
+            random_gauge_twist(rng, base.ring, n, max_degree=1)
+        )
+        assert system.trivialize().lifts == trivialize_by_full_recompute(system), n
 
 
 def test_trivialize_nontrivial_alpha_systems():
