@@ -15,9 +15,12 @@ Representation notes:
   ``t^shift * a * b`` term by term into a list of per-slot accumulators
   (plain ``{exponent: Fraction}`` dicts), skipping slot pairs past the last
   slot, and only the finished slots become ``Poly`` values.  ``Poly`` and
-  ``TPoly`` multiplication, ``LineData.alpha_apply``/``partial_alpha`` and
-  the trivialization sweeps all accumulate this way instead of building a
-  whole ``TPoly`` per partial product,
+  ``TPoly`` multiplication, ``TPoly.substitute``, ``Derivation.apply``,
+  ``PoissonStructure.bracket``, ``LineData.alpha_apply``/``partial_alpha``
+  and the trivialization sweeps all accumulate this way instead of building
+  a whole ``TPoly`` per partial product; ``substitute`` also caches each
+  monomial of the assigned values, built from a cached monomial one degree
+  lower by a single kernel product,
 * mixing generator lists or truncation orders is an error, never a silent
   coercion.
 
@@ -465,28 +468,33 @@ class TPoly:
                     f"assignment value at order {v.order}, expected {self.order}"
                 )
             values.append(v)
-        result = TPoly.constant(self.ring, 0, self.order)
-        one = TPoly.constant(self.ring, 1, self.order)
-        # Power cache keyed by (generator index, exponent), grown on demand.
-        powers: dict[tuple[int, int], TPoly] = {}
+        ring = self.ring
+        order = self.order
+        # Monomial values keyed by exponent; each new one is a single kernel
+        # product of a cached monomial one degree lower and a generator value.
+        monomials: dict[tuple[int, ...], tuple[Poly, ...]] = {
+            (0,) * ring.arity: TPoly.constant(ring, 1, order).coeffs
+        }
 
-        def power_of(i: int, e: int) -> TPoly:
-            if e == 0:
-                return one
-            got = powers.get((i, e))
-            if got is None:
-                got = power_of(i, e - 1) * values[i]
-                powers[(i, e)] = got
-            return got
+        def monomial(expo: tuple[int, ...]) -> tuple[Poly, ...]:
+            chain: list[tuple[tuple[int, ...], int]] = []
+            while expo not in monomials:
+                i = max(i for i, e in enumerate(expo) if e)
+                chain.append((expo, i))
+                expo = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+            value = monomials[expo]
+            for key, i in reversed(chain):
+                slots = new_slots(order)
+                add_truncated_product(slots, value, values[i].coeffs)
+                value = TPoly.from_slots(ring, slots).coeffs
+                monomials[key] = value
+            return value
 
+        slots = new_slots(order)
         for k, poly in enumerate(self.coeffs):
             for expo, coeff in poly.terms.items():
-                term = TPoly.constant(self.ring, coeff, self.order)
-                for i, e in enumerate(expo):
-                    if e:
-                        term = term * power_of(i, e)
-                result = result + term.t_shift(k)
-        return result
+                add_truncated_product(slots, monomial(expo), (ring.const(coeff),), k)
+        return TPoly.from_slots(ring, slots)
 
     def __str__(self) -> str:
         triples = [
@@ -613,13 +621,12 @@ class Derivation:
             raise OrderMismatch(
                 f"derivation at order {self.order} applied to order {f.order}"
             )
-        result = TPoly.constant(self.ring, 0, self.order)
+        slots = new_slots(self.order)
         for g in self.ring.gens:
             dg = self.values[g]
-            if dg.is_zero():
-                continue
-            result = result + f.diff(g) * dg
-        return result
+            if not dg.is_zero():
+                add_truncated_product(slots, f.diff(g).coeffs, dg.coeffs)
+        return TPoly.from_slots(self.ring, slots)
 
     def __call__(self, f: Union[TPoly, Poly]) -> TPoly:
         return self.apply(f)

@@ -19,15 +19,27 @@ Polynomial expressions support ``+ - * ^`` with integer and rational
 expressions consumed by the ``tot`` subcommand.  ``ring`` and ``order`` must
 appear before any statement that uses them.  Each unordered bracket pair may
 be declared at most once; the antisymmetric mate is derived.
+
+An expression is evaluated into one flat term map keyed by (s-degree,
+t-power, exponent) with ``Fraction`` values: a product of atoms folds into a
+single term, a power of a single term scales its exponents, ``+`` and ``-``
+merge into the running map in place, and only products of sums multiply
+maps.  ``TPoly`` values are built once, at the end.  A t-power above the
+order is an error wherever it arises (a literal, product or power), even if
+a later sum would cancel it; in total-space expressions this applies to the
+final s-degree 0 part, while the other degrees are reduced to the module
+order.  A zero-valued entry is omitted like ``= 0;``.  Parentheses nest at
+most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping
 
-from .algebra import Poly, PolyRing, Rat, TPoly
+from .algebra import Poly, PolyRing, Rat, TPoly, new_slots
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
 from .poisson import Point, PoissonStructure
@@ -44,6 +56,10 @@ KEYWORDS = {
     "unit",
 }
 RESERVED = KEYWORDS | {"t", "s"}
+
+# Deepest parenthesis nesting an expression may use; deeper input is a
+# ModelError rather than a RecursionError.
+MAX_NESTING = 100
 
 
 class ModelError(ValueError):
@@ -209,6 +225,10 @@ class _Parser:
         self.pos = 0
         self.ring: PolyRing | None = None
         self.order: int | None = None
+        # set per expression by _parse_top
+        self.limit = 0
+        self.allow_s = False
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -355,18 +375,10 @@ class _Parser:
             raise self.error(f"bracket {{{a},{b}}} already declared", first_tok)
         declared.add(pair)
         self.expect_punct("=")
-        expr_tok = self.peek()
         value = self._parse_tpoly()
         self.expect_punct(";")
-        assert self.order is not None
-        if value.t_degree() > self.order:
-            raise self.error(
-                f"bracket entry has t-degree {value.t_degree()}, exceeding order {self.order}",
-                expr_tok,
-            )
-        entry = value.truncate(self.order)
-        if not entry.is_zero():
-            brackets[(a, b)] = entry
+        if not value.is_zero():
+            brackets[(a, b)] = value
 
     def _parse_alpha(self, alphas: dict[str, TPoly]) -> None:
         tok = self.peek()
@@ -464,19 +476,12 @@ class _Parser:
             gen_tok = self.peek()
             g = self._generator("generator")
             self.expect_punct("->")
-            expr_tok = self.peek()
             value = self._parse_tpoly()
-            if value.t_degree() > n:
+            if value.coefficient(0) != self.ring.var(g):
                 raise self.error(
-                    f"twist value has t-degree {value.t_degree()}, exceeding order {n}",
-                    expr_tok,
+                    f"twist must be the identity mod t; phi({g}) = {value}", gen_tok
                 )
-            entry = value.truncate(n)
-            if entry.coefficient(0) != self.ring.var(g):
-                raise self.error(
-                    f"twist must be the identity mod t; phi({g}) = {entry}", gen_tok
-                )
-            phi[g] = entry
+            phi[g] = value
         self.expect_punct(";")
         unit_tok = self.expect_ident("'unit'")
         if unit_tok.text != "unit":
@@ -512,109 +517,191 @@ class _Parser:
         return -value if negative else value
 
     def _parse_tpoly(self) -> TPoly:
-        # Parsed one order above the ambient one so that over-order literals
-        # are detected rather than silently truncated.
         assert self.order is not None
-        value = self._parse_expr(self.order + 1, allow_s=False)
-        return value[0]
+        return self._parse_top(self.order, allow_s=False).tpoly(self._ring(), self.order)
 
-    def parse_expr_entry(self, parse_order: int, allow_s: bool) -> dict[int, TPoly]:
-        value = self._parse_expr(parse_order, allow_s)
+    def _parse_top(self, order: int, allow_s: bool) -> _Terms:
+        """A whole expression whose t-powers may reach ``order``."""
+        self.limit = order
+        self.allow_s = allow_s
+        self.depth = 0
+        return self._parse_expr()
+
+    def parse_expr_entry(self, order: int, allow_s: bool) -> _Terms:
+        value = self._parse_top(order, allow_s)
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error(f"unexpected trailing input {tok.text!r}")
         return value
 
-    def _parse_expr(self, parse_order: int, allow_s: bool) -> dict[int, TPoly]:
-        value = self._parse_term(parse_order, allow_s)
+    def _parse_expr(self) -> _Terms:
+        value = self._parse_term()
         while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            rhs = self._parse_term(parse_order, allow_s)
-            value = _laurent_add(value, rhs if op == "+" else _laurent_neg(rhs))
+            sign = 1 if self.advance().text == "+" else -1
+            value.add(self._parse_term(), sign)
         return value
 
-    def _parse_term(self, parse_order: int, allow_s: bool) -> dict[int, TPoly]:
-        value = self._parse_factor(parse_order, allow_s)
+    def _parse_term(self) -> _Terms:
+        value = self._parse_factor()
         while self.at_punct("*"):
             self.advance()
-            rhs = self._parse_factor(parse_order, allow_s)
-            value = _laurent_mul(value, rhs)
+            tok = self.peek()
+            value = value.mul(self._parse_factor(), tok, self.limit)
         return value
 
-    def _parse_factor(self, parse_order: int, allow_s: bool) -> dict[int, TPoly]:
-        if self.at_punct("-"):
+    def _parse_factor(self) -> _Terms:
+        negative = False
+        while self.at_punct("-"):
             self.advance()
-            return _laurent_neg(self._parse_factor(parse_order, allow_s))
-        value, is_s = self._parse_atom(parse_order, allow_s)
+            negative = not negative
+        tok = self.peek()
+        value, is_s = self._parse_atom()
         if self.at_punct("^"):
             caret = self.advance()
-            negative = False
+            sign = 1
             if self.at_punct("-"):
                 if not is_s:
                     raise self.error("negative exponents are only allowed on s", caret)
                 self.advance()
-                negative = True
-            exponent = self.expect_int()
-            if is_s:
-                degree = -exponent if negative else exponent
-                one = TPoly.constant(self._expr_ring(), 1, parse_order)
-                return {degree: one}
-            result = {0: TPoly.constant(self._expr_ring(), 1, parse_order)}
-            for _ in range(exponent):
-                result = _laurent_mul(result, value)
-            return result
+                sign = -1
+            zero = (0,) * self._ring().arity
+            value = value.power(sign * self.expect_int(), tok, self.limit, zero)
+        if negative:
+            value.negate()
         return value
 
-    def _expr_ring(self) -> PolyRing:
+    def _ring(self) -> PolyRing:
         assert self.ring is not None
         return self.ring
 
-    def _parse_atom(self, parse_order: int, allow_s: bool) -> tuple[dict[int, TPoly], bool]:
-        ring = self._expr_ring()
+    def _parse_atom(self) -> tuple[_Terms, bool]:
+        ring = self._ring()
+        zero = (0,) * ring.arity
         tok = self.peek()
         if tok.kind == "int":
-            value = self._parse_signed_rational()
-            return {0: TPoly.constant(ring, value, parse_order)}, False
+            return _Terms.term(0, 0, zero, self._parse_signed_rational()), False
         if tok.kind == "ident":
             self.advance()
             if tok.text == "t":
-                return {0: TPoly.t(ring, parse_order)}, False
+                return _Terms.term(0, 1, zero, 1), False
             if tok.text == "s":
-                if not allow_s:
+                if not self.allow_s:
                     raise self.error("s is not allowed in this expression", tok)
-                return {1: TPoly.constant(ring, 1, parse_order)}, True
+                return _Terms.term(1, 0, zero, 1), True
             if tok.text not in ring.gens:
                 raise self.error(f"undeclared generator {tok.text!r}", tok)
-            return {0: TPoly.generator(ring, tok.text, parse_order)}, False
+            expo = [0] * ring.arity
+            expo[ring.index(tok.text)] = 1
+            return _Terms.term(0, 0, tuple(expo), 1), False
         if self.at_punct("("):
             self.advance()
-            value = self._parse_expr(parse_order, allow_s)
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", tok)
+            value = self._parse_expr()
             self.expect_punct(")")
+            self.depth -= 1
             return value, False
         raise self.error(f"expected an expression, got {tok.text!r}")
 
 
-def _laurent_add(a: dict[int, TPoly], b: dict[int, TPoly]) -> dict[int, TPoly]:
-    out = dict(a)
-    for degree, value in b.items():
-        prev = out.get(degree)
-        out[degree] = value if prev is None else prev + value
-    return {d: v for d, v in out.items() if not v.is_zero()}
+class _Terms:
+    """A parsed expression as one flat map of terms ``c * s^d * t^k * x^e``.
 
+    ``terms`` maps ``(d, k, e)`` to a nonzero ``Fraction``.  Terms whose
+    t-power exceeds the parse order are not kept; ``over`` maps each s-degree
+    at which one arose to the token where it arose and its t-power.  A product
+    with an over-order term is over-order too, so such a term never comes back
+    into range, but a power of s can move it to another s-degree: products
+    carry ``over`` along.
+    """
 
-def _laurent_neg(a: dict[int, TPoly]) -> dict[int, TPoly]:
-    return {d: -v for d, v in a.items()}
+    __slots__ = ("terms", "over")
 
+    def __init__(
+        self,
+        terms: dict[tuple[int, int, tuple[int, ...]], Rat],
+        over: dict[int, tuple[Token, int]],
+    ):
+        self.terms = terms
+        self.over = over
 
-def _laurent_mul(a: dict[int, TPoly], b: dict[int, TPoly]) -> dict[int, TPoly]:
-    out: dict[int, TPoly] = {}
-    for da, va in a.items():
-        for db, vb in b.items():
-            degree = da + db
-            value = va * vb
-            prev = out.get(degree)
-            out[degree] = value if prev is None else prev + value
-    return {d: v for d, v in out.items() if not v.is_zero()}
+    @classmethod
+    def term(cls, d: int, k: int, expo: tuple[int, ...], coeff: Rat | int) -> _Terms:
+        return cls({(d, k, expo): Fraction(coeff)} if coeff else {}, {})
+
+    def add(self, other: _Terms, sign: int) -> None:
+        """In place: self += sign * other."""
+        terms = self.terms
+        for key, c in other.terms.items():
+            value = terms.get(key, 0) + sign * c
+            if value:
+                terms[key] = value
+            else:
+                del terms[key]
+        for d, where in other.over.items():
+            self.over.setdefault(d, where)
+
+    def mul(self, other: _Terms, tok: Token, limit: int) -> _Terms:
+        terms: dict[tuple[int, int, tuple[int, ...]], Rat] = {}
+        over: dict[int, tuple[Token, int]] = {}
+        b_items = list(other.terms.items())
+        for (da, ka, ea), ca in self.terms.items():
+            for (db, kb, eb), cb in b_items:
+                k = ka + kb
+                if k > limit:
+                    over.setdefault(da + db, (tok, k))
+                    continue
+                key = (da + db, k, tuple(map(add, ea, eb)))
+                terms[key] = terms.get(key, 0) + ca * cb
+        for mine, theirs in ((self, other), (other, self)):
+            if mine.over:
+                degrees = {d for d, _, _ in theirs.terms} | set(theirs.over)
+                for d, where in mine.over.items():
+                    for e in degrees:
+                        over.setdefault(d + e, where)
+        return _Terms({key: c for key, c in terms.items() if c}, over)
+
+    def power(self, exponent: int, tok: Token, limit: int, zero: tuple[int, ...]) -> _Terms:
+        if not self.terms and not self.over:
+            return _Terms({}, {}) if exponent else _Terms.term(0, 0, zero, 1)
+        if len(self.terms) == 1 and not self.over:
+            # A single term: scale its exponents (a negative exponent only
+            # reaches here on a bare s).
+            ((d, k, expo), c), = self.terms.items()
+            if k * exponent > limit:
+                return _Terms({}, {d * exponent: (tok, k * exponent)})
+            return _Terms.term(
+                d * exponent, k * exponent, tuple(e * exponent for e in expo), c**exponent
+            )
+        result = _Terms.term(0, 0, zero, 1)
+        for _ in range(exponent):
+            result = result.mul(self, tok, limit)
+        return result
+
+    def negate(self) -> None:
+        for key, c in self.terms.items():
+            self.terms[key] = -c
+
+    def check_order(self, order: int) -> None:
+        """Raise if an over-order term arose at s-degree 0."""
+        got = self.over.get(0)
+        if got is not None:
+            tok, k = got
+            raise ModelError(f"t-degree {k} exceeding order {order}", tok.line, tok.col)
+
+    def coefficient(self, ring: PolyRing, degree: int, order: int) -> TPoly:
+        """The s^degree coefficient as a TPoly of the given order; higher
+        t-powers are dropped (the reduction to the module order)."""
+        slots = new_slots(order)
+        for (d, k, expo), c in self.terms.items():
+            if d == degree and k <= order:
+                slots[k][expo] = c
+        return TPoly.from_slots(ring, slots)
+
+    def tpoly(self, ring: PolyRing, order: int) -> TPoly:
+        self.check_order(order)
+        return self.coefficient(ring, 0, order)
 
 
 def parse_model(text: str) -> ModelFile:
@@ -631,31 +718,26 @@ def parse_polynomial(text: str, ring: PolyRing, order: int) -> TPoly:
     parser = _Parser(text)
     parser.ring = ring
     parser.order = order
-    value = parser.parse_expr_entry(order + 1, allow_s=False)[0]
-    if value.t_degree() > order:
-        raise ModelError(f"t-degree {value.t_degree()} exceeds order {order}", 1, 1)
-    return value.truncate(order)
+    return parser.parse_expr_entry(order, allow_s=False).tpoly(ring, order)
 
 
 def parse_tot_expression(text: str, line: LineData) -> TotElement:
     """Parse a total-space expression such as ``x*s^2 + 3*s^-1 + t``.
 
-    Degree-0 coefficients live at the base order; coefficients of nonzero
-    degree are reduced to the module order (the quotient map, t^n acts as 0).
+    Degree-0 coefficients live at the base order, and a t-power above it is
+    an error; coefficients of nonzero degree are reduced to the module order
+    (the quotient map, t^n acts as 0).
     """
     parser = _Parser(text)
     parser.ring = line.ring
     parser.order = line.order
-    raw = parser.parse_expr_entry(line.order + 1, allow_s=True)
-    coeffs: dict[int, TPoly] = {}
-    for degree, value in raw.items():
-        target = line.coefficient_order(degree)
-        if degree == 0 and value.t_degree() > target:
-            raise ModelError(
-                f"t-degree {value.t_degree()} exceeds order {target}", 1, 1
-            )
-        coeffs[degree] = value.truncate(target)
-    return TotElement(line, coeffs)
+    value = parser.parse_expr_entry(line.order, allow_s=True)
+    value.check_order(line.order)
+    degrees = {d for d, _, _ in value.terms}
+    return TotElement(
+        line,
+        {d: value.coefficient(line.ring, d, line.coefficient_order(d)) for d in degrees},
+    )
 
 
 def model_from_system(

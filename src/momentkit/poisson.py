@@ -24,7 +24,9 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
+    add_truncated_product,
     exact_rank,
+    new_slots,
 )
 from .reporting import Check, Finding
 
@@ -107,26 +109,32 @@ class PoissonStructure:
             {pair: value.truncate(order) for pair, value in self.table_items()},
         )
 
-    def zero_tpoly(self) -> TPoly:
-        return TPoly.constant(self.ring, 0, self.order)
-
     # -- bracket evaluation ------------------------------------------------
 
     def bracket(self, f: Union[TPoly, Poly], g: Union[TPoly, Poly]) -> TPoly:
         """Biderivation extension of the table; t-coefficients are central scalars.
 
-        {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i).
+        {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
+        summed as sum_i df/dx_i * h_i with h_i = sum_j B[i][j] dg/dx_j
+        (B[j][i] = -B[i][j]); each derivative is taken once.
         """
         f = self._coerce(f)
         g = self._coerce(g)
-        result = self.zero_tpoly()
         gens = self.ring.gens
+        df = [f.diff(a) for a in gens]
+        dg = [g.diff(a) for a in gens]
+        neg_dg = [-d for d in dg]
+        h = [new_slots(self.order) for _ in gens]
         for (i, j), entry in self._table.items():
-            a, b = gens[i], gens[j]
-            mixed = f.diff(a) * g.diff(b) - f.diff(b) * g.diff(a)
-            if not mixed.is_zero():
-                result = result + entry * mixed
-        return result
+            if not df[i].is_zero():
+                add_truncated_product(h[i], entry.coeffs, dg[j].coeffs)
+            if not df[j].is_zero():
+                add_truncated_product(h[j], entry.coeffs, neg_dg[i].coeffs)
+        slots = new_slots(self.order)
+        for fi, hi in zip(df, h):
+            if any(hi):
+                add_truncated_product(slots, fi.coeffs, TPoly.from_slots(self.ring, hi).coeffs)
+        return TPoly.from_slots(self.ring, slots)
 
     def jacobiator(
         self,

@@ -140,3 +140,24 @@ def trivialize_by_full_recompute(system):
                 lift = lift - TPoly.from_poly(r * Fraction(1, k), system.n).t_shift(k)
         lifts[g] = lift
     return lifts
+
+
+def substitute_by_terms(f, assignment):
+    """f with each generator replaced by its assigned TPoly, term by term.
+
+    Every term c*t^k*x^e becomes a constant TPoly times the powers of the
+    assigned values (each power built by repeated multiplication), shifted
+    by t^k and added to the running sum; the library instead accumulates
+    cached monomials into per-slot dicts.
+    """
+    ring, order = f.ring, f.order
+    values = [assignment[g] for g in ring.gens]
+    result = TPoly.constant(ring, 0, order)
+    for k, poly in enumerate(f.coeffs):
+        for expo, coeff in poly.terms.items():
+            term = TPoly.constant(ring, coeff, order)
+            for value, e in zip(values, expo):
+                for _ in range(e):
+                    term = term * value
+            result = result + term.t_shift(k)
+    return result

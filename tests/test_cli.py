@@ -92,6 +92,40 @@ def test_bad_degree_bound_variable_exits_two(worked_model, value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("body", ["x - x", "0*x", "(x + y)*(x - x)"])
+def test_zero_valued_expression_exits_zero(tmp_path, body):
+    path = tmp_path / "zero.mks"
+    path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = {body};\nalpha y = 0*x;\n")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "body,location",
+    [
+        ("(" * 3000 + "x" + ")" * 3000, "line 3, col 118"),
+        ("x + t^4*y", "line 3, col 22"),
+        ("t^4", "line 3, col 18"),
+    ],
+)
+def test_pathological_expressions_exit_two(tmp_path, body, location):
+    path = tmp_path / "bad.mks"
+    path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = {body};\n")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {location}:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_long_unary_minus_chain_parses(tmp_path):
+    path = tmp_path / "minus.mks"
+    path.write_text("ring x, y;\norder 2;\nbracket {x, y} = " + "-" * 3000 + "x;\n")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_returns_exit_codes(worked_model, capsys):
     assert main(["verify", worked_model]) == 0
     capsys.readouterr()

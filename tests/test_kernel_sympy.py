@@ -6,7 +6,11 @@ same expression, truncated in t, on hypothesis-drawn inputs:
 
 * ``TPoly`` product: ``a * b`` with the powers of t above the order dropped,
 * ``alpha_apply``: ``df/dt + sum_g alpha(g) * df/dg`` (alpha(t) = 1),
-* ``partial_alpha``: ``sum_g alpha(g) * df/dg`` (t treated as a scalar).
+* ``partial_alpha``: ``sum_g alpha(g) * df/dg`` (t treated as a scalar),
+* ``TPoly.substitute``: simultaneous replacement of the generators (t maps
+  to t), expanded with sympy ``Poly`` products truncated after each step,
+* ``PoissonStructure.bracket``: ``sum_{i<j} B_ij (df/dx_i dg/dx_j - df/dx_j dg/dx_i)``,
+* ``Derivation.apply``: ``sum_g D(g) * df/dg``.
 """
 
 from fractions import Fraction
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkit.algebra import Poly, PolyRing, TPoly
+from momentkit.algebra import Derivation, Poly, PolyRing, TPoly
 from momentkit.line import LineData
 from momentkit.poisson import PoissonStructure
 
@@ -121,3 +125,71 @@ def test_partial_alpha_matches_t_linear_formula(data):
     f = data.draw(tpolys(ring, order - 1))
     expected = truncated_terms(alpha_part(line, to_sympy(f)), ring, order - 1)
     assert terms_of(line.partial_alpha(f)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_substitute_matches_truncated_expansion(data):
+    ring, order = data.draw(rings_and_orders())
+    f = data.draw(tpolys(ring, order))
+    assignment = {g: data.draw(tpolys(ring, order)) for g in ring.gens}
+    gens = (T, *SYMBOLS[: ring.arity])
+
+    def truncated(poly):
+        # drop t-powers above the order after every product, so that the
+        # expansion stays small
+        kept = {m: c for m, c in poly.as_dict().items() if m[0] <= order}
+        return sympy.Poly.from_dict(kept, *gens) if kept else sympy.Poly(0, *gens)
+
+    values = [sympy.Poly(to_sympy(assignment[g]), *gens) for g in ring.gens]
+    total = sympy.Poly(0, *gens)
+    for monom, c in sympy.Poly(to_sympy(f), *gens).terms():
+        term = sympy.Poly(c * T ** monom[0], *gens)
+        for value, e in zip(values, monom[1:]):
+            for _ in range(e):
+                term = truncated(term * value)
+        total += term
+    expected = truncated_terms(total.as_expr(), ring, order)
+    assert terms_of(f.substitute(assignment)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_bracket_matches_biderivation_formula(data):
+    ring, order = data.draw(rings_and_orders())
+    table = {
+        (a, b): data.draw(tpolys(ring, order))
+        for i, a in enumerate(ring.gens)
+        for b in ring.gens[i + 1 :]
+    }
+    structure = PoissonStructure(ring, order, table)
+    f = data.draw(tpolys(ring, order))
+    g = data.draw(tpolys(ring, order))
+    fs, gs = to_sympy(f), to_sympy(g)
+    symbols = SYMBOLS[: ring.arity]
+    expected = sympy.Add(
+        *(
+            to_sympy(table[(ring.gens[i], ring.gens[j])])
+            * (
+                sympy.diff(fs, symbols[i]) * sympy.diff(gs, symbols[j])
+                - sympy.diff(fs, symbols[j]) * sympy.diff(gs, symbols[i])
+            )
+            for i in range(ring.arity)
+            for j in range(i + 1, ring.arity)
+        )
+    )
+    assert terms_of(structure.bracket(f, g)) == truncated_terms(expected, ring, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_derivation_apply_matches_leibniz_formula(data):
+    ring, order = data.draw(rings_and_orders())
+    values = {g: data.draw(tpolys(ring, order)) for g in ring.gens}
+    f = data.draw(tpolys(ring, order))
+    fs = to_sympy(f)
+    expected = sympy.Add(
+        *(to_sympy(values[g]) * sympy.diff(fs, s) for g, s in zip(ring.gens, SYMBOLS))
+    )
+    result = Derivation(ring, order, values).apply(f)
+    assert terms_of(result) == truncated_terms(expected, ring, order)

@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentkit.algebra import PolyRing, TPoly
+from momentkit.algebra import Poly, PolyRing, TPoly
 from momentkit.instances import random_instance
+from momentkit.line import LineData, TotElement
 from momentkit.modelfile import (
+    MAX_NESTING,
     ModelError,
     model_from_system,
     parse_model,
     parse_polynomial,
     parse_tot_expression,
 )
+from momentkit.poisson import PoissonStructure
 
 TRIVIAL_PLANE = """\
 ring x, y;
@@ -100,6 +105,13 @@ def test_model_from_system_round_trip():
         ("ring x, y; order 1; bracket {x,y} = 1/0;", "zero denominator"),
         ("ring x, y; order 1; bogus;", "unknown statement"),
         ("ring x, y; order 1; bracket {x,y} = x^-1;", "only allowed on s"),
+        ("ring x, y; order 2; bracket {x,y} = x + t^4*y;", "exceeding order 2"),
+        ("ring x, y; order 2; bracket {x,y} = t^4;", "exceeding order 2"),
+        ("ring x, y; order 2; bracket {x,y} = (1 + t*x)^3;", "exceeding order 2"),
+        ("ring x, y; order 2; bracket {x,y} = t^3 - t^3;", "exceeding order 2"),
+        ("ring x, y; order 2; alpha y = t^5*x;", "exceeding order 2"),
+        ("ring x, y; order 2; twist g: y -> y + t^3; unit 1;", "exceeding order 2"),
+        ("ring x, y; order 2; twist g: ; unit 1 + t^7;", "exceeding order 2"),
     ],
 )
 def test_semantic_and_syntax_errors(text, needle):
@@ -146,3 +158,227 @@ def test_parse_tot_expressions():
         parse_tot_expression("x*s^2 +", line)
     with pytest.raises(ModelError):
         parse_tot_expression("w*s", line)
+
+
+@pytest.mark.parametrize("body", ["x - x", "0*x", "0", "(x + y)*(y - y)", "(x - x)^3"])
+def test_zero_valued_expressions_are_omitted(body):
+    model = parse_model(f"ring x, y; order 2; bracket {{x, y}} = {body}; alpha y = {body};")
+    assert model.brackets == {}
+    assert model.alphas == {}
+
+
+def test_zero_valued_polynomial_parses_to_zero():
+    ring = PolyRing(["x", "y"])
+    assert parse_polynomial("x - x", ring, 2) == TPoly.constant(ring, 0, 2)
+    assert parse_polynomial("0*t^2*x", ring, 2).is_zero()
+
+
+def test_over_order_error_points_at_the_term():
+    ring = PolyRing(["x", "y"])
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("x + y*t^3", ring, 2)
+    assert (err.value.line, err.value.col) == (1, 7)
+
+
+def test_nesting_limit():
+    ring = PolyRing(["x", "y"])
+    depth = MAX_NESTING
+    assert parse_polynomial("(" * depth + "x" + ")" * depth, ring, 1) == TPoly.generator(
+        ring, "x", 1
+    )
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("(" * (depth + 1) + "x" + ")" * (depth + 1), ring, 1)
+    assert err.value.col == depth + 1
+
+
+def test_tot_expression_order_rules():
+    model = parse_model(TRIVIAL_PLANE)
+    line = model.build_system().line
+    ring = model.ring
+    # degree 0 lives at the base order 2: t^3 there is an error, also when an
+    # s-power carries it to degree 0
+    for text in ("t^3", "x + t^3*s^0", "s^-1*(s*t^3)", "(s + t^2)*(s^-1 + t)"):
+        with pytest.raises(ModelError):
+            parse_tot_expression(text, line)
+    # nonzero degrees are reduced to the module order 1
+    assert parse_tot_expression("s*t^5 + s*x", line) == line.tot_term(
+        1, TPoly.generator(ring, "x", 1)
+    )
+    assert parse_tot_expression("s*t^2", line).is_zero()
+    # the reduction applies to the final value: t^2 moved back to degree 0 stays
+    assert parse_tot_expression("(s*t^2)*s^-1", line) == line.tot_term(
+        0, TPoly.build(ring, 2, {2: ring.one()})
+    )
+
+
+# -- parser fuzzing ---------------------------------------------------------------
+
+FUZZ_RING = PolyRing(["x", "y"])
+
+
+def _leaves(allow_s):
+    literals = st.fractions(min_value=0, max_value=3, max_denominator=3).map(
+        lambda c: ("lit", c)
+    )
+    names = st.sampled_from([("gen", "x"), ("gen", "y"), ("t",), ("t",)])
+    if not allow_s:
+        return st.one_of(literals, names)
+    return st.one_of(literals, names, st.integers(-2, 2).map(lambda k: ("s", k)))
+
+
+def _trees(allow_s):
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.just("^"), children, st.integers(0, 3)),
+        )
+
+    return st.recursive(_leaves(allow_s), extend, max_leaves=8)
+
+
+def _render(tree) -> str:
+    def wrap(node):
+        text = _render(node)
+        return text if node[0] in ("lit", "gen", "t") else f"({text})"
+
+    kind = tree[0]
+    if kind == "lit":
+        c = tree[1]
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    if kind == "gen":
+        return tree[1]
+    if kind == "t":
+        return "t"
+    if kind == "s":
+        return "s" if tree[1] == 1 else f"s^{tree[1]}"
+    if kind == "neg":
+        return f"-{wrap(tree[1])}"
+    if kind == "^":
+        return f"{wrap(tree[1])}^{tree[2]}"
+    return f"{wrap(tree[1])} {kind} {wrap(tree[2])}"
+
+
+def _t_bound(tree) -> int:
+    kind = tree[0]
+    if kind == "t":
+        return 1
+    if kind in ("lit", "gen", "s"):
+        return 0
+    if kind == "neg":
+        return _t_bound(tree[1])
+    if kind == "^":
+        return _t_bound(tree[1]) * tree[2]
+    if kind == "*":
+        return _t_bound(tree[1]) + _t_bound(tree[2])
+    return max(_t_bound(tree[1]), _t_bound(tree[2]))
+
+
+def _evaluate(tree, line, order):
+    """(exact value, s-degrees at which an over-order term arose) of a tree.
+
+    ``line`` has a high enough order that its TotElement arithmetic is exact;
+    a t-power above ``order`` arises at a product or power whose exact value
+    has one, and it stays with every product that has a nonzero cofactor.
+    """
+    ring = line.ring
+
+    def over_in(value):
+        return {d for d, c in value.coeffs.items() if c.t_degree() > order}
+
+    def reach(value, over):
+        return set(value.coeffs) | over
+
+    def mul(a, b):
+        (va, oa), (vb, ob) = a, b
+        value = va * vb
+        over = over_in(value)
+        over |= {d + e for d in oa for e in reach(vb, ob)}
+        over |= {d + e for d in ob for e in reach(va, oa)}
+        return value, over
+
+    kind = tree[0]
+    if kind == "lit":
+        return line.tot_term(0, tree[1]), set()
+    if kind == "gen":
+        return line.tot_term(0, TPoly.generator(ring, tree[1], line.order)), set()
+    if kind == "t":
+        return line.tot_t(), set()
+    if kind == "s":
+        return line.s_power(tree[1]), set()
+    if kind == "neg":
+        value, over = _evaluate(tree[1], line, order)
+        return -value, over
+    if kind == "^":
+        base = _evaluate(tree[1], line, order)
+        result = (line.tot_term(0, 1), set())
+        for _ in range(tree[2]):
+            result = mul(result, base)
+        return result
+    a = _evaluate(tree[1], line, order)
+    b = _evaluate(tree[2], line, order)
+    if kind == "*":
+        return mul(a, b)
+    value = a[0] + b[0] if kind == "+" else a[0] - b[0]
+    return value, a[1] | b[1]
+
+
+def _fuzz_line(order):
+    # s-powers of the drawn trees can exceed the default Laurent degree bound
+    return LineData(PoissonStructure(FUZZ_RING, order, {}), {}, degree_bound=1000)
+
+
+def _exact_line(tree, order):
+    return _fuzz_line(max(_t_bound(tree), order) + 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees(allow_s=False), order=st.integers(1, 3))
+def test_parse_polynomial_matches_tpoly_arithmetic(tree, order):
+    text = _render(tree)
+    value, over = _evaluate(tree, _exact_line(tree, order), order)
+    if 0 in over:
+        with pytest.raises(ModelError):
+            parse_polynomial(text, FUZZ_RING, order)
+        return
+    expected = value.coefficient(0)
+    assert expected.t_degree() <= order
+    assert parse_polynomial(text, FUZZ_RING, order) == expected.truncate(order), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees(allow_s=True), order=st.integers(1, 3))
+def test_parse_tot_expression_matches_tot_arithmetic(tree, order):
+    text = _render(tree)
+    line = _fuzz_line(order)
+    value, over = _evaluate(tree, _exact_line(tree, order), order)
+    if 0 in over:
+        with pytest.raises(ModelError):
+            parse_tot_expression(text, line)
+        return
+    expected = TotElement(
+        line,
+        {
+            d: c.truncate(line.coefficient_order(d))
+            for d, c in value.coeffs.items()
+        },
+    )
+    assert parse_tot_expression(text, line) == expected, text
+
+
+@st.composite
+def _tpolys(draw):
+    order = draw(st.integers(0, 4))
+    exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    slots = [
+        Poly(FUZZ_RING, draw(st.dictionaries(exponents, coefficients, max_size=4)))
+        for _ in range(order + 1)
+    ]
+    return TPoly(FUZZ_RING, order, slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tpolys())
+def test_parse_inverts_render(p):
+    assert parse_polynomial(str(p), FUZZ_RING, p.order) == p

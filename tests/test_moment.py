@@ -9,7 +9,12 @@ from momentkit.line import LineData
 from momentkit.moment import GaugeTwist, MomentSystem, invert_generator_map
 from momentkit.poisson import Point, PoissonStructure
 
-from oracles import pfaffian, rank_by_minors, trivialize_by_full_recompute
+from oracles import (
+    pfaffian,
+    rank_by_minors,
+    substitute_by_terms,
+    trivialize_by_full_recompute,
+)
 
 
 @pytest.fixture
@@ -222,6 +227,23 @@ def test_incremental_lifts_match_full_recompute_oracle(name, build):
             random_gauge_twist(rng, base.ring, n, max_degree=1)
         )
         assert system.trivialize().lifts == trivialize_by_full_recompute(system), n
+
+
+@pytest.mark.parametrize("name, build", CATALOG, ids=[name for name, _ in CATALOG])
+def test_substitute_matches_term_by_term_oracle(name, build):
+    base = build()
+    ring = base.ring
+    rng = random.Random(f"substitute/{name}")
+    for n in range(1, 9):
+        structure = MomentSystem.trivial(base, n).structure
+        phi = random_gauge_twist(rng, ring, n, max_degree=1).phi
+        psi = invert_generator_map(ring, n, phi)
+        for g in ring.gens:
+            assert psi[g].substitute(phi) == substitute_by_terms(psi[g], phi), (n, g)
+        for i, a in enumerate(ring.gens):
+            for b in ring.gens[i + 1 :]:
+                entry = structure.bracket(phi[a], phi[b])
+                assert entry.substitute(psi) == substitute_by_terms(entry, psi), (n, a, b)
 
 
 def test_trivialize_nontrivial_alpha_systems():
