@@ -33,6 +33,7 @@ from .moment import (
     ConformalExtension,
     GaugeTwist,
     MomentSystem,
+    NotConformal,
     TrivializationResult,
     invert_generator_map,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ModelFile",
     "MomentSystem",
     "NotAUnit",
+    "NotConformal",
     "OrderMismatch",
     "Point",
     "PoissonStructure",

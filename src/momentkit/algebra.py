@@ -21,7 +21,10 @@ Representation notes:
   a whole ``TPoly`` per partial product; ``substitute`` also caches each
   monomial of the assigned values, built from a cached monomial one degree
   lower by a single kernel product,
-* mixing generator lists or truncation orders is an error, never a silent
+* ``as_tpoly(value, ring, order)`` is the one value -> ``TPoly`` coercion:
+  every API that accepts a ``TPoly``, a ``Poly`` or a rational calls it, so
+  mixing generator lists or truncation orders is an error
+  (``GeneratorMismatch``/``OrderMismatch``) everywhere, never a silent
   coercion.
 
 The canonical text rendering (used by every report and by the model-file
@@ -202,9 +205,6 @@ class Poly:
 
     # -- structure -------------------------------------------------------
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def constant_value(self) -> Rat | None:
         """The rational this polynomial equals, or None if it is not constant."""
         if not self.terms:
@@ -241,21 +241,6 @@ class Poly:
                     term *= v**e
             total += term
         return total
-
-    def substitute(self, assignment: Mapping[str, Poly]) -> Poly:
-        """Simultaneous substitution generator -> Poly (a ring homomorphism)."""
-        values = [assignment.get(g) for g in self.ring.gens]
-        missing = [g for g, v in zip(self.ring.gens, values) if v is None]
-        if missing:
-            raise GeneratorMismatch(f"assignment misses generators {missing}")
-        result = self.ring.zero()
-        for expo, coeff in self.terms.items():
-            term = self.ring.const(coeff)
-            for v, e in zip(values, expo):
-                if e:
-                    term = term * v**e
-            result = result + term
-        return result
 
     def __str__(self) -> str:
         return render_terms(self.ring, [(0, e, c) for e, c in self.terms.items()])
@@ -324,24 +309,8 @@ class TPoly:
 
     # -- ring operations -------------------------------------------------
 
-    def _check(self, other: TPoly) -> None:
-        if self.ring != other.ring:
-            raise GeneratorMismatch(f"mixing rings {self.ring!r} and {other.ring!r}")
-        if self.order != other.order:
-            raise OrderMismatch(f"mixing orders {self.order} and {other.order}")
-
-    def _coerce(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
-        if isinstance(other, TPoly):
-            self._check(other)
-            return other
-        if isinstance(other, Poly):
-            if other.ring != self.ring:
-                raise GeneratorMismatch("mixing rings")
-            return TPoly.from_poly(other, self.order)
-        return TPoly.constant(self.ring, other, self.order)
-
     def __add__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
-        other = self._coerce(other)
+        other = as_tpoly(other, self.ring, self.order)
         return TPoly(
             self.ring, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -352,7 +321,7 @@ class TPoly:
         return TPoly(self.ring, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
-        return self + (-self._coerce(other))
+        return self + (-as_tpoly(other, self.ring, self.order))
 
     def __rsub__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
         return (-self) + other
@@ -361,7 +330,7 @@ class TPoly:
         if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
             return TPoly(self.ring, self.order, [p * c for p in self.coeffs])
-        other = self._coerce(other)
+        other = as_tpoly(other, self.ring, self.order)
         slots = new_slots(self.order)
         add_truncated_product(slots, self.coeffs, other.coeffs)
         return TPoly.from_slots(self.ring, slots)
@@ -378,7 +347,7 @@ class TPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
-            other = self._coerce(other)
+            other = as_tpoly(other, self.ring, self.order)
         if not isinstance(other, TPoly):
             return NotImplemented
         return (
@@ -461,13 +430,7 @@ class TPoly:
             v = assignment.get(g)
             if v is None:
                 raise GeneratorMismatch(f"assignment misses generator {g!r}")
-            if v.ring != self.ring:
-                raise GeneratorMismatch("assignment value from a different ring")
-            if v.order != self.order:
-                raise OrderMismatch(
-                    f"assignment value at order {v.order}, expected {self.order}"
-                )
-            values.append(v)
+            values.append(as_tpoly(v, self.ring, self.order))
         ring = self.ring
         order = self.order
         # Monomial values keyed by exponent; each new one is a single kernel
@@ -506,6 +469,26 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"<TPoly[{self.order}] {self}>"
+
+
+def as_tpoly(value: Union[TPoly, Poly, RatLike], ring: PolyRing, order: int) -> TPoly:
+    """``value`` as an element of ``ring[t]/t^(order+1)``.
+
+    A ``TPoly`` must already live there; a ``Poly`` of ``ring`` fills the t^0
+    slot; an int or ``Fraction`` becomes a constant.  A different ring raises
+    ``GeneratorMismatch``, a different order ``OrderMismatch``.
+    """
+    if isinstance(value, TPoly):
+        if value.ring != ring:
+            raise GeneratorMismatch(f"mixing rings {value.ring!r} and {ring!r}")
+        if value.order != order:
+            raise OrderMismatch(f"mixing orders {value.order} and {order}")
+        return value
+    if isinstance(value, Poly):
+        if value.ring != ring:
+            raise GeneratorMismatch(f"mixing rings {value.ring!r} and {ring!r}")
+        return TPoly.from_poly(value, order)
+    return TPoly.constant(ring, value, order)
 
 
 # ---------------------------------------------------------------------------
@@ -589,47 +572,27 @@ class Derivation:
 
     __slots__ = ("ring", "order", "values")
 
-    def __init__(self, ring: PolyRing, order: int, values: Mapping[str, TPoly]):
-        vals: dict[str, TPoly] = {}
-        for g in ring.gens:
-            v = values.get(g)
-            if v is None:
-                v = TPoly.constant(ring, 0, order)
-            if v.ring != ring:
-                raise GeneratorMismatch("derivation value from a different ring")
-            if v.order != order:
-                raise OrderMismatch(
-                    f"derivation value at order {v.order}, expected {order}"
-                )
-            vals[g] = v
+    def __init__(
+        self, ring: PolyRing, order: int, values: Mapping[str, Union[TPoly, Poly, RatLike]]
+    ):
         for g in values:
             ring.index(g)
         self.ring = ring
         self.order = order
-        self.values = vals
+        self.values = {g: as_tpoly(values.get(g, 0), ring, order) for g in ring.gens}
 
     def value(self, gen: str) -> TPoly:
         self.ring.index(gen)
         return self.values[gen]
 
     def apply(self, f: Union[TPoly, Poly]) -> TPoly:
-        if isinstance(f, Poly):
-            f = TPoly.from_poly(f, self.order)
-        if f.ring != self.ring:
-            raise GeneratorMismatch("derivation and argument rings differ")
-        if f.order != self.order:
-            raise OrderMismatch(
-                f"derivation at order {self.order} applied to order {f.order}"
-            )
+        f = as_tpoly(f, self.ring, self.order)
         slots = new_slots(self.order)
         for g in self.ring.gens:
             dg = self.values[g]
             if not dg.is_zero():
                 add_truncated_product(slots, f.diff(g).coeffs, dg.coeffs)
         return TPoly.from_slots(self.ring, slots)
-
-    def __call__(self, f: Union[TPoly, Poly]) -> TPoly:
-        return self.apply(f)
 
     def truncate(self, order: int) -> Derivation:
         return Derivation(

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``verify``, ``trivialize``, ``twist``, ``tot``, ``rank``,
-``conformal`` and ``roundtrip``.  Exit codes: 0 when the command verified or
-computed successfully, 1 when a verification check failed, 2 on usage or
-parse errors.  ``--json`` switches to a machine-readable report
+``conformal`` and ``roundtrip``.  Exit codes: 0 when every check passed or
+the command computed successfully, 1 when a verification check failed, 2 on
+usage or parse errors.  ``--json`` switches to a machine-readable report
 (``schema: 1``); identical inputs, flags and seeds produce byte-identical
 JSON (timing is reported only in the human-readable output).
 """
@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algebra import Derivation, TPoly
 from .instances import random_gauge_twist, random_instance
 from .line import default_degree_bound
 from .modelfile import (
@@ -28,8 +27,7 @@ from .modelfile import (
     parse_model,
     parse_tot_expression,
 )
-from .moment import MomentSystem
-from .poisson import ConformalField
+from .moment import MomentSystem, NotConformal
 from .reporting import Check
 
 SCHEMA_VERSION = 1
@@ -239,16 +237,10 @@ def _cmd_conformal(args: argparse.Namespace) -> RunReport:
     report = system.verify()
     if not report.passed:
         return RunReport("conformal", False, 1, list(report.checks))
-    base = system.structure.restrict(0)
-    xi0 = Derivation(
-        system.ring, 0, {g: TPoly.from_poly(v, 0) for g, v in decl.values.items()}
-    )
-    base_check = base.verify_conformal(ConformalField(xi0, decl.weight))
-    if not base_check.passed:
-        return RunReport(
-            "conformal", False, 1, [base_check], {"weight": str(decl.weight)}
-        )
-    extension = system.extend_conformal(decl.values, decl.weight)
+    try:
+        extension = system.extend_conformal(decl.values, decl.weight)
+    except NotConformal as exc:
+        return RunReport("conformal", False, 1, [exc.check], {"weight": str(decl.weight)})
     details = {
         "weight": str(decl.weight),
         "mu": None if extension.mu is None else str(extension.mu),
@@ -261,7 +253,7 @@ def _cmd_conformal(args: argparse.Namespace) -> RunReport:
         "conformal",
         passed,
         0 if passed else 1,
-        [base_check, extension.pairs, extension.module_check],
+        [extension.base, extension.pairs, extension.module_check],
         details,
     )
 

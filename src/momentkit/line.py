@@ -29,18 +29,18 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Union
 
 from .algebra import (
     GeneratorMismatch,
     OrderMismatch,
     Poly,
-    PolyRing,
-    Rat,
     RatLike,
     Slots,
     TPoly,
     add_truncated_product,
+    as_tpoly,
     invert_unit,
     new_slots,
 )
@@ -80,27 +80,12 @@ class LineData:
         self.order = base.order
         self.module_order = base.order - 1
         self.degree_bound = default_degree_bound() if degree_bound is None else degree_bound
-        values: dict[str, TPoly] = {}
-        for g, v in (alpha or {}).items():
+        alpha = alpha or {}
+        for g in alpha:
             self.ring.index(g)
-            values[g] = self._coerce_module(v)
         self._alpha = {
-            g: values.get(g, TPoly.constant(self.ring, 0, self.module_order))
-            for g in self.ring.gens
+            g: as_tpoly(alpha.get(g, 0), self.ring, self.module_order) for g in self.ring.gens
         }
-
-    def _coerce_module(self, value: Union[TPoly, Poly, RatLike]) -> TPoly:
-        if isinstance(value, TPoly):
-            if value.ring != self.ring:
-                raise GeneratorMismatch("alpha value from a different ring")
-            if value.order != self.module_order:
-                raise OrderMismatch(
-                    f"alpha value at order {value.order}, expected {self.module_order}"
-                )
-            return value
-        if isinstance(value, Poly):
-            return TPoly.from_poly(value, self.module_order)
-        return TPoly.constant(self.ring, value, self.module_order)
 
     def alpha_of(self, gen: str) -> TPoly:
         self.ring.index(gen)
@@ -151,10 +136,7 @@ class LineData:
         This is the extension that is well defined on module-order elements
         without choosing a lift; t is treated as a scalar.
         """
-        if f.ring != self.ring:
-            raise GeneratorMismatch("argument from a different ring")
-        if f.order != self.module_order:
-            raise OrderMismatch(f"argument at order {f.order}, expected {self.module_order}")
+        f = as_tpoly(f, self.ring, self.module_order)
         slots = new_slots(self.module_order)
         for k, c in enumerate(f.coeffs):
             if not c.is_zero():
@@ -166,9 +148,8 @@ class LineData:
 
         a lives at base order N, the section coefficient m at order N-1.
         """
-        if a.ring != self.ring or a.order != self.order:
-            raise OrderMismatch(f"first argument must live at base order {self.order}")
-        m = self._coerce_module(m)
+        a = as_tpoly(a, self.ring, self.order)
+        m = as_tpoly(m, self.ring, self.module_order)
         field = self.base.hamiltonian_field(a).truncate(self.module_order)
         return field.apply(m) + m * self.alpha_apply(a)
 
@@ -186,16 +167,14 @@ class LineData:
             for g in gens
         }
         findings = []
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                a, b = gens[i], gens[j]
-                defect = (
-                    fields[a].apply(self._alpha[b])
-                    - fields[b].apply(self._alpha[a])
-                    - self.alpha_apply(self.base.gen_bracket(a, b))
-                )
-                if not defect.is_zero():
-                    findings.append(Finding((a, b), str(defect)))
+        for a, b in combinations(gens, 2):
+            defect = (
+                fields[a].apply(self._alpha[b])
+                - fields[b].apply(self._alpha[a])
+                - self.alpha_apply(self.base.gen_bracket(a, b))
+            )
+            if not defect.is_zero():
+                findings.append(Finding((a, b), str(defect)))
         return Check(
             "cocycle",
             not findings,
@@ -211,7 +190,7 @@ class LineData:
         u must be a unit of the module-order ring; alpha(t) stays 1 because
         {t, u} = 0.
         """
-        u = self._coerce_module(u)
+        u = as_tpoly(u, self.ring, self.module_order)
         u_inv = invert_unit(u)
         new_alpha = {}
         for g in self.ring.gens:
@@ -294,17 +273,14 @@ class LineData:
         elements.append(("s^-1", self.s_power(-1)))
         elements.append(("t", self.tot_t()))
         findings = []
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                for l in range(j + 1, len(elements)):
-                    (na, a), (nb, b), (nc, c) = elements[i], elements[j], elements[l]
-                    res = (
-                        self.tot_bracket(a, self.tot_bracket(b, c))
-                        + self.tot_bracket(b, self.tot_bracket(c, a))
-                        + self.tot_bracket(c, self.tot_bracket(a, b))
-                    )
-                    if not res.is_zero():
-                        findings.append(Finding((na, nb, nc), str(res)))
+        for (na, a), (nb, b), (nc, c) in combinations(elements, 3):
+            res = (
+                self.tot_bracket(a, self.tot_bracket(b, c))
+                + self.tot_bracket(b, self.tot_bracket(c, a))
+                + self.tot_bracket(c, self.tot_bracket(a, b))
+            )
+            if not res.is_zero():
+                findings.append(Finding((na, nb, nc), str(res)))
         return Check("tot-jacobi", not findings, tuple(findings))
 
     def __eq__(self, other: object) -> bool:
@@ -331,7 +307,7 @@ class TotElement:
                 raise OverflowError(
                     f"Laurent degree {degree} exceeds bound {line.degree_bound}"
                 )
-            tp = _coerce_at(line, value, line.coefficient_order(degree))
+            tp = as_tpoly(value, line.ring, line.coefficient_order(degree))
             if not tp.is_zero():
                 clean[degree] = tp
         self.line = line
@@ -348,9 +324,6 @@ class TotElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_homogeneous(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def _check(self, other: TotElement) -> None:
         if self.line is not other.line and self.line != other.line:
@@ -417,18 +390,6 @@ class TotElement:
 
     def __repr__(self) -> str:
         return f"<TotElement {self}>"
-
-
-def _coerce_at(line: LineData, value: Union[TPoly, Poly, RatLike], order: int) -> TPoly:
-    if isinstance(value, TPoly):
-        if value.ring != line.ring:
-            raise GeneratorMismatch("coefficient from a different ring")
-        if value.order != order:
-            raise OrderMismatch(f"coefficient at order {value.order}, expected {order}")
-        return value
-    if isinstance(value, Poly):
-        return TPoly.from_poly(value, order)
-    return TPoly.constant(line.ring, value, order)
 
 
 def _at_order(value: TPoly, order: int) -> TPoly:

@@ -21,6 +21,11 @@ and the recovery of every bracket relation.
 
 A MomentSystem is immutable, so ``verify()`` computes its report once and
 caches it; ``trivialize`` and ``extend_conformal`` reuse that report.
+
+``extend_conformal`` is the one home of the base conformal check: it checks
+the field on the undeformed base first and raises ``NotConformal`` (carrying
+the failed ``Check``) when that fails; on success the passing check is
+returned as ``ConformalExtension.base``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping, Union
 
 from .algebra import (
@@ -74,44 +80,40 @@ class GaugeTwist:
 @dataclass(frozen=True)
 class TrivializationResult:
     lifts: Mapping[str, TPoly]
-    verified: bool
     checks: tuple[Check, ...]
 
     def lift(self, gen: str) -> TPoly:
         return self.lifts[gen]
 
-    def to_dict(self) -> dict:
-        return {
-            "lifts": {g: str(v) for g, v in self.lifts.items()},
-            "verified": self.verified,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
 
 @dataclass(frozen=True)
 class ConformalExtension:
-    """Result of extending a base conformal field across the deformation."""
+    """Result of extending a base conformal field across the deformation.
+
+    ``base`` is the (passing) conformal check of the field on the undeformed
+    base structure.
+    """
 
     weight: Rat
     mu: Rat | None
     obstruction: str | None
+    base: Check
     pairs: Check
     module_check: Check
     h_is_free: bool
     passed: bool
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "weight": str(self.weight),
-            "mu": None if self.mu is None else str(self.mu),
-            "obstruction": self.obstruction,
-            "pairs": self.pairs.to_dict(),
-            "module": self.module_check.to_dict(),
-            "h_is_free": self.h_is_free,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+
+class NotConformal(ValueError):
+    """The field is not conformal of the given weight on the undeformed base;
+    ``check`` is the failed base conformal check."""
+
+    def __init__(self, check: Check, weight: Rat):
+        super().__init__(
+            f"field is not conformal of weight {weight} on the undeformed base: {check}"
+        )
+        self.check = check
 
 
 def invert_generator_map(
@@ -186,11 +188,10 @@ class MomentSystem:
         g.validate(self)
         psi = invert_generator_map(self.ring, self.n, g.phi)
         table = {}
-        for i, a in enumerate(self.ring.gens):
-            for b in self.ring.gens[i + 1 :]:
-                entry = self.structure.bracket(g.phi[a], g.phi[b]).substitute(psi)
-                if not entry.is_zero():
-                    table[(a, b)] = entry
+        for a, b in combinations(self.ring.gens, 2):
+            entry = self.structure.bracket(g.phi[a], g.phi[b]).substitute(psi)
+            if not entry.is_zero():
+                table[(a, b)] = entry
         structure = PoissonStructure(self.ring, self.n, table)
         changed = self.line.change_trivialization(g.unit)
         psi_low = {name: v.truncate(self.n - 1) for name, v in psi.items()}
@@ -225,32 +226,26 @@ class MomentSystem:
                 flat_findings.append(Finding((g,), str(residual)))
         flat = Check("lift-module-bracket-zero", not flat_findings, tuple(flat_findings))
 
+        # Every pair must bracket to its base entry evaluated on the lifts,
+        # and a pair with no base entry to zero.
         base_table = self.structure.base_table()
-        assignment = lifts
         relation_findings = []
-        for (a, b), value in base_table.items():
-            expected = TPoly.from_poly(value, self.n).substitute(assignment)
+        for a, b in combinations(self.ring.gens, 2):
+            value = base_table.get((a, b), self.ring.zero())
+            expected = TPoly.from_poly(value, self.n).substitute(lifts)
             actual = self.structure.bracket(lifts[a], lifts[b])
             if actual != expected:
                 relation_findings.append(Finding((a, b), str(actual - expected)))
-        # Pairs whose base bracket is zero must also bracket to zero.
-        covered = set(base_table)
-        for i, a in enumerate(self.ring.gens):
-            for b in self.ring.gens[i + 1 :]:
-                if (a, b) in covered:
-                    continue
-                actual = self.structure.bracket(lifts[a], lifts[b])
-                if not actual.is_zero():
-                    relation_findings.append(Finding((a, b), str(actual)))
         relations = Check(
             "lift-bracket-relations", not relation_findings, tuple(relation_findings)
         )
         if not flat.passed or not relations.passed:
             raise AssertionError(
-                "trivialization postcondition failed on a verified system; "
+                "trivialization postcondition failed on a system that passes "
+                "verification; "
                 f"this is a bug: {flat} {relations}"
             )
-        return TrivializationResult(lifts, True, (flat, relations))
+        return TrivializationResult(lifts, (flat, relations))
 
     # -- total-space checks ----------------------------------------------------
 
@@ -279,11 +274,10 @@ class MomentSystem:
         gens = self.ring.gens
         k = len(gens)
         matrix = [[Fraction(0)] * (k + 2) for _ in range(k + 2)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                value = self.structure.gen_bracket(gens[i], gens[j]).evaluate(pt.values, pt.t)
-                matrix[i][j] = value
-                matrix[j][i] = -value
+        for (i, a), (j, b) in combinations(enumerate(gens), 2):
+            value = self.structure.gen_bracket(a, b).evaluate(pt.values, pt.t)
+            matrix[i][j] = value
+            matrix[j][i] = -value
         for i, g in enumerate(gens):
             value = self.line.alpha_of(g).evaluate(pt.values, pt.t) * pt.s
             matrix[i][k] = value
@@ -309,26 +303,16 @@ class MomentSystem:
         Tot coordinates {x_i, s, t}; the (x_i, s) constraints are the module
         ones, H_{x_i}(h) = defect for xi(e) = h*e, evaluated under the constant
         ansatz for h (the defects must vanish, and h is then a free constant).
+
+        Raises ``NotConformal`` when the field is not conformal of this weight
+        on the undeformed base.
         """
         weight = Fraction(weight) if isinstance(weight, int) else weight
-        values: dict[str, Poly] = {}
-        for g in self.ring.gens:
-            v = xi.get(g)
-            if v is None:
-                v = self.ring.zero()
-            elif not isinstance(v, Poly):
-                v = self.ring.const(v)
-            values[g] = v
-
-        base0 = self.structure.restrict(0)
-        xi0 = Derivation(
-            self.ring, 0, {g: TPoly.from_poly(v, 0) for g, v in values.items()}
-        )
-        base_check = base0.verify_conformal(ConformalField(xi0, weight))
+        xi0 = Derivation(self.ring, 0, xi)
+        base_check = self.structure.restrict(0).verify_conformal(ConformalField(xi0, weight))
         if not base_check.passed:
-            raise ValueError(
-                f"field is not conformal of weight {weight} on the undeformed base: {base_check}"
-            )
+            raise NotConformal(base_check, weight)
+        values = {g: v.coefficient(0) for g, v in xi0.values.items()}
         if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
 
@@ -379,7 +363,14 @@ class MomentSystem:
         if mu is None:
             failed = Check("tot-conformal", False, (Finding(("t", "s"), obstruction or "0"),))
             return ConformalExtension(
-                weight, None, obstruction, failed, Check("module-weight", False), False, False
+                weight,
+                None,
+                obstruction,
+                base_check,
+                failed,
+                Check("module-weight", False),
+                False,
+                False,
             )
 
         coordinates: list[tuple[str, TotElement]] = [
@@ -390,20 +381,18 @@ class MomentSystem:
         coordinates.append(("t", t_elem))
         pair_findings = []
         module_findings = []
-        for i in range(len(coordinates)):
-            for j in range(i + 1, len(coordinates)):
-                (na, a), (nb, b) = coordinates[i], coordinates[j]
-                defect = pair_defect(a, b, mu)
-                if defect.is_zero():
-                    continue
-                finding = Finding((na, nb), str(defect))
-                # A defect on a (generator, s) pair is the module constraint
-                # H_{x_i}(h) = defect under the constant ansatz for h; every
-                # other pair is h-independent and must vanish outright.
-                if "s" in (na, nb) and "t" not in (na, nb):
-                    module_findings.append(finding)
-                else:
-                    pair_findings.append(finding)
+        for (na, a), (nb, b) in combinations(coordinates, 2):
+            defect = pair_defect(a, b, mu)
+            if defect.is_zero():
+                continue
+            finding = Finding((na, nb), str(defect))
+            # A defect on a (generator, s) pair is the module constraint
+            # H_{x_i}(h) = defect under the constant ansatz for h; every
+            # other pair is h-independent and must vanish outright.
+            if "s" in (na, nb) and "t" not in (na, nb):
+                module_findings.append(finding)
+            else:
+                pair_findings.append(finding)
         pairs = Check("tot-conformal", not pair_findings, tuple(pair_findings))
         module_check = Check(
             "module-weight",
@@ -422,6 +411,7 @@ class MomentSystem:
             weight,
             mu,
             None,
+            base_check,
             pairs,
             module_check,
             h_is_free=module_check.passed,

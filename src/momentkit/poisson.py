@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Union
 
 from .algebra import (
@@ -25,6 +26,7 @@ from .algebra import (
     RatLike,
     TPoly,
     add_truncated_product,
+    as_tpoly,
     exact_rank,
     new_slots,
 )
@@ -61,7 +63,7 @@ class PoissonStructure:
             i, j = ring.index(a), ring.index(b)
             if i == j:
                 raise GeneratorMismatch(f"bracket {{{a},{b}}} needs distinct generators")
-            entry = self._coerce(value)
+            entry = as_tpoly(value, ring, order)
             if i > j:
                 i, j, entry = j, i, -entry
             if (i, j) in declared:
@@ -69,19 +71,6 @@ class PoissonStructure:
             declared.add((i, j))
             if not entry.is_zero():
                 self._table[(i, j)] = entry
-
-    def _coerce(self, value: Union[TPoly, Poly, RatLike]) -> TPoly:
-        if isinstance(value, TPoly):
-            if value.ring != self.ring:
-                raise GeneratorMismatch("bracket entry from a different ring")
-            if value.order != self.order:
-                raise OrderMismatch(
-                    f"bracket entry at order {value.order}, expected {self.order}"
-                )
-            return value
-        if isinstance(value, Poly):
-            return TPoly.from_poly(value, self.order)
-        return TPoly.constant(self.ring, value, self.order)
 
     def gen_bracket(self, a: str, b: str) -> TPoly:
         """{a, b} for generators a, b."""
@@ -118,8 +107,8 @@ class PoissonStructure:
         summed as sum_i df/dx_i * h_i with h_i = sum_j B[i][j] dg/dx_j
         (B[j][i] = -B[i][j]); each derivative is taken once.
         """
-        f = self._coerce(f)
-        g = self._coerce(g)
+        f = as_tpoly(f, self.ring, self.order)
+        g = as_tpoly(g, self.ring, self.order)
         gens = self.ring.gens
         df = [f.diff(a) for a in gens]
         dg = [g.diff(a) for a in gens]
@@ -151,36 +140,21 @@ class PoissonStructure:
 
     def hamiltonian_field(self, f: Union[TPoly, Poly]) -> Derivation:
         """The derivation g -> {f, g}."""
-        f = self._coerce(f)
+        f = as_tpoly(f, self.ring, self.order)
         return Derivation(
             self.ring,
             self.order,
             {g: self.bracket(f, TPoly.generator(self.ring, g, self.order)) for g in self.ring.gens},
         )
 
-    def is_central(self, f: Union[TPoly, Poly]) -> bool:
-        """True iff {f, x_i} = 0 for every generator (sufficient by Leibniz)."""
-        f = self._coerce(f)
-        return all(
-            self.bracket(f, TPoly.generator(self.ring, g, self.order)).is_zero()
-            for g in self.ring.gens
-        )
-
     # -- verification --------------------------------------------------------
 
     def verify_jacobi(self) -> Check:
-        gens = self.ring.gens
         findings = []
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                for l in range(j + 1, len(gens)):
-                    res = self.jacobiator(
-                        TPoly.generator(self.ring, gens[i], self.order),
-                        TPoly.generator(self.ring, gens[j], self.order),
-                        TPoly.generator(self.ring, gens[l], self.order),
-                    )
-                    if not res.is_zero():
-                        findings.append(Finding((gens[i], gens[j], gens[l]), str(res)))
+        for triple in combinations(self.ring.gens, 3):
+            res = self.jacobiator(*(TPoly.generator(self.ring, g, self.order) for g in triple))
+            if not res.is_zero():
+                findings.append(Finding(triple, str(res)))
         return Check("jacobi", not findings, tuple(findings))
 
     def verify_conformal(self, cf: ConformalField) -> Check:
@@ -193,49 +167,19 @@ class PoissonStructure:
             raise GeneratorMismatch("conformal field over a different ring")
         if xi.order != self.order:
             raise OrderMismatch("conformal field at a different order")
-        gens = self.ring.gens
         findings = []
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                a = TPoly.generator(self.ring, gens[i], self.order)
-                b = TPoly.generator(self.ring, gens[j], self.order)
-                defect = (
-                    xi.apply(self.bracket(a, b))
-                    - self.bracket(xi.value(gens[i]), b)
-                    - self.bracket(a, xi.value(gens[j]))
-                    - self.bracket(a, b) * cf.weight
-                )
-                if not defect.is_zero():
-                    findings.append(Finding((gens[i], gens[j]), str(defect)))
+        for ga, gb in combinations(self.ring.gens, 2):
+            a = TPoly.generator(self.ring, ga, self.order)
+            b = TPoly.generator(self.ring, gb, self.order)
+            defect = (
+                xi.apply(self.bracket(a, b))
+                - self.bracket(xi.value(ga), b)
+                - self.bracket(a, xi.value(gb))
+                - self.bracket(a, b) * cf.weight
+            )
+            if not defect.is_zero():
+                findings.append(Finding((ga, gb), str(defect)))
         return Check("conformal", not findings, tuple(findings))
-
-    def solve_conformal_weight(self, xi: Derivation) -> Rat | None:
-        """Solve for the weight on a pair with a nonzero constant bracket.
-
-        Returns None when no such pair exists or when no constant weight
-        satisfies that pair; the weight is not unique for degenerate brackets,
-        so callers needing certainty should pass an explicit weight to
-        verify_conformal.
-        """
-        gens = self.ring.gens
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                a = TPoly.generator(self.ring, gens[i], self.order)
-                b = TPoly.generator(self.ring, gens[j], self.order)
-                bracket = self.bracket(a, b)
-                c = bracket.constant_value()
-                if c is None or c == 0:
-                    continue
-                numerator = (
-                    xi.apply(bracket)
-                    - self.bracket(xi.value(gens[i]), b)
-                    - self.bracket(a, xi.value(gens[j]))
-                )
-                value = numerator.constant_value()
-                if value is None:
-                    return None
-                return value / c
-        return None
 
     # -- pointwise rank --------------------------------------------------------
 

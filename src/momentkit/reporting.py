@@ -47,6 +47,3 @@ class Report:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.algebra import OrderMismatch, Poly, PolyRing, TPoly, invert_unit
+from momentkit.algebra import GeneratorMismatch, OrderMismatch, Poly, PolyRing, TPoly, invert_unit
 from momentkit.line import LineData, TotElement
 from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
@@ -66,6 +66,27 @@ def test_cocycle_failure_reports_residual(plane2):
 def test_line_data_needs_positive_order(plane):
     with pytest.raises(OrderMismatch):
         LineData(plane)  # order 0 leaves no room for the module
+
+
+# -- foreign rings: same generators, other order ----------------------------------
+
+REVERSED = PolyRing(["y", "x"])
+
+
+def test_foreign_ring_alpha_value_rejected(plane2):
+    with pytest.raises(GeneratorMismatch):
+        LineData(plane2.structure, {"y": REVERSED.var("x")})
+
+
+def test_foreign_ring_unit_rejected(plane2):
+    with pytest.raises(GeneratorMismatch):
+        plane2.line.change_trivialization(REVERSED.const(2))
+
+
+@pytest.mark.parametrize("degree", [0, 1, -1])
+def test_foreign_ring_tot_coefficient_rejected(plane2, degree):
+    with pytest.raises(GeneratorMismatch):
+        plane2.line.tot_term(degree, REVERSED.var("x"))
 
 
 # -- module bracket -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from momentkit.algebra import PolyRing, TPoly
 from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
 from momentkit.line import LineData
-from momentkit.moment import GaugeTwist, MomentSystem, invert_generator_map
+from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_generator_map
 from momentkit.poisson import Point, PoissonStructure
 
 from oracles import (
@@ -171,7 +171,6 @@ def test_trivial_system_has_identity_lifts(plane):
     result = system.trivialize()
     for g in plane.ring.gens:
         assert result.lift(g) == TPoly.generator(plane.ring, g, 3)
-    assert result.verified
 
 
 def test_worked_lift(worked):
@@ -373,6 +372,18 @@ def test_extend_rejects_nonconformal_field(plane):
     xi = {"x": plane.ring.var("x"), "y": plane.ring.var("y")}
     with pytest.raises(ValueError):
         system.extend_conformal(xi, Fraction(3))
+
+
+def test_extend_carries_the_base_conformal_check(plane):
+    system = MomentSystem.trivial(plane, 2)
+    xi = {"x": plane.ring.var("x"), "y": plane.ring.var("y")}
+    with pytest.raises(NotConformal) as info:
+        system.extend_conformal(xi, Fraction(3))
+    check = info.value.check
+    assert check.name == "conformal" and not check.passed
+    assert [(f.witness, f.residual) for f in check.findings] == [(("x", "y"), "-5")]
+    ext = system.extend_conformal(xi, Fraction(-2))
+    assert ext.base.name == "conformal" and ext.base.passed
 
 
 def test_extension_recheck_with_module_action(plane):

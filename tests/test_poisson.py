@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.algebra import Derivation, Poly, PolyRing, TPoly
+from momentkit.algebra import Derivation, GeneratorMismatch, Poly, PolyRing, TPoly
 from momentkit.poisson import ConformalField, Point, PoissonStructure
 
 from oracles import bracket_by_pairs, pfaffian, rank_by_minors
@@ -110,7 +110,6 @@ def test_hamiltonian_field_plane(plane):
 def test_hamiltonian_field_of_t_vanishes(plane_ring):
     p = PoissonStructure(plane_ring, 2, {("x", "y"): 1})
     assert p.hamiltonian_field(TPoly.t(plane_ring, 2)).is_zero()
-    assert p.is_central(TPoly.t(plane_ring, 2))
 
 
 def test_hamiltonian_field_so3(so3):
@@ -121,8 +120,8 @@ def test_hamiltonian_field_so3(so3):
 
 
 def test_center(plane):
-    assert plane.is_central(TPoly.constant(plane.ring, 4, 0))
-    assert not plane.is_central(TPoly.generator(plane.ring, "x", 0))
+    assert plane.hamiltonian_field(TPoly.constant(plane.ring, 4, 0)).is_zero()
+    assert not plane.hamiltonian_field(TPoly.generator(plane.ring, "x", 0)).is_zero()
 
 
 # -- conformal fields ---------------------------------------------------------------
@@ -139,7 +138,6 @@ def test_euler_is_conformal_of_weight_minus_two(plane):
     assert not plane.verify_conformal(
         ConformalField(euler(plane.ring, 0), Fraction(1))
     ).passed
-    assert plane.solve_conformal_weight(euler(plane.ring, 0)) == Fraction(-2)
 
 
 def test_hamiltonian_fields_are_conformal_of_weight_zero(so3):
@@ -153,13 +151,6 @@ def test_zero_bracket_admits_any_weight(zero_bracket):
     xi = euler(zero_bracket.ring, 0)
     for weight in (Fraction(0), Fraction(5), Fraction(-7, 3)):
         assert zero_bracket.verify_conformal(ConformalField(xi, weight)).passed
-    # no constant-bracket pair to divide by
-    assert zero_bracket.solve_conformal_weight(xi) is None
-
-
-def test_solve_weight_needs_constant_bracket(so3):
-    # every so(3) bracket entry is linear, so the convenience declines
-    assert so3.solve_conformal_weight(euler(so3.ring, 0)) is None
 
 
 # -- pointwise rank -------------------------------------------------------------------
@@ -278,3 +269,20 @@ def test_rank_is_even_and_matches_minors(seeded):
 def test_duplicate_table_entry_rejected(plane_ring):
     with pytest.raises(ValueError):
         PoissonStructure(plane_ring, 0, {("x", "y"): 1, ("y", "x"): 2})
+
+
+# -- foreign rings: same generators, other order ----------------------------------------
+
+REVERSED = PolyRing(["y", "x"])
+
+
+def test_foreign_ring_table_entry_rejected(plane_ring):
+    with pytest.raises(GeneratorMismatch):
+        PoissonStructure(plane_ring, 1, {("x", "y"): REVERSED.var("x")})
+
+
+def test_foreign_ring_bracket_argument_rejected(plane):
+    with pytest.raises(GeneratorMismatch):
+        plane.bracket(REVERSED.var("x"), plane.ring.var("y"))
+    with pytest.raises(GeneratorMismatch):
+        plane.bracket(plane.ring.var("x"), REVERSED.var("y"))
