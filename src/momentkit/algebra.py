@@ -3,8 +3,9 @@ truncated t-polynomials and Leibniz-extended derivations.
 
 Representation notes:
 
-* coefficients are ``fractions.Fraction`` throughout (exported as ``Rat``);
-  there is no floating point anywhere in this package,
+* coefficients are ``fractions.Fraction`` at the boundary (exported as
+  ``Rat``): every public value carries normalized nonzero ``Fraction``
+  coefficients; there is no floating point anywhere in this package,
 * a ``Poly`` over a ``PolyRing`` with generators ``(x_1, .., x_k)`` is a
   sparse map from exponent tuples ``(e_1, .., e_k)`` to nonzero rational
   coefficients,
@@ -12,15 +13,25 @@ Representation notes:
   of ``A[t]/t^(N+1)`` stored as exactly ``N+1`` Poly slots; arithmetic
   truncates above ``t^N``,
 * every product goes through one kernel, ``add_truncated_product``: it adds
-  ``t^shift * a * b`` term by term into a list of per-slot accumulators
-  (plain ``{exponent: Fraction}`` dicts), skipping slot pairs past the last
-  slot, and only the finished slots become ``Poly`` values.  ``Poly`` and
-  ``TPoly`` multiplication, ``TPoly.substitute``, ``Derivation.apply``,
-  ``PoissonStructure.bracket``, ``LineData.alpha_apply``/``partial_alpha``
-  and the trivialization sweeps all accumulate this way instead of building
-  a whole ``TPoly`` per partial product; ``substitute`` also caches each
-  monomial of the assigned values, built from a cached monomial one degree
-  lower by a single kernel product,
+  ``t^shift * a * b`` term by term into a list of per-slot accumulators,
+  skipping slot pairs past the last slot.  A slot holds plain integer
+  numerators over one slot denominator, so a term pair costs one integer
+  multiply-add; the slot is rescaled only when a product brings a
+  denominator that does not divide the slot's.  Each operand ``Poly``
+  caches its integer form (the lcm of its denominators and the scaled
+  numerators).  ``Poly`` and ``TPoly`` multiplication, ``TPoly.substitute``,
+  ``Derivation.apply``, ``PoissonStructure.bracket``,
+  ``LineData.alpha_apply``/``partial_alpha`` and the trivialization sweeps
+  all accumulate this way instead of building a whole ``TPoly`` per partial
+  product; ``substitute`` also caches each monomial of the assigned values,
+  built from a cached monomial one degree lower by a single kernel product,
+* one finisher, ``finish_slot``, turns an accumulator into a ``Poly`` with
+  one normalized ``Fraction(n, D)`` per nonzero term; no caller reads the
+  slot layout,
+* ``Poly._trusted`` and ``TPoly._trusted`` build internal results (finished
+  slots, negation, derivatives, truncation, scalar multiples, sums) without
+  revalidating exponents and rings; the public ``Poly(ring, terms)`` and
+  ``TPoly(ring, order, coeffs)`` constructors keep every check,
 * ``as_tpoly(value, ring, order)`` is the one value -> ``TPoly`` coercion:
   every API that accepts a ``TPoly``, a ``Poly`` or a rational calls it, so
   mixing generator lists or truncation orders is an error
@@ -36,7 +47,7 @@ rationals as ``p/q``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -102,7 +113,7 @@ class PolyRing:
         return len(self.gens)
 
     def zero(self) -> Poly:
-        return Poly(self, {})
+        return Poly._trusted(self, {})
 
     def one(self) -> Poly:
         return self.const(1)
@@ -110,24 +121,24 @@ class PolyRing:
     def const(self, value: RatLike) -> Poly:
         c = _as_rat(value)
         if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.arity: c})
+            return Poly._trusted(self, {})
+        return Poly._trusted(self, {(0,) * self.arity: c})
 
     def var(self, gen: str) -> Poly:
         expo = [0] * self.arity
         expo[self.index(gen)] = 1
-        return Poly(self, {tuple(expo): Fraction(1)})
+        return Poly._trusted(self, {tuple(expo): Fraction(1)})
 
     def poly(self, terms: Mapping[tuple[int, ...], RatLike]) -> Poly:
-        return Poly(self, {e: _as_rat(c) for e, c in terms.items()})
+        return Poly(self, terms)
 
 
 class Poly:
     """Sparse exact-rational polynomial; immutable after construction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_integer")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], Rat]):
+    def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], RatLike]):
         clean: dict[tuple[int, ...], Rat] = {}
         for expo, coeff in terms.items():
             if len(expo) != ring.arity:
@@ -136,10 +147,34 @@ class Poly:
                 )
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo}")
+            coeff = _as_rat(coeff)
             if coeff != 0:
                 clean[expo] = coeff
         self.ring = ring
         self.terms = clean
+        self._integer = None
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict[tuple[int, ...], Rat]) -> Poly:
+        """Wrap ``terms`` as is: every key an exponent vector of ``ring``'s
+        arity, every value a nonzero ``Fraction``.  For internal results only."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._integer = None
+        return p
+
+    def _integer_form(self) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+        """``(D, [(exponent, n), ..])`` with ``D`` the lcm of the coefficient
+        denominators and ``n / D`` each coefficient; computed once."""
+        form = self._integer
+        if form is None:
+            den = lcm(*[c.denominator for c in self.terms.values()])
+            form = self._integer = (
+                den,
+                [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()],
+            )
+        return form
 
     # -- ring operations -------------------------------------------------
 
@@ -157,13 +192,21 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + coeff
-        return Poly(self.ring, out)
+            total = out.get(expo)
+            if total is None:
+                out[expo] = coeff
+                continue
+            total += coeff
+            if total:
+                out[expo] = total
+            else:
+                del out[expo]
+        return Poly._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union[Poly, RatLike]) -> Poly:
         return self + (-self._coerce(other))
@@ -174,11 +217,13 @@ class Poly:
     def __mul__(self, other: Union[Poly, RatLike]) -> Poly:
         if not isinstance(other, Poly):
             c = _as_rat(other)
-            return Poly(self.ring, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return self.ring.zero()
+            return Poly._trusted(self.ring, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Rat] = {}
-        _accumulate_product(out, self.terms, other.terms)
-        return Poly(self.ring, out)
+        slots = new_slots(0)
+        add_truncated_product(slots, (self,), (other,))
+        return finish_slot(self.ring, slots[0])
 
     __rmul__ = __mul__
 
@@ -217,14 +262,14 @@ class Poly:
     def diff(self, gen: str) -> Poly:
         i = self.ring.index(gen)
         out: dict[tuple[int, ...], Rat] = {}
+        # Distinct exponents with e_i > 0 stay distinct after lowering e_i.
         for expo, coeff in self.terms.items():
             if expo[i] == 0:
                 continue
             lower = list(expo)
             lower[i] -= 1
-            key = tuple(lower)
-            out[key] = out.get(key, Fraction(0)) + coeff * expo[i]
-        return Poly(self.ring, out)
+            out[tuple(lower)] = coeff * expo[i]
+        return Poly._trusted(self.ring, out)
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         point = [
@@ -269,6 +314,16 @@ class TPoly:
         self.order = order
         self.coeffs = coeffs
 
+    @classmethod
+    def _trusted(cls, ring: PolyRing, order: int, coeffs: tuple[Poly, ...]) -> TPoly:
+        """Wrap ``coeffs`` as is: exactly ``order + 1`` Polys of ``ring``.
+        For internal results only."""
+        tp = object.__new__(cls)
+        tp.ring = ring
+        tp.order = order
+        tp.coeffs = coeffs
+        return tp
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -293,10 +348,10 @@ class TPoly:
         return cls(ring, order, coeffs)
 
     @classmethod
-    def from_slots(cls, ring: PolyRing, slots: Sequence[Mapping[tuple[int, ...], Rat]]) -> TPoly:
-        """The TPoly of order ``len(slots) - 1`` whose t^k coefficient has the
-        terms ``slots[k]`` (the accumulators filled by ``add_truncated_product``)."""
-        return cls(ring, len(slots) - 1, [Poly(ring, terms) for terms in slots])
+    def from_slots(cls, ring: PolyRing, slots: Slots) -> TPoly:
+        """The TPoly of order ``len(slots) - 1`` whose t^k coefficient is the
+        finished accumulator ``slots[k]`` (see ``add_truncated_product``)."""
+        return cls._trusted(ring, len(slots) - 1, tuple(finish_slot(ring, s) for s in slots))
 
     @classmethod
     def build(cls, ring: PolyRing, order: int, coeffs: Mapping[int, Poly]) -> TPoly:
@@ -311,14 +366,14 @@ class TPoly:
 
     def __add__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
         other = as_tpoly(other, self.ring, self.order)
-        return TPoly(
-            self.ring, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return TPoly._trusted(
+            self.ring, self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> TPoly:
-        return TPoly(self.ring, self.order, [-c for c in self.coeffs])
+        return TPoly._trusted(self.ring, self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
         return self + (-as_tpoly(other, self.ring, self.order))
@@ -329,7 +384,7 @@ class TPoly:
     def __mul__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
         if isinstance(other, (int, Fraction)):
             c = _as_rat(other)
-            return TPoly(self.ring, self.order, [p * c for p in self.coeffs])
+            return TPoly._trusted(self.ring, self.order, tuple(p * c for p in self.coeffs))
         other = as_tpoly(other, self.ring, self.order)
         slots = new_slots(self.order)
         add_truncated_product(slots, self.coeffs, other.coeffs)
@@ -384,7 +439,9 @@ class TPoly:
     def truncate(self, order: int) -> TPoly:
         if order > self.order:
             raise OrderMismatch(f"cannot truncate order {self.order} up to {order}")
-        return TPoly(self.ring, order, self.coeffs[: order + 1])
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return TPoly._trusted(self.ring, order, self.coeffs[: order + 1])
 
     def lift(self, order: int) -> TPoly:
         """Canonical inclusion into a higher order (new t-slots are zero)."""
@@ -411,7 +468,7 @@ class TPoly:
         return c0 is not None and c0 != 0
 
     def diff(self, gen: str) -> TPoly:
-        return TPoly(self.ring, self.order, [c.diff(gen) for c in self.coeffs])
+        return TPoly._trusted(self.ring, self.order, tuple(c.diff(gen) for c in self.coeffs))
 
     def evaluate(self, values: Mapping[str, RatLike], t_value: RatLike = 0) -> Rat:
         tv = _as_rat(t_value)
@@ -494,28 +551,22 @@ def as_tpoly(value: Union[TPoly, Poly, RatLike], ring: PolyRing, order: int) -> 
 # ---------------------------------------------------------------------------
 # the product kernel
 
-Slots = list[dict[tuple[int, ...], Rat]]
+class _Slot:
+    """Accumulator of one t^k coefficient: integer numerators over ``den``."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self) -> None:
+        self.den = 1
+        self.nums: dict[tuple[int, ...], int] = {}
+
+
+Slots = list[_Slot]
 
 
 def new_slots(order: int) -> Slots:
     """Empty accumulators for the t^0 .. t^order slots."""
-    return [{} for _ in range(order + 1)]
-
-
-def _accumulate_product(
-    out: dict[tuple[int, ...], Rat],
-    a: Mapping[tuple[int, ...], Rat],
-    b: Mapping[tuple[int, ...], Rat],
-) -> None:
-    # Accumulated coefficients may cancel to 0; Poly drops those terms.
-    b_items = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in b_items:
-            expo = tuple(map(add, ea, eb))
-            if expo in out:
-                out[expo] += ca * cb
-            else:
-                out[expo] = ca * cb
+    return [_Slot() for _ in range(order + 1)]
 
 
 def add_truncated_product(
@@ -524,7 +575,10 @@ def add_truncated_product(
     """Add ``t^shift * a * b`` into ``slots``, dropping powers past the last slot.
 
     ``a`` and ``b`` are t-slot sequences (entry k is the t^k coefficient) over
-    one ring; ``slots[k]`` accumulates the terms of the t^k coefficient.
+    one ring; ``slots[k]`` accumulates the terms of the t^k coefficient.  A
+    product of integer forms ``(Da, na) * (Db, nb)`` has denominator
+    ``Da * Db``; the slot moves to the lcm of that and its own denominator
+    only when ``Da * Db`` does not divide it.
     """
     top = len(slots) - 1
     for i, pa in enumerate(a):
@@ -532,12 +586,43 @@ def add_truncated_product(
             break
         if not pa.terms:
             continue
+        den_a, items_a = pa._integer_form()
         for j, pb in enumerate(b):
             k = i + j + shift
             if k > top:
                 break
-            if pb.terms:
-                _accumulate_product(slots[k], pa.terms, pb.terms)
+            if not pb.terms:
+                continue
+            den_b, items_b = pb._integer_form()
+            den = den_a * den_b
+            slot = slots[k]
+            out = slot.nums
+            if not out:
+                slot.den = den
+            elif slot.den % den:
+                target = lcm(slot.den, den)
+                scale = target // slot.den
+                for expo in out:
+                    out[expo] *= scale
+                slot.den = target
+            scale = slot.den // den
+            # Accumulated numerators may cancel to 0; finish_slot drops those.
+            for ea, na in items_a:
+                na *= scale
+                for eb, nb in items_b:
+                    expo = tuple(map(add, ea, eb))
+                    if expo in out:
+                        out[expo] += na * nb
+                    else:
+                        out[expo] = na * nb
+
+
+def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
+    """The ``Poly`` a filled accumulator stands for, in lowest terms."""
+    den = slot.den
+    if den == 1:  # Fraction(n) skips the gcd
+        return Poly._trusted(ring, {e: Fraction(n) for e, n in slot.nums.items() if n})
+    return Poly._trusted(ring, {e: Fraction(n, den) for e, n in slot.nums.items() if n})
 
 
 def invert_unit(u: TPoly) -> TPoly:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Union
 
@@ -220,13 +221,18 @@ class LineData:
     def tot_t(self) -> TotElement:
         return self.tot_term(0, TPoly.t(self.ring, self.order))
 
+    @cached_property
+    def _base_low(self) -> PoissonStructure:
+        """The base structure truncated to the module order, built once."""
+        return self.base.restrict(self.module_order)
+
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
         """Bilinear extension of {f s^n, g s^m} = ({f,g} + m g alpha(f) - n f alpha(g)) s^(n+m)."""
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
         if v.line is not self and v.line != self:
             raise GeneratorMismatch("right element belongs to different module data")
-        base_low = self.base.restrict(self.module_order)
+        base_low = self._base_low
         out: dict[int, TPoly] = {}
 
         def accumulate(degree: int, value: TPoly) -> None:
@@ -363,7 +369,9 @@ class TotElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TotElement):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (
+            self.line is other.line or self.line == other.line
+        ) and self.coeffs == other.coeffs
 
     def __str__(self) -> str:
         if not self.coeffs:

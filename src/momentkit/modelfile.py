@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator, Mapping
 
-from .algebra import Poly, PolyRing, Rat, TPoly, new_slots
+from .algebra import Poly, PolyRing, Rat, TPoly
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
 from .poisson import Point, PoissonStructure
@@ -693,11 +693,11 @@ class _Terms:
     def coefficient(self, ring: PolyRing, degree: int, order: int) -> TPoly:
         """The s^degree coefficient as a TPoly of the given order; higher
         t-powers are dropped (the reduction to the module order)."""
-        slots = new_slots(order)
+        slots: list[dict[tuple[int, ...], Rat]] = [{} for _ in range(order + 1)]
         for (d, k, expo), c in self.terms.items():
             if d == degree and k <= order:
                 slots[k][expo] = c
-        return TPoly.from_slots(ring, slots)
+        return TPoly._trusted(ring, order, tuple(Poly._trusted(ring, s) for s in slots))
 
     def tpoly(self, ring: PolyRing, order: int) -> TPoly:
         self.check_order(order)

@@ -45,7 +45,9 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
+    as_tpoly,
     exact_rank,
+    finish_slot,
     new_slots,
 )
 from .line import LineData, TotElement
@@ -61,20 +63,27 @@ class GaugeTwist:
     unit: TPoly
 
     def validate(self, system: MomentSystem) -> None:
+        """Ring and order go through ``as_tpoly`` (``GeneratorMismatch`` /
+        ``OrderMismatch``); a plain ``Poly`` or rational is refused outright,
+        since it carries no order."""
         ring = system.ring
         n = system.n
         for g in ring.gens:
             value = self.phi.get(g)
             if value is None:
                 raise GeneratorMismatch(f"twist misses generator {g!r}")
-            if value.ring != ring or value.order != n:
-                raise OrderMismatch(f"twist value for {g!r} must live at order {n}")
+            _check_twist_part(value, ring, n, f"twist value for {g!r}")
             if value.coefficient(0) != ring.var(g):
                 raise ValueError(f"twist must be the identity mod t; got phi({g}) = {value}")
-        if self.unit.ring != ring or self.unit.order != n - 1:
-            raise OrderMismatch(f"twist unit must live at order {n - 1}")
+        _check_twist_part(self.unit, ring, n - 1, "twist unit")
         if not self.unit.is_unit():
             raise ValueError(f"twist unit {self.unit} is not invertible")
+
+
+def _check_twist_part(value: object, ring: PolyRing, order: int, what: str) -> None:
+    if not isinstance(value, TPoly):
+        raise TypeError(f"{what} must be a TPoly at order {order}, got {type(value).__name__}")
+    as_tpoly(value, ring, order)
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,7 @@ class MomentSystem:
             residual = new_slots(self.n - 1)
             self.line.add_alpha(residual, x)
             for k in range(1, self.n + 1):
-                c = Poly(self.ring, residual[k - 1]) * Fraction(-1, k)
+                c = finish_slot(self.ring, residual[k - 1]) * Fraction(-1, k)
                 if not c.is_zero():
                     slots[k] = c
                     self.line.add_alpha(residual, c, k)

@@ -121,7 +121,7 @@ class PoissonStructure:
                 add_truncated_product(h[j], entry.coeffs, neg_dg[i].coeffs)
         slots = new_slots(self.order)
         for fi, hi in zip(df, h):
-            if any(hi):
+            if not fi.is_zero():
                 add_truncated_product(slots, fi.coeffs, TPoly.from_slots(self.ring, hi).coeffs)
         return TPoly.from_slots(self.ring, slots)
 

@@ -3,12 +3,14 @@
 Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
-separate multiplication by s, and flat lifts by a sweep that recomputes the
-whole residual from the derivation formula at every order.  Keep these
-independent of the code under test.
+separate multiplication by s, flat lifts by a sweep that recomputes the
+whole residual from the derivation formula at every order, and truncated
+products by plain ``Fraction`` accumulation.  Keep these independent of the
+code under test.
 """
 
 from fractions import Fraction
+from operator import add
 
 from momentkit.algebra import TPoly
 
@@ -161,3 +163,22 @@ def substitute_by_terms(f, assignment):
                     term = term * value
             result = result + term.t_shift(k)
     return result
+
+
+def accumulate_product(out, a, b):
+    """out += a * b on ``{exponent: Fraction}`` maps, one Fraction
+    multiply-add per term pair; cancelled terms stay in ``out`` as 0."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            expo = tuple(map(add, ea, eb))
+            out[expo] = out.get(expo, Fraction(0)) + ca * cb
+
+
+def truncated_product_slots(slots, a, b, shift=0):
+    """Reference for ``add_truncated_product`` on ``{exponent: Fraction}``
+    slots: every slot pair, with the powers past the last slot dropped."""
+    for i, pa in enumerate(a):
+        for j, pb in enumerate(b):
+            k = i + j + shift
+            if k < len(slots):
+                accumulate_product(slots[k], pa.terms, pb.terms)

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from momentkit.algebra import (
     Poly,
     PolyRing,
     TPoly,
+    add_truncated_product,
     exact_rank,
+    finish_slot,
     invert_unit,
+    new_slots,
 )
 
-from oracles import rank_by_minors
+from oracles import accumulate_product, rank_by_minors, truncated_product_slots
 
 RING = PolyRing(["x", "y"])
 X, Y = RING.var("x"), RING.var("y")
@@ -237,3 +242,132 @@ def test_render_parse_round_trip_samples():
     ]
     for tp in samples:
         assert parse_polynomial(str(tp), RING, 2) == tp
+
+
+# -- the integer kernel against the Fraction oracle ------------------------------
+
+# Coprime and growing denominators, so that successive products into one slot
+# keep bringing a denominator that the slot's does not cover.
+kernel_rats = st.builds(
+    Fraction,
+    st.integers(min_value=-30, max_value=30).filter(bool),
+    st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 121]),
+)
+
+
+@st.composite
+def kernel_polys(draw):
+    return Poly(RING, draw(st.dictionaries(exponents, kernel_rats, max_size=4)))
+
+
+@st.composite
+def kernel_calls(draw, order):
+    """Arguments (a, b, shift) of one add_truncated_product call; the shift
+    may reach past the top slot."""
+    a = tuple(draw(kernel_polys()) for _ in range(draw(st.integers(1, order + 1))))
+    b = tuple(draw(kernel_polys()) for _ in range(draw(st.integers(1, order + 1))))
+    return a, b, draw(st.integers(0, order + 2))
+
+
+@contextmanager
+def trusted_polys():
+    """Record every Poly built through Poly._trusted while active."""
+    built = []
+    original = Poly.__dict__["_trusted"]
+
+    def record(cls, ring, terms):
+        p = original.__func__(cls, ring, terms)
+        built.append(p)
+        return p
+
+    Poly._trusted = classmethod(record)
+    try:
+        yield built
+    finally:
+        Poly._trusted = original
+
+
+def assert_canonical(p):
+    """Nonzero Fractions in lowest terms, exponent vectors of the ring's arity."""
+    for expo, c in p.terms.items():
+        assert len(expo) == p.ring.arity
+        assert all(type(e) is int and e >= 0 for e in expo)
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_oracle_slot_for_slot(data):
+    order = data.draw(st.integers(0, 3))
+    calls = data.draw(st.lists(kernel_calls(order), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        # the negated calls cancel everything exactly
+        calls += [(tuple(-p for p in a), b, shift) for a, b, shift in calls]
+    slots = new_slots(order)
+    expected = [{} for _ in range(order + 1)]
+    with trusted_polys() as built:
+        for a, b, shift in calls:
+            add_truncated_product(slots, a, b, shift)
+            truncated_product_slots(expected, a, b, shift)
+        finished = [finish_slot(RING, slot) for slot in slots]
+    assert [p.terms for p in finished] == [nonzero(slot) for slot in expected]
+    for p in built:
+        assert_canonical(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_cancellation_leaves_no_zero_terms(data):
+    order = data.draw(st.integers(0, 3))
+    a, b, shift = data.draw(kernel_calls(order))
+    slots = new_slots(order)
+    expected = [{} for _ in range(order + 1)]
+    for left in (a, tuple(-p for p in a)):
+        add_truncated_product(slots, left, b, shift)
+        truncated_product_slots(expected, left, b, shift)
+    assert all(c == 0 for slot in expected for c in slot.values())
+    assert all(finish_slot(RING, slot).terms == {} for slot in slots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_polys(), kernel_polys())
+def test_poly_product_matches_fraction_oracle(a, b):
+    expected = {}
+    accumulate_product(expected, a.terms, b.terms)
+    with trusted_polys() as built:
+        product = a * b
+    assert product.terms == nonzero(expected)
+    assert any(p is product for p in built)
+    for p in built:
+        assert_canonical(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_polys(), kernel_polys(), kernel_rats)
+def test_internal_results_are_canonical(a, b, c):
+    with trusted_polys() as built:
+        results = [a + b, a - b, -a, a * c, a * 0, a.diff("x"), a.diff("y")]
+    assert all(any(p is r for p in built) for r in results)
+    for p in built:
+        assert_canonical(p)
+    assert (a - a).terms == {}
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        Poly(RING, {(-1, 0): Fraction(1)})
+    with pytest.raises(GeneratorMismatch):
+        Poly(RING, {(1,): Fraction(1)})
+    with pytest.raises(GeneratorMismatch):
+        TPoly(RING, 0, [PolyRing(["y", "x"]).var("x")])
+    with pytest.raises(OrderMismatch):
+        TPoly(RING, 1, [X])
+    with pytest.raises(TypeError):
+        Poly(RING, {(1, 0): 0.5})
+    (coeff,) = Poly(RING, {(1, 0): 2, (0, 1): 0}).terms.values()
+    assert type(coeff) is Fraction and coeff == 2

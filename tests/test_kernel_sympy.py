@@ -10,7 +10,10 @@ same expression, truncated in t, on hypothesis-drawn inputs:
 * ``TPoly.substitute``: simultaneous replacement of the generators (t maps
   to t), expanded with sympy ``Poly`` products truncated after each step,
 * ``PoissonStructure.bracket``: ``sum_{i<j} B_ij (df/dx_i dg/dx_j - df/dx_j dg/dx_i)``,
-* ``Derivation.apply``: ``sum_g D(g) * df/dg``.
+* ``Derivation.apply``: ``sum_g D(g) * df/dg``,
+* ``invert_unit``: sympy's series of ``1/u`` in t, and ``u * u^-1 = 1``,
+* ``invert_generator_map``: ``psi o phi = id`` mod ``t^(n+1)``, with the
+  composition expanded by sympy as for ``substitute``.
 """
 
 from fractions import Fraction
@@ -19,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkit.algebra import Derivation, Poly, PolyRing, TPoly
+from momentkit.algebra import Derivation, Poly, PolyRing, TPoly, invert_unit
 from momentkit.line import LineData
+from momentkit.moment import invert_generator_map
 from momentkit.poisson import PoissonStructure
 
 sympy = pytest.importorskip("sympy")
@@ -44,9 +48,9 @@ def tpolys(draw, ring, order):
 
 
 @st.composite
-def rings_and_orders(draw, min_order=0):
+def rings_and_orders(draw, min_order=0, max_order=4):
     ring = PolyRing(GENS[: draw(st.integers(1, 3))])
-    return ring, draw(st.integers(min_order, 4))
+    return ring, draw(st.integers(min_order, max_order))
 
 
 def to_sympy(tp):
@@ -79,6 +83,29 @@ def terms_of(tp):
     return {
         (k, *expo): c for k, slot in enumerate(tp.coeffs) for expo, c in slot.terms.items()
     }
+
+
+def substituted_terms(f, assignment):
+    """Terms of ``f`` with each generator replaced by its assigned TPoly,
+    expanded with sympy ``Poly`` products truncated after each step."""
+    ring, order = f.ring, f.order
+    gens = (T, *SYMBOLS[: ring.arity])
+
+    def truncated(poly):
+        # drop t-powers above the order after every product, so that the
+        # expansion stays small
+        kept = {m: c for m, c in poly.as_dict().items() if m[0] <= order}
+        return sympy.Poly.from_dict(kept, *gens) if kept else sympy.Poly(0, *gens)
+
+    values = [sympy.Poly(to_sympy(assignment[g]), *gens) for g in ring.gens]
+    total = sympy.Poly(0, *gens)
+    for monom, c in sympy.Poly(to_sympy(f), *gens).terms():
+        term = sympy.Poly(c * T ** monom[0], *gens)
+        for value, e in zip(values, monom[1:]):
+            for _ in range(e):
+                term = truncated(term * value)
+        total += term
+    return truncated_terms(total.as_expr(), ring, order)
 
 
 def line_data(draw, ring, order):
@@ -133,24 +160,7 @@ def test_substitute_matches_truncated_expansion(data):
     ring, order = data.draw(rings_and_orders())
     f = data.draw(tpolys(ring, order))
     assignment = {g: data.draw(tpolys(ring, order)) for g in ring.gens}
-    gens = (T, *SYMBOLS[: ring.arity])
-
-    def truncated(poly):
-        # drop t-powers above the order after every product, so that the
-        # expansion stays small
-        kept = {m: c for m, c in poly.as_dict().items() if m[0] <= order}
-        return sympy.Poly.from_dict(kept, *gens) if kept else sympy.Poly(0, *gens)
-
-    values = [sympy.Poly(to_sympy(assignment[g]), *gens) for g in ring.gens]
-    total = sympy.Poly(0, *gens)
-    for monom, c in sympy.Poly(to_sympy(f), *gens).terms():
-        term = sympy.Poly(c * T ** monom[0], *gens)
-        for value, e in zip(values, monom[1:]):
-            for _ in range(e):
-                term = truncated(term * value)
-        total += term
-    expected = truncated_terms(total.as_expr(), ring, order)
-    assert terms_of(f.substitute(assignment)) == expected
+    assert terms_of(f.substitute(assignment)) == substituted_terms(f, assignment)
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,3 +203,30 @@ def test_derivation_apply_matches_leibniz_formula(data):
     )
     result = Derivation(ring, order, values).apply(f)
     assert terms_of(result) == truncated_terms(expected, ring, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_invert_unit_matches_truncated_series(data):
+    ring, order = data.draw(rings_and_orders())
+    c0 = data.draw(coefficients.filter(bool))
+    u = TPoly.constant(ring, c0, order) + data.draw(tpolys(ring, order)).t_shift(1)
+    inverse = invert_unit(u)
+    series = sympy.series(1 / to_sympy(u), T, 0, order + 1).removeO()
+    assert terms_of(inverse) == truncated_terms(series, ring, order)
+    one = {(0,) * (ring.arity + 1): Fraction(1)}
+    assert truncated_terms(to_sympy(u) * to_sympy(inverse), ring, order) == one
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_invert_generator_map_composes_to_identity(data):
+    ring, order = data.draw(rings_and_orders(max_order=3))
+    phi = {
+        g: TPoly.generator(ring, g, order) + data.draw(tpolys(ring, order)).t_shift(1)
+        for g in ring.gens
+    }
+    psi = invert_generator_map(ring, order, phi)
+    for g in ring.gens:
+        identity = terms_of(TPoly.generator(ring, g, order))
+        assert substituted_terms(psi[g], phi) == identity

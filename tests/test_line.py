@@ -89,6 +89,14 @@ def test_foreign_ring_tot_coefficient_rejected(plane2, degree):
         plane2.line.tot_term(degree, REVERSED.var("x"))
 
 
+def test_tot_elements_over_different_module_data_differ(plane2):
+    l1 = plane2.line
+    l2 = LineData(l1.base, {"y": plane2.ring.var("x")})
+    assert l1 != l2
+    assert l1.s_power(1) != l2.s_power(1)
+    assert l1.s_power(1) == LineData(l1.base).s_power(1)
+
+
 # -- module bracket -------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.algebra import PolyRing, TPoly
+from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly
 from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
 from momentkit.line import LineData
 from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_generator_map
@@ -161,6 +161,35 @@ def test_twist_validation(worked):
     )
     with pytest.raises(ValueError):
         worked.twist(bad_unit)
+
+
+def test_twist_over_a_foreign_ring_is_a_generator_mismatch(plane):
+    system = MomentSystem.trivial(plane, 2)
+    ring = system.ring
+    foreign = PolyRing(["y", "x"])
+    phi = {name: TPoly.generator(ring, name, 2) for name in ring.gens}
+    unit = TPoly.constant(ring, 1, 1)
+    with pytest.raises(GeneratorMismatch):
+        system.twist(GaugeTwist({**phi, "x": TPoly.generator(foreign, "x", 2)}, unit))
+    with pytest.raises(GeneratorMismatch):
+        system.twist(GaugeTwist(phi, TPoly.constant(foreign, 1, 1)))
+    with pytest.raises(OrderMismatch):
+        system.twist(GaugeTwist({**phi, "x": TPoly.generator(ring, "x", 1)}, unit))
+    with pytest.raises(OrderMismatch):
+        system.twist(GaugeTwist(phi, TPoly.constant(ring, 1, 2)))
+
+
+def test_twist_refuses_plain_polys_and_rationals(plane):
+    system = MomentSystem.trivial(plane, 2)
+    ring = system.ring
+    phi = {name: TPoly.generator(ring, name, 2) for name in ring.gens}
+    unit = TPoly.constant(ring, 1, 1)
+    with pytest.raises(TypeError):
+        system.twist(GaugeTwist({**phi, "x": ring.var("x")}, unit))
+    with pytest.raises(TypeError):
+        system.twist(GaugeTwist(phi, ring.const(1)))
+    with pytest.raises(TypeError):
+        system.twist(GaugeTwist(phi, Fraction(1)))
 
 
 # -- trivialization -----------------------------------------------------------------
