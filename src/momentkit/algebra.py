@@ -3,35 +3,44 @@ truncated t-polynomials and Leibniz-extended derivations.
 
 Representation notes:
 
-* coefficients are ``fractions.Fraction`` at the boundary (exported as
-  ``Rat``): every public value carries normalized nonzero ``Fraction``
-  coefficients; there is no floating point anywhere in this package,
-* a ``Poly`` over a ``PolyRing`` with generators ``(x_1, .., x_k)`` is a
-  sparse map from exponent tuples ``(e_1, .., e_k)`` to nonzero rational
-  coefficients,
+* coefficients are exact rationals; there is no floating point anywhere in
+  this package,
+* a ``Poly`` over a ``PolyRing`` with generators ``(x_1, .., x_k)`` is held
+  in integer form: a positive denominator ``den`` and a sparse map ``nums``
+  from exponent tuples ``(e_1, .., e_k)`` to nonzero integer numerators, with
+  ``gcd(den, *nums) == 1``.  That form is unique, so ``==`` compares it
+  directly, and sums, negation, scalar multiples and derivatives stay in
+  integers,
+* ``Poly.terms`` is the public view ``{exponent: Fraction}`` (``Rat``), built
+  on first read; a ``Fraction`` is built only there, in ``constant_value``
+  and ``evaluate``, and when a public constructor converts its input,
 * a ``TPoly`` of order ``N`` is an element ``c_0 + c_1*t + .. + c_N*t^N``
   of ``A[t]/t^(N+1)`` stored as exactly ``N+1`` Poly slots; arithmetic
   truncates above ``t^N``,
 * every product goes through one kernel, ``add_truncated_product``: it adds
   ``t^shift * a * b`` term by term into a list of per-slot accumulators,
-  skipping slot pairs past the last slot.  A slot holds plain integer
-  numerators over one slot denominator, so a term pair costs one integer
-  multiply-add; the slot is rescaled only when a product brings a
-  denominator that does not divide the slot's.  Each operand ``Poly``
-  caches its integer form (the lcm of its denominators and the scaled
-  numerators).  ``Poly`` and ``TPoly`` multiplication, ``TPoly.substitute``,
-  ``Derivation.apply``, ``PoissonStructure.bracket``,
+  skipping slot pairs past the last slot.  A slot holds integer numerators
+  over one slot denominator, so a term pair costs one integer multiply-add;
+  the slot is rescaled only when a product brings a denominator that does
+  not divide the slot's.  ``Poly`` and ``TPoly`` multiplication,
+  ``TPoly.substitute``, ``Derivation.apply``, ``PoissonStructure.bracket``,
   ``LineData.alpha_apply``/``partial_alpha`` and the trivialization sweeps
   all accumulate this way instead of building a whole ``TPoly`` per partial
-  product; ``substitute`` also caches each monomial of the assigned values,
-  built from a cached monomial one degree lower by a single kernel product,
-* one finisher, ``finish_slot``, turns an accumulator into a ``Poly`` with
-  one normalized ``Fraction(n, D)`` per nonzero term; no caller reads the
-  slot layout,
+  product,
+* ``substitute`` builds each monomial of the assigned values once, by a
+  single kernel product of the monomial one degree lower and a generator
+  value, and only to the t-precision that its lowest-t term needs: a term
+  at t^k needs its monomial mod t^(N-k+1).  That precision is passed down
+  the chain of lower monomials (the truncation discipline of relaxed power
+  series; van der Hoeven, J. Symb. Comput. 34(6), 2002),
+* one finisher, ``finish_slot``, turns an accumulator into a ``Poly``: it
+  drops cancelled terms and divides out one gcd; no caller reads the slot
+  layout,
 * ``Poly._trusted`` and ``TPoly._trusted`` build internal results (finished
-  slots, negation, derivatives, truncation, scalar multiples, sums) without
-  revalidating exponents and rings; the public ``Poly(ring, terms)`` and
-  ``TPoly(ring, order, coeffs)`` constructors keep every check,
+  slots, ring constants, negation, derivatives, truncation, scalar multiples,
+  sums) without revalidating exponents and rings; the public
+  ``Poly(ring, terms)`` and ``TPoly(ring, order, coeffs)`` constructors keep
+  every check,
 * ``as_tpoly(value, ring, order)`` is the one value -> ``TPoly`` coercion:
   every API that accepts a ``TPoly``, a ``Poly`` or a rational calls it, so
   mixing generator lists or truncation orders is an error
@@ -113,30 +122,49 @@ class PolyRing:
         return len(self.gens)
 
     def zero(self) -> Poly:
-        return Poly._trusted(self, {})
+        return Poly._trusted(self, 1, {})
 
     def one(self) -> Poly:
-        return self.const(1)
+        return Poly._trusted(self, 1, {(0,) * self.arity: 1})
 
     def const(self, value: RatLike) -> Poly:
         c = _as_rat(value)
         if c == 0:
-            return Poly._trusted(self, {})
-        return Poly._trusted(self, {(0,) * self.arity: c})
+            return Poly._trusted(self, 1, {})
+        return Poly._trusted(self, c.denominator, {(0,) * self.arity: c.numerator})
 
     def var(self, gen: str) -> Poly:
         expo = [0] * self.arity
         expo[self.index(gen)] = 1
-        return Poly._trusted(self, {tuple(expo): Fraction(1)})
+        return Poly._trusted(self, 1, {tuple(expo): 1})
 
     def poly(self, terms: Mapping[tuple[int, ...], RatLike]) -> Poly:
         return Poly(self, terms)
 
 
-class Poly:
-    """Sparse exact-rational polynomial; immutable after construction."""
+def _over_common_denominator(
+    terms: Mapping[tuple[int, ...], Rat]
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """``(den, nums)`` of nonzero lowest-terms ``Fraction`` coefficients.
 
-    __slots__ = ("ring", "terms", "_integer")
+    Over the lcm of the denominators the numerators are already coprime to
+    it: a prime of ``den`` divides some denominator to its full power in
+    ``den``, and that coefficient's numerator is prime to it.
+    """
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+class Poly:
+    """Sparse exact-rational polynomial ``sum nums[e] * x^e / den``; immutable.
+
+    ``den`` is positive, every numerator is a nonzero int and
+    ``gcd(den, *nums) == 1``, so the integer form is unique and ``==``
+    compares it directly.  ``terms``, the same polynomial as
+    ``{exponent: Fraction}``, is built on first read.
+    """
+
+    __slots__ = ("ring", "den", "nums", "_terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], RatLike]):
         clean: dict[tuple[int, ...], Rat] = {}
@@ -151,30 +179,55 @@ class Poly:
             if coeff != 0:
                 clean[expo] = coeff
         self.ring = ring
-        self.terms = clean
-        self._integer = None
+        self.den, self.nums = _over_common_denominator(clean)
+        self._terms = clean
 
     @classmethod
-    def _trusted(cls, ring: PolyRing, terms: dict[tuple[int, ...], Rat]) -> Poly:
-        """Wrap ``terms`` as is: every key an exponent vector of ``ring``'s
-        arity, every value a nonzero ``Fraction``.  For internal results only."""
+    def _trusted(cls, ring: PolyRing, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+        """Wrap an integer form as is: ``den >= 1``, nonzero int numerators
+        keyed by exponent vectors of ``ring``'s arity, ``gcd(den, *nums) == 1``.
+        For internal results only."""
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
-        p._integer = None
+        p.den = den
+        p.nums = nums
+        p._terms = None
         return p
 
-    def _integer_form(self) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-        """``(D, [(exponent, n), ..])`` with ``D`` the lcm of the coefficient
-        denominators and ``n / D`` each coefficient; computed once."""
-        form = self._integer
-        if form is None:
-            den = lcm(*[c.denominator for c in self.terms.values()])
-            form = self._integer = (
-                den,
-                [(e, c.numerator * (den // c.denominator)) for e, c in self.terms.items()],
-            )
-        return form
+    @classmethod
+    def _from_terms(cls, ring: PolyRing, terms: dict[tuple[int, ...], Rat]) -> Poly:
+        """The Poly whose ``terms`` are ``terms`` as is: every key an exponent
+        vector of ``ring``'s arity, every value a nonzero ``Fraction``.  For
+        internal input only."""
+        p = cls._trusted(ring, *_over_common_denominator(terms))
+        p._terms = terms
+        return p
+
+    @classmethod
+    def _reduced(cls, ring: PolyRing, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+        """``_trusted`` after dividing out ``gcd(den, *nums)``; ``nums`` must
+        hold no zeros and ``den`` must be positive."""
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
+        return cls._trusted(ring, den, nums)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Rat]:
+        """``{exponent: Fraction}`` with nonzero lowest-terms coefficients."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            if den == 1:  # Fraction(n) skips the gcd
+                terms = {e: Fraction(n) for e, n in self.nums.items()}
+            else:
+                terms = {e: Fraction(n, den) for e, n in self.nums.items()}
+            self._terms = terms
+        return terms
 
     # -- ring operations -------------------------------------------------
 
@@ -190,23 +243,32 @@ class Poly:
 
     def __add__(self, other: Union[Poly, RatLike]) -> Poly:
         other = self._coerce(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
+        # Values are immutable, so a sum with zero may share the numerators.
+        if not other.nums:
+            return Poly._trusted(self.ring, self.den, self.nums)
+        if not self.nums:
+            return Poly._trusted(self.ring, other.den, other.nums)
+        den = lcm(self.den, other.den)
+        scale = den // self.den
+        out = {e: n * scale for e, n in self.nums.items()} if scale != 1 else dict(self.nums)
+        scale = den // other.den
+        for expo, n in other.nums.items():
+            n *= scale
             total = out.get(expo)
             if total is None:
-                out[expo] = coeff
+                out[expo] = n
                 continue
-            total += coeff
+            total += n
             if total:
                 out[expo] = total
             else:
                 del out[expo]
-        return Poly._trusted(self.ring, out)
+        return Poly._reduced(self.ring, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring, self.den, {e: -n for e, n in self.nums.items()})
 
     def __sub__(self, other: Union[Poly, RatLike]) -> Poly:
         return self + (-self._coerce(other))
@@ -219,7 +281,10 @@ class Poly:
             c = _as_rat(other)
             if not c:
                 return self.ring.zero()
-            return Poly._trusted(self.ring, {e: k * c for e, k in self.terms.items()})
+            k = c.numerator
+            return Poly._reduced(
+                self.ring, self.den * c.denominator, {e: n * k for e, n in self.nums.items()}
+            )
         self._check(other)
         slots = new_slots(0)
         add_truncated_product(slots, (self,), (other,))
@@ -240,36 +305,34 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     # -- structure -------------------------------------------------------
 
     def constant_value(self) -> Rat | None:
         """The rational this polynomial equals, or None if it is not constant."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         zero = (0,) * self.ring.arity
-        if set(self.terms) == {zero}:
-            return self.terms[zero]
+        if len(self.nums) == 1 and zero in self.nums:
+            return Fraction(self.nums[zero], self.den)
         return None
 
     def diff(self, gen: str) -> Poly:
         i = self.ring.index(gen)
-        out: dict[tuple[int, ...], Rat] = {}
+        out: dict[tuple[int, ...], int] = {}
         # Distinct exponents with e_i > 0 stay distinct after lowering e_i.
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            lower = list(expo)
-            lower[i] -= 1
-            out[tuple(lower)] = coeff * expo[i]
-        return Poly._trusted(self.ring, out)
+        for expo, n in self.nums.items():
+            e = expo[i]
+            if e:
+                out[expo[:i] + (e - 1,) + expo[i + 1 :]] = n * e
+        return Poly._reduced(self.ring, self.den, out)
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         point = [
@@ -279,13 +342,13 @@ class Poly:
         if missing:
             raise GeneratorMismatch(f"point misses generators {missing}")
         total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
+        for expo, n in self.nums.items():
+            term = n
             for v, e in zip(point, expo):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self.den
 
     def __str__(self) -> str:
         return render_terms(self.ring, [(0, e, c) for e, c in self.terms.items()])
@@ -451,12 +514,14 @@ class TPoly:
         return TPoly(self.ring, order, [*self.coeffs, *pad])
 
     def t_shift(self, k: int) -> TPoly:
-        """Multiplication by t^k with truncation."""
-        slots = [self.ring.zero()] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if i + k <= self.order:
-                slots[i + k] = c
-        return TPoly(self.ring, self.order, slots)
+        """Multiplication by t^k with truncation; t is not a unit, so k >= 0."""
+        if k < 0:
+            raise ValueError(f"cannot shift by t^{k}: t is not invertible")
+        zero = self.ring.zero()
+        kept = self.coeffs[: max(self.order + 1 - k, 0)]
+        return TPoly._trusted(
+            self.ring, self.order, (zero,) * (self.order + 1 - len(kept)) + kept
+        )
 
     def constant_value(self) -> Rat | None:
         if any(not c.is_zero() for c in self.coeffs[1:]):
@@ -481,7 +546,11 @@ class TPoly:
         return total
 
     def substitute(self, assignment: Mapping[str, TPoly]) -> TPoly:
-        """Simultaneous substitution generator -> TPoly, truncated; t maps to t."""
+        """Simultaneous substitution generator -> TPoly, truncated; t maps to t.
+
+        A term at t^k needs its monomial's value only mod t^(order-k+1), so
+        each monomial is built once, to the precision its lowest-t term needs.
+        """
         values: list[TPoly] = []
         for g in self.ring.gens:
             v = assignment.get(g)
@@ -490,30 +559,37 @@ class TPoly:
             values.append(as_tpoly(v, self.ring, self.order))
         ring = self.ring
         order = self.order
-        # Monomial values keyed by exponent; each new one is a single kernel
-        # product of a cached monomial one degree lower and a generator value.
-        monomials: dict[tuple[int, ...], tuple[Poly, ...]] = {
-            (0,) * ring.arity: TPoly.constant(ring, 1, order).coeffs
-        }
-
-        def monomial(expo: tuple[int, ...]) -> tuple[Poly, ...]:
-            chain: list[tuple[tuple[int, ...], int]] = []
-            while expo not in monomials:
-                i = max(i for i, e in enumerate(expo) if e)
-                chain.append((expo, i))
-                expo = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-            value = monomials[expo]
-            for key, i in reversed(chain):
-                slots = new_slots(order)
-                add_truncated_product(slots, value, values[i].coeffs)
-                value = TPoly.from_slots(ring, slots).coeffs
-                monomials[key] = value
-            return value
-
+        # Every monomial is a single kernel product of its prefix, the
+        # monomial one degree lower in its last nonzero exponent, and that
+        # generator's value.  Slots are visited from t^0 up, so the first
+        # visit of a monomial, as a term or as a prefix, sets the highest
+        # precision it needs, and its prefixes need at least as much.
+        zero = (0,) * ring.arity
+        precision: dict[tuple[int, ...], int] = {}
+        prefix: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for k, poly in enumerate(self.coeffs):
+            for expo in poly.nums:
+                while expo not in precision:
+                    precision[expo] = order - k
+                    if expo == zero:
+                        break
+                    i = max(i for i, e in enumerate(expo) if e)
+                    lower = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+                    prefix[expo] = (lower, i)
+                    expo = lower
+        # A slot sequence shorter than order + 1 is zero above its end.
+        monomials: dict[tuple[int, ...], tuple[Poly, ...]] = {zero: (ring.one(),)}
+        for expo in sorted(prefix, key=sum):
+            lower, i = prefix[expo]
+            slots = new_slots(precision[expo])
+            add_truncated_product(slots, monomials[lower], values[i].coeffs)
+            monomials[expo] = tuple(finish_slot(ring, slot) for slot in slots)
         slots = new_slots(order)
         for k, poly in enumerate(self.coeffs):
-            for expo, coeff in poly.terms.items():
-                add_truncated_product(slots, monomial(expo), (ring.const(coeff),), k)
+            # Every coefficient of one slot shares its denominator.
+            den = poly.den
+            for expo, n in poly.nums.items():
+                add_truncated_product(slots, monomials[expo], (_Slot(den, {zero: n}),), k)
         return TPoly.from_slots(ring, slots)
 
     def __str__(self) -> str:
@@ -552,13 +628,17 @@ def as_tpoly(value: Union[TPoly, Poly, RatLike], ring: PolyRing, order: int) -> 
 # the product kernel
 
 class _Slot:
-    """Accumulator of one t^k coefficient: integer numerators over ``den``."""
+    """Accumulator of one t^k coefficient: integer numerators over ``den``.
+
+    It has the shape of a ``Poly``'s integer form, so a one-term accumulator
+    can also be passed to the kernel as an operand.
+    """
 
     __slots__ = ("den", "nums")
 
-    def __init__(self) -> None:
-        self.den = 1
-        self.nums: dict[tuple[int, ...], int] = {}
+    def __init__(self, den: int = 1, nums: dict[tuple[int, ...], int] | None = None) -> None:
+        self.den = den
+        self.nums = {} if nums is None else nums
 
 
 Slots = list[_Slot]
@@ -575,26 +655,29 @@ def add_truncated_product(
     """Add ``t^shift * a * b`` into ``slots``, dropping powers past the last slot.
 
     ``a`` and ``b`` are t-slot sequences (entry k is the t^k coefficient) over
-    one ring; ``slots[k]`` accumulates the terms of the t^k coefficient.  A
-    product of integer forms ``(Da, na) * (Db, nb)`` has denominator
-    ``Da * Db``; the slot moves to the lcm of that and its own denominator
-    only when ``Da * Db`` does not divide it.
+    one ring, of ``Poly``s or of accumulators; a sequence shorter than
+    ``slots`` has zero slots above its end.
+    ``slots[k]`` accumulates the terms of the t^k coefficient.  A product of
+    integer forms ``(Da, na) * (Db, nb)`` has denominator ``Da * Db``; the
+    slot moves to the lcm of that and its own denominator only when
+    ``Da * Db`` does not divide it.
     """
     top = len(slots) - 1
     for i, pa in enumerate(a):
         if i + shift > top:
             break
-        if not pa.terms:
+        items_a = pa.nums.items()
+        if not items_a:
             continue
-        den_a, items_a = pa._integer_form()
+        den_a = pa.den
         for j, pb in enumerate(b):
             k = i + j + shift
             if k > top:
                 break
-            if not pb.terms:
+            items_b = pb.nums.items()
+            if not items_b:
                 continue
-            den_b, items_b = pb._integer_form()
-            den = den_a * den_b
+            den = den_a * pb.den
             slot = slots[k]
             out = slot.nums
             if not out:
@@ -619,10 +702,7 @@ def add_truncated_product(
 
 def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
     """The ``Poly`` a filled accumulator stands for, in lowest terms."""
-    den = slot.den
-    if den == 1:  # Fraction(n) skips the gcd
-        return Poly._trusted(ring, {e: Fraction(n) for e, n in slot.nums.items() if n})
-    return Poly._trusted(ring, {e: Fraction(n, den) for e, n in slot.nums.items() if n})
+    return Poly._reduced(ring, slot.den, {e: n for e, n in slot.nums.items() if n})
 
 
 def invert_unit(u: TPoly) -> TPoly:

@@ -34,6 +34,7 @@ from itertools import combinations
 from typing import Mapping, Union
 
 from .algebra import (
+    Derivation,
     GeneratorMismatch,
     OrderMismatch,
     Poly,
@@ -107,7 +108,7 @@ class LineData:
             return
         for g, value in self._alpha.items():
             partial = c.diff(g)
-            if partial.terms:
+            if partial.nums:
                 add_truncated_product(slots, value.coeffs, (partial,), shift)
 
     def alpha_apply(self, f: TPoly) -> TPoly:
@@ -154,6 +155,17 @@ class LineData:
         field = self.base.hamiltonian_field(a).truncate(self.module_order)
         return field.apply(m) + m * self.alpha_apply(a)
 
+    @cached_property
+    def _generator_fields(self) -> dict[str, Derivation]:
+        """The Hamiltonian field h -> {g, h} of each generator g at the module
+        order: g's row of the bracket table."""
+        return {
+            g: self.base.hamiltonian_field(
+                TPoly.generator(self.ring, g, self.order)
+            ).truncate(self.module_order)
+            for g in self.ring.gens
+        }
+
     def verify_cocycle(self) -> Check:
         """H_a(alpha(b)) - H_b(alpha(a)) = alpha({a,b}) on generator pairs.
 
@@ -161,12 +173,7 @@ class LineData:
         central, so they hold by construction and are only noted.
         """
         gens = self.ring.gens
-        fields = {
-            g: self.base.hamiltonian_field(
-                TPoly.generator(self.ring, g, self.order)
-            ).truncate(self.module_order)
-            for g in gens
-        }
+        fields = self._generator_fields
         findings = []
         for a, b in combinations(gens, 2):
             defect = (
@@ -194,10 +201,7 @@ class LineData:
         u = as_tpoly(u, self.ring, self.module_order)
         u_inv = invert_unit(u)
         new_alpha = {}
-        for g in self.ring.gens:
-            field = self.base.hamiltonian_field(
-                TPoly.generator(self.ring, g, self.order)
-            ).truncate(self.module_order)
+        for g, field in self._generator_fields.items():
             new_alpha[g] = self._alpha[g] + u_inv * field.apply(u)
         return LineData(self.base, new_alpha, self.degree_bound)
 

@@ -697,7 +697,7 @@ class _Terms:
         for (d, k, expo), c in self.terms.items():
             if d == degree and k <= order:
                 slots[k][expo] = c
-        return TPoly._trusted(ring, order, tuple(Poly._trusted(ring, s) for s in slots))
+        return TPoly._trusted(ring, order, tuple(Poly._from_terms(ring, s) for s in slots))
 
     def tpoly(self, ring: PolyRing, order: int) -> TPoly:
         self.check_order(order)

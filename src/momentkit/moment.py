@@ -128,17 +128,31 @@ class NotConformal(ValueError):
 def invert_generator_map(
     ring: PolyRing, order: int, phi: Mapping[str, TPoly]
 ) -> dict[str, TPoly]:
-    """Order-by-order formal inverse of a substitution that is id mod t."""
-    psi = {g: TPoly.generator(ring, g, order) for g in ring.gens}
-    for _ in range(order + 1):
-        errors = {
-            g: psi[g].substitute(phi) - TPoly.generator(ring, g, order)
+    """Formal inverse psi of a substitution phi that is id mod t.
+
+    With T = phi - id, which lies in t*A[t], psi is the fixed point of
+    psi = x - T(psi).  T(psi) mod t^(m+1) depends on psi only mod t^m, so
+    pass m lifts psi from order m-1 to order m.  Each pass substitutes psi
+    into the small T rather than phi into the growing psi (the fixed-point
+    form of series reversion; Brent & Kung, JACM 25(4), 1978).
+    """
+    tail = {}
+    for g in ring.gens:
+        value = phi.get(g)
+        if value is None:
+            raise GeneratorMismatch(f"generator map misses generator {g!r}")
+        value = as_tpoly(value, ring, order)
+        if value.coefficient(0) != ring.var(g):
+            raise ValueError("generator map is not invertible (not the identity mod t?)")
+        tail[g] = value - TPoly.generator(ring, g, order)
+    psi = {g: TPoly.generator(ring, g, 0) for g in ring.gens}
+    for m in range(1, order + 1):
+        lifted = {g: v.lift(m) for g, v in psi.items()}
+        psi = {
+            g: TPoly.generator(ring, g, m) - tail[g].truncate(m).substitute(lifted)
             for g in ring.gens
         }
-        if all(e.is_zero() for e in errors.values()):
-            return psi
-        psi = {g: psi[g] - errors[g] for g in ring.gens}
-    raise ValueError("generator map is not invertible (not the identity mod t?)")
+    return psi
 
 
 class MomentSystem:

@@ -139,12 +139,22 @@ class PoissonStructure:
         )
 
     def hamiltonian_field(self, f: Union[TPoly, Poly]) -> Derivation:
-        """The derivation g -> {f, g}."""
+        """The derivation g -> {f, g}, read off the table: its value on a
+        generator x_j is sum_i df/dx_i * {x_i, x_j}, so the field of a
+        generator is its row of the table."""
         f = as_tpoly(f, self.ring, self.order)
+        gens = self.ring.gens
+        df = [f.diff(a) for a in gens]
+        values = [new_slots(self.order) for _ in gens]
+        for (i, j), entry in self._table.items():
+            if not df[i].is_zero():
+                add_truncated_product(values[j], df[i].coeffs, entry.coeffs)
+            if not df[j].is_zero():
+                add_truncated_product(values[i], (-df[j]).coeffs, entry.coeffs)
         return Derivation(
             self.ring,
             self.order,
-            {g: self.bracket(f, TPoly.generator(self.ring, g, self.order)) for g in self.ring.gens},
+            {g: TPoly.from_slots(self.ring, v) for g, v in zip(gens, values)},
         )
 
     # -- verification --------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
 separate multiplication by s, flat lifts by a sweep that recomputes the
-whole residual from the derivation formula at every order, and truncated
-products by plain ``Fraction`` accumulation.  Keep these independent of the
+whole residual from the derivation formula at every order, truncated
+products by plain ``Fraction`` accumulation, and the inverse of a generator
+map by error correction.  Keep these independent of the
 code under test.
 """
 
@@ -163,6 +164,22 @@ def substitute_by_terms(f, assignment):
                     term = term * value
             result = result + term.t_shift(k)
     return result
+
+
+def invert_generator_map_by_error_correction(ring, order, phi):
+    """Inverse of a substitution phi = id mod t by error correction: start
+    from psi = id and subtract the error psi(phi) - id, which gains one
+    t-order per pass; the library instead solves psi = x - (phi - id)(psi)."""
+    psi = {g: TPoly.generator(ring, g, order) for g in ring.gens}
+    for _ in range(order + 1):
+        errors = {
+            g: psi[g].substitute(phi) - TPoly.generator(ring, g, order)
+            for g in ring.gens
+        }
+        if all(e.is_zero() for e in errors.values()):
+            return psi
+        psi = {g: psi[g] - errors[g] for g in ring.gens}
+    raise ValueError("generator map is not invertible (not the identity mod t?)")
 
 
 def accumulate_product(out, a, b):

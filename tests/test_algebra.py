@@ -21,7 +21,12 @@ from momentkit.algebra import (
     new_slots,
 )
 
-from oracles import accumulate_product, rank_by_minors, truncated_product_slots
+from oracles import (
+    accumulate_product,
+    rank_by_minors,
+    substitute_by_terms,
+    truncated_product_slots,
+)
 
 RING = PolyRing(["x", "y"])
 X, Y = RING.var("x"), RING.var("y")
@@ -169,6 +174,11 @@ def test_rendering_canonical_order():
 def test_t_shift_truncates():
     tp = TPoly.build(RING, 1, {0: X, 1: Y})
     assert tp.t_shift(1) == TPoly.build(RING, 1, {1: X})
+    assert tp.t_shift(0) == tp
+    assert tp.t_shift(2).is_zero()
+    # t is not a unit: a negative shift must not wrap low slots to the top
+    with pytest.raises(ValueError):
+        TPoly.build(RING, 2, {0: X, 1: Y}).t_shift(-1)
 
 
 def test_evaluate():
@@ -221,6 +231,29 @@ def test_substitution_is_a_ring_homomorphism(f, g, vx, vy):
     )
 
 
+@st.composite
+def dense_tpolys(draw, order, max_degree):
+    """A TPoly with nonzero terms in every t-slot, one of degree max_degree."""
+    expos = exponents.filter(lambda e: sum(e) <= max_degree)
+    nonzero_rats = small_rats.filter(bool)
+    slots = [
+        draw(st.dictionaries(expos, nonzero_rats, min_size=1, max_size=3))
+        for _ in range(order + 1)
+    ]
+    top = draw(st.sampled_from([(max_degree, 0), (1, max_degree - 1)]))
+    slots[draw(st.integers(0, order))][top] = draw(nonzero_rats)
+    return TPoly(RING, order, [Poly(RING, terms) for terms in slots])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_at_each_terms_precision_matches_term_by_term_oracle(data):
+    order = data.draw(st.integers(0, 6))
+    f = data.draw(dense_tpolys(order, 3))
+    assignment = {g: data.draw(dense_tpolys(order, 2)) for g in RING.gens}
+    assert f.substitute(assignment) == substitute_by_terms(f, assignment)
+
+
 @given(
     st.lists(
         st.lists(small_rats, min_size=4, max_size=4), min_size=4, max_size=4
@@ -271,12 +304,13 @@ def kernel_calls(draw, order):
 
 @contextmanager
 def trusted_polys():
-    """Record every Poly built through Poly._trusted while active."""
+    """Record every Poly built through Poly._trusted, the internal
+    constructor of every result, while active."""
     built = []
     original = Poly.__dict__["_trusted"]
 
-    def record(cls, ring, terms):
-        p = original.__func__(cls, ring, terms)
+    def record(cls, ring, den, nums):
+        p = original.__func__(cls, ring, den, nums)
         built.append(p)
         return p
 
@@ -288,10 +322,17 @@ def trusted_polys():
 
 
 def assert_canonical(p):
-    """Nonzero Fractions in lowest terms, exponent vectors of the ring's arity."""
-    for expo, c in p.terms.items():
+    """A lowest-terms integer form (den >= 1, nonzero int numerators,
+    gcd(den, *nums) == 1) over exponent vectors of the ring's arity, and
+    ``terms`` the same polynomial as nonzero lowest-terms Fractions."""
+    assert type(p.den) is int and p.den >= 1
+    for expo, n in p.nums.items():
         assert len(expo) == p.ring.arity
         assert all(type(e) is int and e >= 0 for e in expo)
+        assert type(n) is int and n != 0
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p.terms == {e: Fraction(n, p.den) for e, n in p.nums.items()}
+    for expo, c in p.terms.items():
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 

@@ -12,8 +12,8 @@ same expression, truncated in t, on hypothesis-drawn inputs:
 * ``PoissonStructure.bracket``: ``sum_{i<j} B_ij (df/dx_i dg/dx_j - df/dx_j dg/dx_i)``,
 * ``Derivation.apply``: ``sum_g D(g) * df/dg``,
 * ``invert_unit``: sympy's series of ``1/u`` in t, and ``u * u^-1 = 1``,
-* ``invert_generator_map``: ``psi o phi = id`` mod ``t^(n+1)``, with the
-  composition expanded by sympy as for ``substitute``.
+* ``invert_generator_map``: ``psi o phi = id`` and ``phi o psi = id`` mod
+  ``t^(n+1)``, with the compositions expanded by sympy as for ``substitute``.
 """
 
 from fractions import Fraction
@@ -230,3 +230,4 @@ def test_invert_generator_map_composes_to_identity(data):
     for g in ring.gens:
         identity = terms_of(TPoly.generator(ring, g, order))
         assert substituted_terms(psi[g], phi) == identity
+        assert substituted_terms(phi[g], psi) == identity

@@ -10,6 +10,7 @@ from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_gene
 from momentkit.poisson import Point, PoissonStructure
 
 from oracles import (
+    invert_generator_map_by_error_correction,
     pfaffian,
     rank_by_minors,
     substitute_by_terms,
@@ -144,6 +145,25 @@ def test_generator_map_inversion(so3):
             assert gauge.phi[g].substitute(psi) == TPoly.generator(ring, g, n)
 
 
+@pytest.mark.parametrize("name, build", CATALOG, ids=[name for name, _ in CATALOG])
+def test_inversion_matches_error_correction_oracle(name, build):
+    ring = build().ring
+    rng = random.Random(f"invert/{name}")
+    for n in range(1, 9):
+        phi = random_gauge_twist(rng, ring, n).phi  # nonlinear: degree 2
+        expected = invert_generator_map_by_error_correction(ring, n, phi)
+        assert invert_generator_map(ring, n, phi) == expected, n
+
+
+def test_inversion_needs_the_identity_mod_t(plane_ring):
+    x, y = (TPoly.generator(plane_ring, g, 2) for g in plane_ring.gens)
+    for phi in ({"x": x + 1, "y": y}, {"x": x, "y": y * 2}, {"x": y, "y": x}):
+        with pytest.raises(ValueError, match="not invertible"):
+            invert_generator_map(plane_ring, 2, phi)
+    with pytest.raises(GeneratorMismatch):
+        invert_generator_map(plane_ring, 2, {"x": x})
+
+
 def test_twist_validation(worked):
     ring = worked.ring
     bad_phi = GaugeTwist(
@@ -272,6 +292,17 @@ def test_substitute_matches_term_by_term_oracle(name, build):
             for b in ring.gens[i + 1 :]:
                 entry = structure.bracket(phi[a], phi[b])
                 assert entry.substitute(psi) == substitute_by_terms(entry, psi), (n, a, b)
+
+
+def test_deep_nonlinear_twist_verifies_and_flattens(so3):
+    # Order 10 under a degree-2 twist: psi has about 1,500 terms and the
+    # alpha transport substitutes it into images of degree 18.
+    twisted = MomentSystem.trivial(so3, 10).twist(
+        random_gauge_twist(random.Random(5), so3.ring, 10)
+    )
+    assert twisted.verify().passed
+    # trivialize checks flatness and the recovery of every relation itself
+    assert set(twisted.trivialize().lifts) == set(so3.ring.gens)
 
 
 def test_trivialize_nontrivial_alpha_systems():

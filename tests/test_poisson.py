@@ -226,6 +226,13 @@ def test_jacobiator_vanishes_on_random_polynomials(seeded):
     assert structure.jacobiator(f, g, h).is_zero()
 
 
+def test_hamiltonian_field_read_off_the_table_is_the_bracket(seeded):
+    rng, structure = seeded
+    f = rand_tpoly(rng, structure.ring, 2)
+    g = rand_tpoly(rng, structure.ring, 2)
+    assert structure.hamiltonian_field(f).apply(g) == structure.bracket(f, g)
+
+
 def test_hamiltonian_fields_are_bracket_derivations(seeded):
     rng, structure = seeded
     f = rand_tpoly(rng, structure.ring, 2)
