@@ -86,6 +86,19 @@ alpha y = 2*t*x*z - 1/2*t*z + 1/4*t^2*x*z - 2*t^2*y*z - 1/8*t^3*x^2*z + 1/2*t^3*
 alpha z = 1/2*t*y - 1/4*t^2*x*y + 1/8*t^3*x^2*y - 1/2*t^3*x*z + 1/4*t^3*y^2;
 """
 
+# so3 written loosely: comments, tabs, CRLF line ends, nested parentheses
+# and parenthesised twist values.
+LOOSE_SO3 = (
+    "# so3, deformed, in a loose layout\r\n"
+    "ring\tx, y, z;\t# three generators\r\n"
+    "order 3;\r\n"
+    "bracket {x, y} = ((z + t*(x - 2/4*y)) * (1 + t));\r\n"
+    "bracket {y, z} = x;   # plain\r\n"
+    "bracket\t{z, x} = (((y)));\r\n"
+    "alpha x = (t*((y - 3/6)*(z + 1)));\r\n"
+    "twist g:\tx -> (x + t*(y*(z - 1))) y -> y - (t^2*(x));\tunit (2 + t*(x + 1/3));\r\n"
+)
+
 # case name -> (model text or None, argv, emitted file or None)
 CASES = {
     "verify_worked": (WORKED, ["verify", "model.mks"], None),
@@ -101,6 +114,19 @@ CASES = {
         ["twist", "model.mks", "--name", "g", "--emit", "twisted.mks"],
         "twisted.mks",
     ),
+    "tot_readme_power": (
+        README,
+        [
+            "tot",
+            "model.mks",
+            "--left",
+            "(x + y + 1)^6*s^-1 - 4/6*x*(y - 2)*s",
+            "--right",
+            "y*s^-1",
+        ],
+        None,
+    ),
+    "verify_loose_layout": (LOOSE_SO3, ["verify", "model.mks"], None),
     "tot_laurent": (WORKED, ["tot", "model.mks", "--left", "x*s^-1", "--right", "y*s^2"], None),
     "rank_base": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "base"], None),
     "rank_tot": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "tot"], None),
