@@ -13,7 +13,9 @@ Representation notes:
   integers,
 * ``Poly.terms`` is the public view ``{exponent: Fraction}`` (``Rat``), built
   on first read; a ``Fraction`` is built only there, in ``constant_value``
-  and ``evaluate``, and when a public constructor converts its input,
+  and ``evaluate``, when a public constructor converts its input, and for
+  the point coordinates and weights of a model file.  Model-file expressions
+  and ``render_terms`` work on integer forms,
 * a ``TPoly`` of order ``N`` is an element ``c_0 + c_1*t + .. + c_N*t^N``
   of ``A[t]/t^(N+1)`` stored as exactly ``N+1`` Poly slots; arithmetic
   truncates above ``t^N``,
@@ -24,9 +26,9 @@ Representation notes:
   the slot is rescaled only when a product brings a denominator that does
   not divide the slot's.  ``Poly`` and ``TPoly`` multiplication,
   ``TPoly.substitute``, ``Derivation.apply``, ``PoissonStructure.bracket``,
-  ``LineData.alpha_apply``/``partial_alpha`` and the trivialization sweeps
-  all accumulate this way instead of building a whole ``TPoly`` per partial
-  product,
+  ``LineData.alpha_apply``/``partial_alpha``, the trivialization sweeps and
+  the model-file expression evaluator all accumulate this way instead of
+  building a whole ``TPoly`` per partial product,
 * ``substitute`` builds each monomial of the assigned values once, by a
   single kernel product of the monomial one degree lower and a generator
   value, and only to the t-precision that its lowest-t term needs: a term
@@ -50,7 +52,8 @@ Representation notes:
 The canonical text rendering (used by every report and by the model-file
 round trip) lists terms by ascending t-power, then graded-lexicographic
 descending in the generators, with ``^`` for powers, ``*`` for products and
-rationals as ``p/q``.
+rationals as ``p/q``; ``render_terms`` reads each coefficient ``n/den`` off
+the integer form and puts it in lowest terms with one gcd.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rat = Fraction
 
@@ -192,15 +195,6 @@ class Poly:
         p.den = den
         p.nums = nums
         p._terms = None
-        return p
-
-    @classmethod
-    def _from_terms(cls, ring: PolyRing, terms: dict[tuple[int, ...], Rat]) -> Poly:
-        """The Poly whose ``terms`` are ``terms`` as is: every key an exponent
-        vector of ``ring``'s arity, every value a nonzero ``Fraction``.  For
-        internal input only."""
-        p = cls._trusted(ring, *_over_common_denominator(terms))
-        p._terms = terms
         return p
 
     @classmethod
@@ -351,7 +345,7 @@ class Poly:
         return total / self.den
 
     def __str__(self) -> str:
-        return render_terms(self.ring, [(0, e, c) for e, c in self.terms.items()])
+        return render_terms(self.ring, (self,))
 
     def __repr__(self) -> str:
         return f"<Poly {self}>"
@@ -593,12 +587,7 @@ class TPoly:
         return TPoly.from_slots(ring, slots)
 
     def __str__(self) -> str:
-        triples = [
-            (k, e, c)
-            for k, poly in enumerate(self.coeffs)
-            for e, c in poly.terms.items()
-        ]
-        return render_terms(self.ring, triples)
+        return render_terms(self.ring, self.coeffs)
 
     def __repr__(self) -> str:
         return f"<TPoly[{self.order}] {self}>"
@@ -786,39 +775,42 @@ class Derivation:
 
 
 def _monomial_key(expo: tuple[int, ...]) -> tuple:
-    # Graded lexicographic, descending: higher total degree first, then
-    # earlier generators with higher exponents first.
-    return (-sum(expo), tuple(-e for e in expo))
+    # Sorted in reverse, this is graded lexicographic descending: higher
+    # total degree first, then earlier generators with higher exponents first.
+    return (sum(expo), expo)
 
 
-def render_terms(
-    ring: PolyRing, triples: Iterable[tuple[int, tuple[int, ...], Rat]]
-) -> str:
-    ordered = sorted(triples, key=lambda it: (it[0], _monomial_key(it[1])))
-    if not ordered:
-        return "0"
+def render_terms(ring: PolyRing, slots: Sequence[Poly]) -> str:
+    """The canonical text of ``sum_k slots[k] * t^k``.
+
+    Each coefficient is read off the integer form: ``n/den`` is written in
+    lowest terms after one gcd, with its sign taken from ``n``.
+    """
     chunks: list[str] = []
-    for pos, (t_pow, expo, coeff) in enumerate(ordered):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        pieces: list[str] = []
-        if t_pow == 1:
-            pieces.append("t")
-        elif t_pow > 1:
-            pieces.append(f"t^{t_pow}")
-        for name, e in zip(ring.gens, expo):
-            if e == 1:
-                pieces.append(name)
-            elif e > 1:
-                pieces.append(f"{name}^{e}")
-        if mag != 1 or not pieces:
-            pieces.insert(0, str(mag))
-        body = "*".join(pieces)
-        if pos == 0:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
+    for t_pow, poly in enumerate(slots):
+        t_pieces = [] if t_pow == 0 else ["t"] if t_pow == 1 else [f"t^{t_pow}"]
+        den = poly.den
+        nums = poly.nums
+        for expo in sorted(nums, key=_monomial_key, reverse=True):
+            n = nums[expo]
+            pieces = t_pieces.copy()
+            for name, e in zip(ring.gens, expo):
+                if e == 1:
+                    pieces.append(name)
+                elif e:
+                    pieces.append(f"{name}^{e}")
+            g = gcd(n, den)
+            mag, q = abs(n) // g, den // g
+            if q != 1:
+                pieces.insert(0, f"{mag}/{q}")
+            elif mag != 1 or not pieces:
+                pieces.insert(0, str(mag))
+            body = "*".join(pieces)
+            if chunks:
+                chunks.append(f"- {body}" if n < 0 else f"+ {body}")
+            else:
+                chunks.append(f"-{body}" if n < 0 else body)
+    return " ".join(chunks) if chunks else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,34 @@ expressions consumed by the ``tot`` subcommand.  ``ring`` and ``order`` must
 appear before any statement that uses them.  Each unordered bracket pair may
 be declared at most once; the antisymmetric mate is derived.
 
-An expression is evaluated into one flat term map keyed by (s-degree,
-t-power, exponent) with ``Fraction`` values: a product of atoms folds into a
-single term, a power of a single term scales its exponents, ``+`` and ``-``
-merge into the running map in place, and only products of sums multiply
-maps.  ``TPoly`` values are built once, at the end.  A t-power above the
-order is an error wherever it arises (a literal, product or power), even if
-a later sum would cancel it; in total-space expressions this applies to the
-final s-degree 0 part, while the other degrees are reduced to the module
-order.  A zero-valued entry is omitted like ``= 0;``.  Parentheses nest at
-most ``MAX_NESTING`` deep.
+An expression evaluates to ``{s-degree: kernel slots}``, the integer
+accumulators of its t^0 .. t^order coefficients, and its only arithmetic is
+``add_truncated_product``: a product of atoms folds into one integer
+monomial (numerator, denominator, s-degree, t-power, exponents), a power of
+a single term scales its exponents, products of sums and powers of sums are
+kernel products, and ``+`` and ``-`` add a term or a sum as a kernel product
+with the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
+end, by ``TPoly.from_slots``.  A t-power above the order is an error
+wherever it arises (a literal, product or power), even if a later sum would
+cancel it; the error names the lowest such t-power of the product where it
+arose.  In total-space expressions this applies to the final s-degree 0
+part, while the other degrees are reduced to the module order.  A
+zero-valued entry is omitted like ``= 0;``.  Integer literals are ASCII
+digits, at most ``sys.get_int_max_str_digits()`` of them.  Parentheses nest
+at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
-from typing import Iterator, Mapping
+from itertools import islice
+from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import Poly, PolyRing, Rat, TPoly
+from .algebra import Poly, PolyRing, Rat, Slots, TPoly
+from .algebra import _Slot, add_truncated_product, new_slots
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
 from .poisson import Point, PoissonStructure
@@ -72,67 +80,34 @@ class ModelError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "punct", "eof"
     text: str
     line: int
     col: int
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = set(";,{}()=+-*^/:")
+# Integers are ASCII digits.  An identifier continues with ``\w`` (that is,
+# ``str.isalnum`` or ``_``) and starts with ``str.isalpha`` or ``_``, which
+# tokenize checks: ``[^\W\d]`` also admits characters such as ``²``.  The
+# last group catches any other character but blanks.
+_TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|(->|[;,{}()=+\-*^/:])|([^ \t\r])")
+_KINDS = (None, "int", "ident", "punct")
 
 
-def tokenize(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield Token("ident", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
-            yield Token("int", text[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            yield Token("punct", two, line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            yield Token("punct", ch, line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise ModelError(f"unexpected character {ch!r}", line, col)
-    yield Token("eof", "", line, col)
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    for line, code in enumerate(text.split("\n"), 1):
+        code = code.partition("#")[0]
+        for m in _TOKEN.finditer(code):
+            kind = m.lastindex
+            value = m[kind]
+            if kind == 4 or (kind == 2 and not (value[0].isalpha() or value[0] == "_")):
+                raise ModelError(f"unexpected character {value[0]!r}", line, m.start() + 1)
+            # tuple.__new__ skips the Python-level Token.__new__
+            tokens.append(tuple.__new__(Token, (_KINDS[kind], value, line, m.start() + 1)))
+    tokens.append(Token("eof", "", line, len(code) + 1))
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -205,23 +180,10 @@ class ModelFile:
             lines.append(f"twist {name}: {pairs}; unit {tw.unit};")
         return "\n".join(lines) + "\n"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        return (
-            self.generators == other.generators
-            and self.order == other.order
-            and self.brackets == other.brackets
-            and self.alphas == other.alphas
-            and self.conformal == other.conformal
-            and self.points == other.points
-            and self.twists == other.twists
-        )
-
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(tokenize(text))
+        self.tokens = tokenize(text)
         self.pos = 0
         self.ring: PolyRing | None = None
         self.order: int | None = None
@@ -261,12 +223,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "int":
             raise self.error(f"expected integer, got {tok.text!r}")
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            raise self.error(f"integer literal longer than {limit} digits")
         self.advance()
         return int(tok.text)
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+        # No other kind of token has a punctuation mark as its text.
+        return self.tokens[self.pos].text == text
 
     # -- model -------------------------------------------------------------
 
@@ -500,6 +465,10 @@ class _Parser:
         twists[name_tok.text] = GaugeTwist(phi, unit)
 
     # -- expressions -------------------------------------------------------
+    #
+    # An expression evaluates to a _Sum.  Its only arithmetic is
+    # add_truncated_product: products of _Sums are kernel products, and sums
+    # add each term times a one-term constant +1 or -1.
 
     def _parse_signed_rational(self) -> Rat:
         negative = False
@@ -520,168 +489,237 @@ class _Parser:
         assert self.order is not None
         return self._parse_top(self.order, allow_s=False).tpoly(self._ring(), self.order)
 
-    def _parse_top(self, order: int, allow_s: bool) -> _Terms:
+    def _parse_top(self, order: int, allow_s: bool) -> _Sum:
         """A whole expression whose t-powers may reach ``order``."""
         self.limit = order
         self.allow_s = allow_s
         self.depth = 0
+        zero = (0,) * self._ring().arity
+        self.signs = {1: _Slot(1, {zero: 1}), -1: _Slot(1, {zero: -1})}
         return self._parse_expr()
 
-    def parse_expr_entry(self, order: int, allow_s: bool) -> _Terms:
+    def parse_entry(self, ring: PolyRing, order: int, allow_s: bool) -> _Sum:
+        """The whole text as one expression over ``ring`` at ``order``."""
+        self.ring = ring
+        self.order = order
         value = self._parse_top(order, allow_s)
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error(f"unexpected trailing input {tok.text!r}")
         return value
 
-    def _parse_expr(self) -> _Terms:
-        value = self._parse_term()
-        while self.at_punct("+") or self.at_punct("-"):
+    def _parse_expr(self) -> _Sum:
+        total = _Sum({}, {})
+        sign = 1
+        while True:
+            self._parse_term(total, sign)
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return total
             sign = 1 if self.advance().text == "+" else -1
-            value.add(self._parse_term(), sign)
-        return value
 
-    def _parse_term(self) -> _Terms:
-        value = self._parse_factor()
-        while self.at_punct("*"):
+    def _parse_term(self, total: _Sum, sign: int) -> None:
+        """Add ``sign`` times the product of factors at the cursor to ``total``.
+
+        Atoms and their powers fold into one monomial ``num/den * s^d * t^k *
+        x^expo`` of integers until a parenthesised factor, or a t-power past
+        the limit, makes the product a _Sum; each later factor is then a
+        kernel product.  A unary minus flips the sign of the whole term.
+        """
+        ring = self._ring()
+        limit = self.limit
+        num, den, d, k, expo = 1, 1, 0, 0, [0] * ring.arity
+        product: _Sum | None = None
+        tok: Token | None = None  # where the factor starts; None for the first
+        while True:
+            while self.at_punct("-"):
+                self.advance()
+                sign = -sign
+            start = self.peek()
+            factor: _Sum | None = None
+            if start.kind == "punct" and start.text == "(":
+                factor = self._parse_group(start)
+            else:
+                # the atom, with its power: a_num/a_den * s^a_d * t^a_k * gen^power
+                a_num = a_den = power = 1
+                a_d = a_k = 0
+                gen = None
+                if start.kind == "int":
+                    a_num = self.expect_int()
+                    if self.at_punct("/"):
+                        self.advance()
+                        a_den = self.expect_int()
+                        if a_den == 0:
+                            raise self.error("zero denominator")
+                elif start.kind == "ident":
+                    self.advance()
+                    if start.text == "t":
+                        a_k = 1
+                    elif start.text == "s":
+                        if not self.allow_s:
+                            raise self.error("s is not allowed in this expression", start)
+                        a_d = 1
+                    elif start.text in ring.gens:
+                        gen = ring.index(start.text)
+                    else:
+                        raise self.error(f"undeclared generator {start.text!r}", start)
+                else:
+                    raise self.error(f"expected an expression, got {start.text!r}")
+                if self.at_punct("^"):
+                    power = self._parse_exponent(a_d == 1)
+                    if power >= 0:  # only s takes a negative power
+                        a_num, a_den = a_num**power, a_den**power
+                    a_d, a_k = a_d * power, a_k * power
+                if a_k > limit:
+                    factor = _Sum({}, {a_d: (start, a_k)})
+                elif product is None:
+                    num, den, d, k = num * a_num, den * a_den, d + a_d, k + a_k
+                    if gen is not None:
+                        expo[gen] += power
+                    if num and k > limit:
+                        product = _Sum({}, {d: (tok, k)})
+                else:
+                    a_expo = [0] * ring.arity
+                    if gen is not None:
+                        a_expo[gen] = power
+                    factor = self._term(a_num, a_den, a_d, a_k, a_expo)
+            if factor is not None:
+                if product is None and tok is not None:
+                    product = self._term(num, den, d, k, expo)
+                product = factor if product is None else self._mul(product, factor, tok)
+            if not self.at_punct("*"):
+                break
             self.advance()
             tok = self.peek()
-            value = value.mul(self._parse_factor(), tok, self.limit)
-        return value
+        if product is None:
+            if num:
+                term = (_Slot(den, {tuple(expo): num}),)
+                add_truncated_product(total.at(d, limit), term, (self.signs[sign],), k)
+            return
+        for deg, slots in product.parts.items():
+            add_truncated_product(total.at(deg, limit), slots, (self.signs[sign],))
+        for deg, where in product.over.items():
+            total.over.setdefault(deg, where)
 
-    def _parse_factor(self) -> _Terms:
-        negative = False
-        while self.at_punct("-"):
+    def _parse_exponent(self, allow_negative: bool) -> int:
+        caret = self.advance()
+        if self.at_punct("-"):
+            if not allow_negative:
+                raise self.error("negative exponents are only allowed on s", caret)
             self.advance()
-            negative = not negative
-        tok = self.peek()
-        value, is_s = self._parse_atom()
+            return -self.expect_int()
+        return self.expect_int()
+
+    def _parse_group(self, start: Token) -> _Sum:
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", start)
+        value = self._parse_expr()
+        self.expect_punct(")")
+        self.depth -= 1
         if self.at_punct("^"):
-            caret = self.advance()
-            sign = 1
-            if self.at_punct("-"):
-                if not is_s:
-                    raise self.error("negative exponents are only allowed on s", caret)
-                self.advance()
-                sign = -1
-            zero = (0,) * self._ring().arity
-            value = value.power(sign * self.expect_int(), tok, self.limit, zero)
-        if negative:
-            value.negate()
+            value = self._power(value, self._parse_exponent(False), start)
         return value
 
     def _ring(self) -> PolyRing:
         assert self.ring is not None
         return self.ring
 
-    def _parse_atom(self) -> tuple[_Terms, bool]:
-        ring = self._ring()
-        zero = (0,) * ring.arity
-        tok = self.peek()
-        if tok.kind == "int":
-            return _Terms.term(0, 0, zero, self._parse_signed_rational()), False
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
-                return _Terms.term(0, 1, zero, 1), False
-            if tok.text == "s":
-                if not self.allow_s:
-                    raise self.error("s is not allowed in this expression", tok)
-                return _Terms.term(1, 0, zero, 1), True
-            if tok.text not in ring.gens:
-                raise self.error(f"undeclared generator {tok.text!r}", tok)
-            expo = [0] * ring.arity
-            expo[ring.index(tok.text)] = 1
-            return _Terms.term(0, 0, tuple(expo), 1), False
-        if self.at_punct("("):
-            self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", tok)
-            value = self._parse_expr()
-            self.expect_punct(")")
-            self.depth -= 1
-            return value, False
-        raise self.error(f"expected an expression, got {tok.text!r}")
+    def _term(self, num: int, den: int, d: int, k: int, expo: list[int]) -> _Sum:
+        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``."""
+        if not num:
+            return _Sum({}, {})
+        slots = [_EMPTY] * (self.limit + 1)
+        slots[k] = _Slot(den, {tuple(expo): num})
+        return _Sum({d: slots}, {})
 
-
-class _Terms:
-    """A parsed expression as one flat map of terms ``c * s^d * t^k * x^e``.
-
-    ``terms`` maps ``(d, k, e)`` to a nonzero ``Fraction``.  Terms whose
-    t-power exceeds the parse order are not kept; ``over`` maps each s-degree
-    at which one arose to the token where it arose and its t-power.  A product
-    with an over-order term is over-order too, so such a term never comes back
-    into range, but a power of s can move it to another s-degree: products
-    carry ``over`` along.
-    """
-
-    __slots__ = ("terms", "over")
-
-    def __init__(
-        self,
-        terms: dict[tuple[int, int, tuple[int, ...]], Rat],
-        over: dict[int, tuple[Token, int]],
-    ):
-        self.terms = terms
-        self.over = over
-
-    @classmethod
-    def term(cls, d: int, k: int, expo: tuple[int, ...], coeff: Rat | int) -> _Terms:
-        return cls({(d, k, expo): Fraction(coeff)} if coeff else {}, {})
-
-    def add(self, other: _Terms, sign: int) -> None:
-        """In place: self += sign * other."""
-        terms = self.terms
-        for key, c in other.terms.items():
-            value = terms.get(key, 0) + sign * c
-            if value:
-                terms[key] = value
-            else:
-                del terms[key]
-        for d, where in other.over.items():
-            self.over.setdefault(d, where)
-
-    def mul(self, other: _Terms, tok: Token, limit: int) -> _Terms:
-        terms: dict[tuple[int, int, tuple[int, ...]], Rat] = {}
-        over: dict[int, tuple[Token, int]] = {}
-        b_items = list(other.terms.items())
-        for (da, ka, ea), ca in self.terms.items():
-            for (db, kb, eb), cb in b_items:
-                k = ka + kb
-                if k > limit:
-                    over.setdefault(da + db, (tok, k))
-                    continue
-                key = (da + db, k, tuple(map(add, ea, eb)))
-                terms[key] = terms.get(key, 0) + ca * cb
-        for mine, theirs in ((self, other), (other, self)):
+    def _mul(self, a: _Sum, b: _Sum, tok: Token) -> _Sum:
+        """``a * b`` by kernel products; ``tok`` is where ``b`` starts."""
+        limit = self.limit
+        support_a, support_b = a.support(), b.support()
+        result = _Sum({}, {})
+        lowest: dict[int, int] = {}
+        for da, ks_a in support_a.items():
+            for db, ks_b in support_b.items():
+                d = da + db
+                add_truncated_product(result.at(d, limit), a.parts[da], b.parts[db])
+                if ks_a[-1] + ks_b[-1] > limit:
+                    k = min(i + j for i in ks_a for j in ks_b if i + j > limit)
+                    lowest[d] = min(k, lowest.get(d, k))
+        over = result.over
+        for d in sorted(lowest):
+            over[d] = (tok, lowest[d])
+        # An over-order term times a nonzero cofactor is over-order too.
+        for mine, theirs, support in ((a, b, support_b), (b, a, support_a)):
             if mine.over:
-                degrees = {d for d, _, _ in theirs.terms} | set(theirs.over)
+                degrees = set(support) | set(theirs.over)
                 for d, where in mine.over.items():
                     for e in degrees:
                         over.setdefault(d + e, where)
-        return _Terms({key: c for key, c in terms.items() if c}, over)
-
-    def power(self, exponent: int, tok: Token, limit: int, zero: tuple[int, ...]) -> _Terms:
-        if not self.terms and not self.over:
-            return _Terms({}, {}) if exponent else _Terms.term(0, 0, zero, 1)
-        if len(self.terms) == 1 and not self.over:
-            # A single term: scale its exponents (a negative exponent only
-            # reaches here on a bare s).
-            ((d, k, expo), c), = self.terms.items()
-            if k * exponent > limit:
-                return _Terms({}, {d * exponent: (tok, k * exponent)})
-            return _Terms.term(
-                d * exponent, k * exponent, tuple(e * exponent for e in expo), c**exponent
-            )
-        result = _Terms.term(0, 0, zero, 1)
-        for _ in range(exponent):
-            result = result.mul(self, tok, limit)
         return result
 
-    def negate(self) -> None:
-        for key, c in self.terms.items():
-            self.terms[key] = -c
+    def _power(self, value: _Sum, exponent: int, tok: Token) -> _Sum:
+        zero = [0] * self._ring().arity
+        terms = list(islice(value.terms(), 2))
+        if not value.over and len(terms) < 2:
+            # zero or one term: scale its exponents
+            d, k, den, expo, num = terms[0] if terms else (0, 0, 1, zero, 0)
+            if k * exponent > self.limit:
+                return _Sum({}, {d * exponent: (tok, k * exponent)})
+            expo = [e * exponent for e in expo]
+            return self._term(num**exponent, den**exponent, d * exponent, k * exponent, expo)
+        result = self._term(1, 1, 0, 0, zero)
+        for _ in range(exponent):
+            result = self._mul(result, value, tok)
+        return result
+
+
+# The zero slot of a one-term _Sum; it is only ever read.
+_EMPTY = _Slot()
+
+
+class _Sum:
+    """A parsed expression as kernel accumulators, one list per s-degree.
+
+    ``parts[d]`` holds the t^0 .. t^limit slots of the s^d coefficient;
+    cancelled numerators may stay as 0 until the slots are finished.  Terms
+    whose t-power exceeds the limit are not kept; ``over`` maps each s-degree
+    at which one arose to the token where it arose and its t-power (the
+    lowest such t-power of that product).  A product with an over-order term
+    is over-order too, so such a term never comes back into range, but a
+    power of s can move it to another s-degree: products carry ``over``
+    along.
+    """
+
+    __slots__ = ("parts", "over")
+
+    def __init__(self, parts: dict[int, Slots], over: dict[int, tuple[Token, int]]):
+        self.parts = parts
+        self.over = over
+
+    def at(self, d: int, limit: int) -> Slots:
+        """The slots of s-degree ``d``, made empty on first use."""
+        slots = self.parts.get(d)
+        if slots is None:
+            slots = self.parts[d] = new_slots(limit)
+        return slots
+
+    def terms(self) -> Iterator[tuple[int, int, int, tuple[int, ...], int]]:
+        """``(d, k, den, expo, num)`` of every nonzero term."""
+        for d, slots in self.parts.items():
+            for k, slot in enumerate(slots):
+                for expo, num in slot.nums.items():
+                    if num:
+                        yield d, k, slot.den, expo, num
+
+    def support(self) -> dict[int, list[int]]:
+        """The t-powers of the nonzero slots of each s-degree that has one."""
+        out: dict[int, list[int]] = {}
+        for d, slots in self.parts.items():
+            ks = [k for k, slot in enumerate(slots) if any(slot.nums.values())]
+            if ks:
+                out[d] = ks
+        return out
 
     def check_order(self, order: int) -> None:
         """Raise if an over-order term arose at s-degree 0."""
@@ -690,18 +728,13 @@ class _Terms:
             tok, k = got
             raise ModelError(f"t-degree {k} exceeding order {order}", tok.line, tok.col)
 
-    def coefficient(self, ring: PolyRing, degree: int, order: int) -> TPoly:
-        """The s^degree coefficient as a TPoly of the given order; higher
-        t-powers are dropped (the reduction to the module order)."""
-        slots: list[dict[tuple[int, ...], Rat]] = [{} for _ in range(order + 1)]
-        for (d, k, expo), c in self.terms.items():
-            if d == degree and k <= order:
-                slots[k][expo] = c
-        return TPoly._trusted(ring, order, tuple(Poly._from_terms(ring, s) for s in slots))
-
-    def tpoly(self, ring: PolyRing, order: int) -> TPoly:
-        self.check_order(order)
-        return self.coefficient(ring, 0, order)
+    def tpoly(self, ring: PolyRing, order: int, d: int = 0) -> TPoly:
+        """The s^d coefficient at ``order``; an s-degree 0 value is checked
+        first, higher t-powers of other degrees are dropped."""
+        if d == 0:
+            self.check_order(order)
+        slots = self.parts.get(d)
+        return TPoly.from_slots(ring, slots[: order + 1] if slots else new_slots(order))
 
 
 def parse_model(text: str) -> ModelFile:
@@ -715,10 +748,7 @@ def parse_polynomial(text: str, ring: PolyRing, order: int) -> TPoly:
     This is the inverse of the canonical rendering, used by report
     round-trips; over-order input is an error.
     """
-    parser = _Parser(text)
-    parser.ring = ring
-    parser.order = order
-    return parser.parse_expr_entry(order, allow_s=False).tpoly(ring, order)
+    return _Parser(text).parse_entry(ring, order, allow_s=False).tpoly(ring, order)
 
 
 def parse_tot_expression(text: str, line: LineData) -> TotElement:
@@ -728,15 +758,13 @@ def parse_tot_expression(text: str, line: LineData) -> TotElement:
     an error; coefficients of nonzero degree are reduced to the module order
     (the quotient map, t^n acts as 0).
     """
-    parser = _Parser(text)
-    parser.ring = line.ring
-    parser.order = line.order
-    value = parser.parse_expr_entry(line.order, allow_s=True)
+    value = _Parser(text).parse_entry(line.ring, line.order, allow_s=True)
     value.check_order(line.order)
-    degrees = {d for d, _, _ in value.terms}
+    # A degree with a nonzero term is kept even if the reduction empties it,
+    # so the Laurent degree bound applies to it.
     return TotElement(
         line,
-        {d: value.coefficient(line.ring, d, line.coefficient_order(d)) for d in degrees},
+        {d: value.tpoly(line.ring, line.coefficient_order(d), d) for d in value.support()},
     )
 
 

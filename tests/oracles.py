@@ -5,15 +5,18 @@ rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
 separate multiplication by s, flat lifts by a sweep that recomputes the
 whole residual from the derivation formula at every order, truncated
-products by plain ``Fraction`` accumulation, and the inverse of a generator
-map by error correction.  Keep these independent of the
-code under test.
+products by plain ``Fraction`` accumulation, the inverse of a generator
+map by error correction, model-file expressions by a flat ``Fraction`` term
+map, and the canonical text by sorting ``Fraction`` terms.  Keep these
+independent of the code under test.
 """
 
 from fractions import Fraction
 from operator import add
 
-from momentkit.algebra import TPoly
+from momentkit.algebra import Poly, TPoly
+from momentkit.line import TotElement
+from momentkit.modelfile import MAX_NESTING, ModelError, _Parser
 
 
 def det(rows):
@@ -199,3 +202,225 @@ def truncated_product_slots(slots, a, b, shift=0):
             k = i + j + shift
             if k < len(slots):
                 accumulate_product(slots[k], pa.terms, pb.terms)
+
+
+# -- model-file expressions by a flat term map ----------------------------------
+
+
+class _Terms:
+    """A parsed expression as one flat map of terms ``c * s^d * t^k * x^e``.
+
+    ``terms`` maps ``(d, k, e)`` to a nonzero ``Fraction``.  Terms whose
+    t-power exceeds the parse order are not kept; ``over`` maps each s-degree
+    at which one arose to the token where it arose and its t-power.  A product
+    with an over-order term is over-order too, so such a term never comes back
+    into range, but a power of s can move it to another s-degree: products
+    carry ``over`` along.
+    """
+
+    __slots__ = ("terms", "over")
+
+    def __init__(self, terms, over):
+        self.terms = terms
+        self.over = over
+
+    @classmethod
+    def term(cls, d, k, expo, coeff):
+        return cls({(d, k, expo): Fraction(coeff)} if coeff else {}, {})
+
+    def add(self, other, sign):
+        """In place: self += sign * other."""
+        terms = self.terms
+        for key, c in other.terms.items():
+            value = terms.get(key, 0) + sign * c
+            if value:
+                terms[key] = value
+            else:
+                del terms[key]
+        for d, where in other.over.items():
+            self.over.setdefault(d, where)
+
+    def mul(self, other, tok, limit):
+        terms = {}
+        lowest = {}
+        b_items = list(other.terms.items())
+        for (da, ka, ea), ca in self.terms.items():
+            for (db, kb, eb), cb in b_items:
+                k = ka + kb
+                if k > limit:
+                    lowest[da + db] = min(k, lowest.get(da + db, k))
+                    continue
+                key = (da + db, k, tuple(map(add, ea, eb)))
+                terms[key] = terms.get(key, 0) + ca * cb
+        over = {d: (tok, lowest[d]) for d in sorted(lowest)}
+        for mine, theirs in ((self, other), (other, self)):
+            if mine.over:
+                degrees = {d for d, _, _ in theirs.terms} | set(theirs.over)
+                for d, where in mine.over.items():
+                    for e in degrees:
+                        over.setdefault(d + e, where)
+        return _Terms({key: c for key, c in terms.items() if c}, over)
+
+    def power(self, exponent, tok, limit, zero):
+        if not self.terms and not self.over:
+            return _Terms({}, {}) if exponent else _Terms.term(0, 0, zero, 1)
+        if len(self.terms) == 1 and not self.over:
+            # A single term: scale its exponents (a negative exponent only
+            # reaches here on a bare s).
+            ((d, k, expo), c), = self.terms.items()
+            if k * exponent > limit:
+                return _Terms({}, {d * exponent: (tok, k * exponent)})
+            return _Terms.term(
+                d * exponent, k * exponent, tuple(e * exponent for e in expo), c**exponent
+            )
+        result = _Terms.term(0, 0, zero, 1)
+        for _ in range(exponent):
+            result = result.mul(self, tok, limit)
+        return result
+
+    def negate(self):
+        for key, c in self.terms.items():
+            self.terms[key] = -c
+
+    def check_order(self, order):
+        got = self.over.get(0)
+        if got is not None:
+            tok, k = got
+            raise ModelError(f"t-degree {k} exceeding order {order}", tok.line, tok.col)
+
+    def coefficient(self, ring, degree, order):
+        slots = [{} for _ in range(order + 1)]
+        for (d, k, expo), c in self.terms.items():
+            if d == degree and k <= order:
+                slots[k][expo] = c
+        return TPoly(ring, order, [Poly(ring, s) for s in slots])
+
+
+class _TermMapParser(_Parser):
+    """The model parser's token plumbing with expressions evaluated into a
+    ``_Terms`` map, one ``Fraction`` product per term pair."""
+
+    def _parse_expr(self):
+        value = self._parse_term()
+        while self.at_punct("+") or self.at_punct("-"):
+            sign = 1 if self.advance().text == "+" else -1
+            value.add(self._parse_term(), sign)
+        return value
+
+    def _parse_term(self):
+        value = self._parse_factor()
+        while self.at_punct("*"):
+            self.advance()
+            tok = self.peek()
+            value = value.mul(self._parse_factor(), tok, self.limit)
+        return value
+
+    def _parse_factor(self):
+        negative = False
+        while self.at_punct("-"):
+            self.advance()
+            negative = not negative
+        tok = self.peek()
+        value, is_s = self._parse_atom()
+        if self.at_punct("^"):
+            caret = self.advance()
+            sign = 1
+            if self.at_punct("-"):
+                if not is_s:
+                    raise self.error("negative exponents are only allowed on s", caret)
+                self.advance()
+                sign = -1
+            zero = (0,) * self._ring().arity
+            value = value.power(sign * self.expect_int(), tok, self.limit, zero)
+        if negative:
+            value.negate()
+        return value
+
+    def _parse_atom(self):
+        ring = self._ring()
+        zero = (0,) * ring.arity
+        tok = self.peek()
+        if tok.kind == "int":
+            return _Terms.term(0, 0, zero, self._parse_signed_rational()), False
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == "t":
+                return _Terms.term(0, 1, zero, 1), False
+            if tok.text == "s":
+                if not self.allow_s:
+                    raise self.error("s is not allowed in this expression", tok)
+                return _Terms.term(1, 0, zero, 1), True
+            if tok.text not in ring.gens:
+                raise self.error(f"undeclared generator {tok.text!r}", tok)
+            expo = [0] * ring.arity
+            expo[ring.index(tok.text)] = 1
+            return _Terms.term(0, 0, tuple(expo), 1), False
+        if self.at_punct("("):
+            self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", tok)
+            value = self._parse_expr()
+            self.expect_punct(")")
+            self.depth -= 1
+            return value, False
+        raise self.error(f"expected an expression, got {tok.text!r}")
+
+
+def evaluate_by_term_map(text, ring, order, line=None):
+    """``parse_polynomial(text, ring, order)``, or with ``line`` given
+    ``parse_tot_expression(text, line)``, through a flat ``Fraction`` term map.
+
+    The library folds atoms into integer monomials and multiplies kernel
+    slots instead.  Where several over-order term pairs of one product land
+    on the same s-degree, this map reports the lowest t-power among them, as
+    the library does.  A bare ``t`` at order 0 is kept as a term here and
+    dropped, so compare at orders >= 1.
+    """
+    if line is None:
+        value = _TermMapParser(text).parse_entry(ring, order, allow_s=False)
+        value.check_order(order)
+        return value.coefficient(ring, 0, order)
+    value = _TermMapParser(text).parse_entry(line.ring, line.order, allow_s=True)
+    value.check_order(line.order)
+    degrees = {d for d, _, _ in value.terms}
+    return TotElement(
+        line, {d: value.coefficient(line.ring, d, line.coefficient_order(d)) for d in degrees}
+    )
+
+
+# -- canonical text by sorting Fraction terms ----------------------------------------
+
+
+def _monomial_key(expo):
+    return (-sum(expo), tuple(-e for e in expo))
+
+
+def render_terms_by_fractions(ring, triples):
+    """The canonical text of ``(t-power, exponent, Fraction)`` triples,
+    sorted together; the library reads integer forms slot by slot."""
+    ordered = sorted(triples, key=lambda it: (it[0], _monomial_key(it[1])))
+    if not ordered:
+        return "0"
+    chunks = []
+    for pos, (t_pow, expo, coeff) in enumerate(ordered):
+        negative = coeff < 0
+        mag = -coeff if negative else coeff
+        pieces = []
+        if t_pow == 1:
+            pieces.append("t")
+        elif t_pow > 1:
+            pieces.append(f"t^{t_pow}")
+        for name, e in zip(ring.gens, expo):
+            if e == 1:
+                pieces.append(name)
+            elif e > 1:
+                pieces.append(f"{name}^{e}")
+        if mag != 1 or not pieces:
+            pieces.insert(0, str(mag))
+        body = "*".join(pieces)
+        if pos == 0:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(chunks)

@@ -19,11 +19,13 @@ from momentkit.algebra import (
     finish_slot,
     invert_unit,
     new_slots,
+    render_terms,
 )
 
 from oracles import (
     accumulate_product,
     rank_by_minors,
+    render_terms_by_fractions,
     substitute_by_terms,
     truncated_product_slots,
 )
@@ -169,6 +171,23 @@ def test_rendering_canonical_order():
     assert str(tp) == "y - t*x"
     assert str(RING.zero()) == "0"
     assert str(TPoly.constant(RING, 0, 3)) == "0"
+
+
+def test_rendering_reduces_each_coefficient():
+    # over the common denominator 6 the numerators 3, -4 and 1 share factors
+    # with it term by term, not all together
+    p = Poly._trusted(RING, 6, {(1, 0): 3, (0, 1): -4, (0, 0): 1, (2, 0): -6})
+    assert str(p) == "-x^2 + 1/2*x - 2/3*y + 1/6"
+    assert render_terms(RING, (RING.zero(), p)) == "-t*x^2 + 1/2*t*x - 2/3*t*y + 1/6*t"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(tpolys))
+def test_rendering_matches_fraction_oracle(p):
+    triples = [(k, e, c) for k, poly in enumerate(p.coeffs) for e, c in poly.terms.items()]
+    assert str(p) == render_terms_by_fractions(RING, triples)
+    for poly in p.coeffs:
+        assert str(poly) == render_terms_by_fractions(RING, [(0, e, c) for e, c in poly.terms.items()])
 
 
 def test_t_shift_truncates():

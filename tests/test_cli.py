@@ -107,14 +107,24 @@ def test_zero_valued_expression_exits_zero(tmp_path, body):
         ("(" * 3000 + "x" + ")" * 3000, "line 3, col 118"),
         ("x + t^4*y", "line 3, col 22"),
         ("t^4", "line 3, col 18"),
+        ("1 + 2\N{SUPERSCRIPT TWO}*x", "line 3, col 23"),
+        ("3*\N{ARABIC-INDIC DIGIT THREE}", "line 3, col 20"),
+        pytest.param("1 + " + "9" * 5000, "line 3, col 22", id="5000-digit literal"),
     ],
 )
 def test_pathological_expressions_exit_two(tmp_path, body, location):
     path = tmp_path / "bad.mks"
-    path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = {body};\n")
+    path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = {body};\n", encoding="utf-8")
     proc = run_cli("verify", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {location}:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_literal_in_tot_expression_exits_two(worked_model):
+    proc = run_cli("tot", worked_model, "--left", "9" * 5000, "--right", "x")
+    assert proc.returncode == 2
+    assert "integer literal longer than 4300 digits" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

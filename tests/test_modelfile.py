@@ -17,6 +17,8 @@ from momentkit.modelfile import (
 )
 from momentkit.poisson import PoissonStructure
 
+from oracles import evaluate_by_term_map
+
 TRIVIAL_PLANE = """\
 ring x, y;
 order 2;
@@ -171,6 +173,9 @@ def test_zero_valued_polynomial_parses_to_zero():
     ring = PolyRing(["x", "y"])
     assert parse_polynomial("x - x", ring, 2) == TPoly.constant(ring, 0, 2)
     assert parse_polynomial("0*t^2*x", ring, 2).is_zero()
+    # a zero factor absorbs a product that went past the order
+    assert parse_polynomial("0*t*t^2", ring, 2).is_zero()
+    assert parse_polynomial("t^3*0", ring, 2).is_zero()
 
 
 def test_over_order_error_points_at_the_term():
@@ -178,6 +183,48 @@ def test_over_order_error_points_at_the_term():
     with pytest.raises(ModelError) as err:
         parse_polynomial("x + y*t^3", ring, 2)
     assert (err.value.line, err.value.col) == (1, 7)
+    # a bare t is over-order at order 0 too
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("x + t", ring, 0)
+    assert err.value.message == "t-degree 1 exceeding order 0"
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
+def test_over_order_error_names_the_lowest_t_power():
+    ring = PolyRing(["x", "y"])
+    # both t^3 and t^4 arise at the second factor; the lowest is reported,
+    # whatever the order of the terms
+    for text in ("(t^2 + t)*t^2", "(t + t^2)*t^2"):
+        with pytest.raises(ModelError) as err:
+            parse_polynomial(text, ring, 2)
+        assert err.value.message == "t-degree 3 exceeding order 2"
+        assert err.value.col == 11
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("(t^2)^3", ring, 3)
+    assert err.value.message == "t-degree 6 exceeding order 3"
+
+
+@pytest.mark.parametrize(
+    "text,message,col",
+    [
+        ("1 + 2\N{SUPERSCRIPT TWO}*x", "unexpected character '\N{SUPERSCRIPT TWO}'", 6),
+        ("3*\N{ARABIC-INDIC DIGIT THREE}", "unexpected character '\N{ARABIC-INDIC DIGIT THREE}'", 3),
+        ("x + " + "7" * 5000, "integer literal longer than 4300 digits", 5),
+    ],
+)
+def test_integer_literals_are_ascii_and_bounded(text, message, col):
+    ring = PolyRing(["x", "y"])
+    with pytest.raises(ModelError) as err:
+        parse_polynomial(text, ring, 1)
+    assert (err.value.message, err.value.col) == (message, col)
+
+
+def test_identifiers_keep_their_character_classes():
+    ring = PolyRing(["x\N{SUPERSCRIPT TWO}", "\N{GREEK SMALL LETTER ALPHA}_1"])
+    value = parse_polynomial("x\N{SUPERSCRIPT TWO}*\N{GREEK SMALL LETTER ALPHA}_1", ring, 1)
+    assert value == TPoly.from_poly(
+        ring.var("x\N{SUPERSCRIPT TWO}") * ring.var("\N{GREEK SMALL LETTER ALPHA}_1"), 1
+    )
 
 
 def test_nesting_limit():
@@ -237,10 +284,15 @@ def _trees(allow_s):
     return st.recursive(_leaves(allow_s), extend, max_leaves=8)
 
 
-def _render(tree) -> str:
-    def wrap(node):
-        text = _render(node)
-        return text if node[0] in ("lit", "gen", "t") else f"({text})"
+def _render(tree, flat: bool = False) -> str:
+    """The tree as text; every composite operand is parenthesised, except
+    with ``flat`` the left operand of a chain of ``*`` or of ``+``/``-``."""
+
+    def wrap(node, chain=()):
+        text = _render(node, flat)
+        if node[0] in ("lit", "gen", "t") or (flat and node[0] in chain):
+            return text
+        return f"({text})"
 
     kind = tree[0]
     if kind == "lit":
@@ -256,7 +308,8 @@ def _render(tree) -> str:
         return f"-{wrap(tree[1])}"
     if kind == "^":
         return f"{wrap(tree[1])}^{tree[2]}"
-    return f"{wrap(tree[1])} {kind} {wrap(tree[2])}"
+    chain = ("*",) if kind == "*" else ("+", "-")
+    return f"{wrap(tree[1], chain)} {kind} {wrap(tree[2])}"
 
 
 def _t_bound(tree) -> int:
@@ -364,6 +417,26 @@ def test_parse_tot_expression_matches_tot_arithmetic(tree, order):
         },
     )
     assert parse_tot_expression(text, line) == expected, text
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ModelError as err:
+        return ("error", err.message, err.line, err.col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees(allow_s=True), order=st.integers(1, 3), flat=st.booleans())
+def test_evaluator_matches_term_map_oracle(tree, order, flat):
+    text = _render(tree, flat)
+    line = _fuzz_line(order)
+    assert _outcome(lambda: parse_polynomial(text, FUZZ_RING, order)) == _outcome(
+        lambda: evaluate_by_term_map(text, FUZZ_RING, order)
+    ), text
+    assert _outcome(lambda: parse_tot_expression(text, line)) == _outcome(
+        lambda: evaluate_by_term_map(text, FUZZ_RING, order, line)
+    ), text
 
 
 @st.composite
