@@ -145,19 +145,6 @@ class PolyRing:
         return Poly(self, terms)
 
 
-def _over_common_denominator(
-    terms: Mapping[tuple[int, ...], Rat]
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """``(den, nums)`` of nonzero lowest-terms ``Fraction`` coefficients.
-
-    Over the lcm of the denominators the numerators are already coprime to
-    it: a prime of ``den`` divides some denominator to its full power in
-    ``den``, and that coefficient's numerator is prime to it.
-    """
-    den = lcm(*[c.denominator for c in terms.values()])
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
 class Poly:
     """Sparse exact-rational polynomial ``sum nums[e] * x^e / den``; immutable.
 
@@ -181,8 +168,12 @@ class Poly:
             coeff = _as_rat(coeff)
             if coeff != 0:
                 clean[expo] = coeff
+        # Over the lcm of the denominators the numerators are already coprime
+        # to it: a prime of ``den`` divides some denominator to its full power
+        # in ``den``, and that coefficient's numerator is prime to it.
         self.ring = ring
-        self.den, self.nums = _over_common_denominator(clean)
+        self.den = den = lcm(*[c.denominator for c in clean.values()])
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._terms = clean
 
     @classmethod

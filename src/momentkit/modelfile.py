@@ -21,10 +21,10 @@ appear before any statement that uses them.  Each unordered bracket pair may
 be declared at most once; the antisymmetric mate is derived.
 
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
-accumulators of its t^0 .. t^order coefficients, and its only arithmetic is
-``add_truncated_product``: a product of atoms folds into one integer
-monomial (numerator, denominator, s-degree, t-power, exponents), a power of
-a single term scales its exponents, products of sums and powers of sums are
+accumulators of its t^0 .. t^order coefficients.  A product of atoms folds
+into one integer monomial (numerator, denominator, s-degree, t-power,
+exponents) and a power of a single term scales its exponents; all other
+arithmetic is ``add_truncated_product``: products and powers of sums are
 kernel products, and ``+`` and ``-`` add a term or a sum as a kernel product
 with the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
 end, by ``TPoly.from_slots``.  A t-power above the order is an error
@@ -464,11 +464,7 @@ class _Parser:
             raise self.error(f"twist unit {unit} is not invertible", expr_tok)
         twists[name_tok.text] = GaugeTwist(phi, unit)
 
-    # -- expressions -------------------------------------------------------
-    #
-    # An expression evaluates to a _Sum.  Its only arithmetic is
-    # add_truncated_product: products of _Sums are kernel products, and sums
-    # add each term times a one-term constant +1 or -1.
+    # -- expressions (evaluated as the module docstring says) ---------------
 
     def _parse_signed_rational(self) -> Rat:
         negative = False
@@ -629,7 +625,7 @@ class _Parser:
         """The _Sum of the one term ``num/den * s^d * t^k * x^expo``."""
         if not num:
             return _Sum({}, {})
-        slots = [_EMPTY] * (self.limit + 1)
+        slots = new_slots(self.limit)
         slots[k] = _Slot(den, {tuple(expo): num})
         return _Sum({d: slots}, {})
 
@@ -674,21 +670,14 @@ class _Parser:
         return result
 
 
-# The zero slot of a one-term _Sum; it is only ever read.
-_EMPTY = _Slot()
-
-
 class _Sum:
-    """A parsed expression as kernel accumulators, one list per s-degree.
+    """A parsed expression: ``parts[d]`` holds the t^0 .. t^limit kernel
+    slots of the s^d coefficient (cancelled numerators may stay as 0).
 
-    ``parts[d]`` holds the t^0 .. t^limit slots of the s^d coefficient;
-    cancelled numerators may stay as 0 until the slots are finished.  Terms
-    whose t-power exceeds the limit are not kept; ``over`` maps each s-degree
-    at which one arose to the token where it arose and its t-power (the
-    lowest such t-power of that product).  A product with an over-order term
-    is over-order too, so such a term never comes back into range, but a
-    power of s can move it to another s-degree: products carry ``over``
-    along.
+    Terms past the limit are not kept; ``over`` maps each s-degree at which
+    one arose to the token where it arose and its t-power (the lowest of that
+    product).  A product with an over-order term is over-order too, but a
+    power of s can move it to another s-degree: products carry ``over`` along.
     """
 
     __slots__ = ("parts", "over")
