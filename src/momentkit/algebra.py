@@ -24,11 +24,11 @@ Representation notes:
   skipping slot pairs past the last slot.  A slot holds integer numerators
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
-  not divide the slot's.  ``Poly`` and ``TPoly`` multiplication,
-  ``TPoly.substitute``, ``Derivation.apply``, ``PoissonStructure.bracket``,
-  ``LineData.alpha_apply``/``partial_alpha``, the trivialization sweeps and
-  the model-file expression evaluator all accumulate this way instead of
-  building a whole ``TPoly`` per partial product,
+  not divide the slot's.  ``Poly``, ``TPoly`` and ``TotElement`` products,
+  ``TPoly.substitute``, ``PoissonStructure.hamiltonian_field``, the model-file
+  evaluator and ``Derivation.add_into``, the slot primitive that applies every
+  vector field (alpha, Hamiltonian and conformal fields), all accumulate this
+  way instead of building a whole ``TPoly`` per partial product,
 * ``substitute`` builds each monomial of the assigned values once, by a
   single kernel product of the monomial one degree lower and a generator
   value, and only to the t-precision that its lowest-t term needs: a term
@@ -310,14 +310,7 @@ class Poly:
         return None
 
     def diff(self, gen: str) -> Poly:
-        i = self.ring.index(gen)
-        out: dict[tuple[int, ...], int] = {}
-        # Distinct exponents with e_i > 0 stay distinct after lowering e_i.
-        for expo, n in self.nums.items():
-            e = expo[i]
-            if e:
-                out[expo[:i] + (e - 1,) + expo[i + 1 :]] = n * e
-        return Poly._reduced(self.ring, self.den, out)
+        return Poly._reduced(self.ring, self.den, _diff_nums(self.nums, self.ring.index(gen)))
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         point = [
@@ -340,6 +333,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<Poly {self}>"
+
+
+def _diff_nums(nums: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
+    """The numerators of d/dx_i over the same denominator, not reduced."""
+    out: dict[tuple[int, ...], int] = {}
+    # Distinct exponents with e_i > 0 stay distinct after lowering e_i.
+    for expo, n in nums.items():
+        e = expo[i]
+        if e:
+            out[expo[:i] + (e - 1,) + expo[i + 1 :]] = n * e
+    return out
 
 
 class TPoly:
@@ -469,13 +473,6 @@ class TPoly:
 
     def coefficient(self, k: int) -> Poly:
         return self.coeffs[k]
-
-    def t_order(self) -> int | None:
-        """Lowest k with a nonzero t^k coefficient, or None for 0."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
 
     def t_degree(self) -> int:
         """Highest k with a nonzero t^k coefficient (0 for the zero element)."""
@@ -712,35 +709,62 @@ class Derivation:
     """A k[t]-linear derivation, determined by its values on the generators.
 
     The Leibniz extension applies to any TPoly of the matching order;
-    constants and t itself are killed.
+    constants and t itself are killed.  It is the one implementation of a
+    vector field: alpha, Hamiltonian and conformal fields all apply through
+    ``apply`` or its slot-level form ``add_into``.
     """
 
-    __slots__ = ("ring", "order", "values")
+    __slots__ = ("ring", "order", "values", "_active")
 
     def __init__(
         self, ring: PolyRing, order: int, values: Mapping[str, Union[TPoly, Poly, RatLike]]
     ):
         for g in values:
             ring.index(g)
+        self._fill(ring, order, {g: as_tpoly(values.get(g, 0), ring, order) for g in ring.gens})
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, order: int, values: dict[str, TPoly]) -> Derivation:
+        """Wrap one TPoly of ``ring`` at ``order`` per generator, in ring
+        order, as is.  For internal results only."""
+        d = object.__new__(cls)
+        d._fill(ring, order, values)
+        return d
+
+    def _fill(self, ring: PolyRing, order: int, values: dict[str, TPoly]) -> None:
         self.ring = ring
         self.order = order
-        self.values = {g: as_tpoly(values.get(g, 0), ring, order) for g in ring.gens}
+        self.values = values
+        # (generator index, t-slots of its value) for each nonzero value
+        self._active = [(i, v.coeffs) for i, v in enumerate(values.values()) if v]
 
     def value(self, gen: str) -> TPoly:
         self.ring.index(gen)
         return self.values[gen]
 
+    def add_into(self, slots: Slots, c: Poly, shift: int = 0) -> None:
+        """Add ``t^shift * D(c)``, for a t-free ``c``, into ``slots`` of any
+        length, dropping powers past the last slot.  Each kernel product
+        takes D(g) as its outer operand and dc/dg, unreduced over c's
+        denominator, as the inner one."""
+        if shift >= len(slots):
+            return
+        den, nums = c.den, c.nums
+        for i, coeffs in self._active:
+            partial = _diff_nums(nums, i)
+            if partial:
+                add_truncated_product(slots, coeffs, (_Slot(den, partial),), shift)
+
     def apply(self, f: Union[TPoly, Poly]) -> TPoly:
         f = as_tpoly(f, self.ring, self.order)
         slots = new_slots(self.order)
-        for g in self.ring.gens:
-            dg = self.values[g]
-            if not dg.is_zero():
-                add_truncated_product(slots, f.diff(g).coeffs, dg.coeffs)
+        for k, c in enumerate(f.coeffs):
+            if c.nums:
+                self.add_into(slots, c, k)
         return TPoly.from_slots(self.ring, slots)
 
     def truncate(self, order: int) -> Derivation:
-        return Derivation(
+        return Derivation._trusted(
             self.ring, order, {g: v.truncate(order) for g, v in self.values.items()}
         )
 

@@ -3,7 +3,8 @@
 Subcommands: ``verify``, ``trivialize``, ``twist``, ``tot``, ``rank``,
 ``conformal`` and ``roundtrip``.  Exit codes: 0 when every check passed or
 the command computed successfully, 1 when a verification check failed, 2 on
-usage or parse errors.  ``--json`` switches to a machine-readable report
+usage or parse errors, 3 on an internal error (a bug, reported in one line
+instead of a traceback).  ``--json`` switches to a machine-readable report
 (``schema: 1``); identical inputs, flags and seeds produce byte-identical
 JSON (timing is reported only in the human-readable output).
 """
@@ -175,7 +176,10 @@ def _cmd_twist(args: argparse.Namespace) -> RunReport:
         details["seed"] = args.seed
     if args.emit:
         emitted = model_from_system(twisted, points=model.points)
-        Path(args.emit).write_text(emitted.render(), encoding="utf-8")
+        try:
+            Path(args.emit).write_text(emitted.render(), encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write model file {args.emit!r}: {exc}") from exc
         details["emitted"] = args.emit
     return RunReport(
         "twist",
@@ -320,6 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelError, UsageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     report.elapsed = time.perf_counter() - start
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code

@@ -2,7 +2,9 @@
 
 A ``LineData`` presents the module in a global trivialization e: the whole
 datum is the map alpha with {a, e} = alpha(a)*e, plus the fixed normalization
-alpha(t) = 1 (the bracket with t acts on the module as the identity).  The
+alpha(t) = 1 (the bracket with t acts on the module as the identity).  alpha
+is held as a module-order ``Derivation``; ``alpha_apply`` adds the t-power
+bump to that field and ``partial_alpha`` is the field itself.  The
 base bracket lives at truncation order N while alpha values live one order
 lower, at N-1; that drop is enforced by shape here because it is where the
 bookkeeping is easiest to get wrong: the extension of alpha across t-powers
@@ -46,7 +48,7 @@ from .algebra import (
     invert_unit,
     new_slots,
 )
-from .poisson import PoissonStructure
+from .poisson import PoissonStructure, jacobi_sum
 from .reporting import Check, Finding
 
 DEFAULT_DEGREE_BOUND = 16
@@ -82,34 +84,15 @@ class LineData:
         self.order = base.order
         self.module_order = base.order - 1
         self.degree_bound = default_degree_bound() if degree_bound is None else degree_bound
-        alpha = alpha or {}
-        for g in alpha:
-            self.ring.index(g)
-        self._alpha = {
-            g: as_tpoly(alpha.get(g, 0), self.ring, self.module_order) for g in self.ring.gens
-        }
+        self.alpha = Derivation(self.ring, self.module_order, alpha or {})
 
     def alpha_of(self, gen: str) -> TPoly:
-        self.ring.index(gen)
-        return self._alpha[gen]
+        return self.alpha.value(gen)
 
     def alpha_items(self) -> list[tuple[str, TPoly]]:
-        return [(g, v) for g, v in self._alpha.items() if not v.is_zero()]
+        return [(g, v) for g, v in self.alpha.values.items() if not v.is_zero()]
 
     # -- the module datum as a map on the deformed ring -----------------------
-
-    def add_alpha(self, slots: Slots, c: Poly, shift: int = 0) -> None:
-        """Add t^shift * alpha(c) for a t-free c into module-order accumulators.
-
-        alpha(c) = sum over g of alpha(g) * dc/dg, so alpha(g)[j] * dc/dg lands
-        in slot shift + j; slots past the module order are dropped.
-        """
-        if shift >= len(slots):
-            return
-        for g, value in self._alpha.items():
-            partial = c.diff(g)
-            if partial.nums:
-                add_truncated_product(slots, value.coeffs, (partial,), shift)
 
     def alpha_apply(self, f: TPoly) -> TPoly:
         """Extend alpha over t-powers: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
@@ -125,11 +108,10 @@ class LineData:
             )
         slots = new_slots(self.module_order)
         for k, c in enumerate(f.coeffs):
-            if c.is_zero():
-                continue
-            if k >= 1:
-                add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
-            self.add_alpha(slots, c, k)
+            if c.nums:
+                if k:
+                    add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
+                self.alpha.add_into(slots, c, k)
         return TPoly.from_slots(self.ring, slots)
 
     def partial_alpha(self, f: TPoly) -> TPoly:
@@ -138,12 +120,7 @@ class LineData:
         This is the extension that is well defined on module-order elements
         without choosing a lift; t is treated as a scalar.
         """
-        f = as_tpoly(f, self.ring, self.module_order)
-        slots = new_slots(self.module_order)
-        for k, c in enumerate(f.coeffs):
-            if not c.is_zero():
-                self.add_alpha(slots, c, k)
-        return TPoly.from_slots(self.ring, slots)
+        return self.alpha.apply(f)
 
     def module_bracket(self, a: TPoly, m: Union[TPoly, Poly, RatLike]) -> TPoly:
         """Coefficient of e in {a, m*e}: H_a(m) + m*alpha(a).
@@ -174,11 +151,12 @@ class LineData:
         """
         gens = self.ring.gens
         fields = self._generator_fields
+        alpha = self.alpha.values
         findings = []
         for a, b in combinations(gens, 2):
             defect = (
-                fields[a].apply(self._alpha[b])
-                - fields[b].apply(self._alpha[a])
+                fields[a].apply(alpha[b])
+                - fields[b].apply(alpha[a])
                 - self.alpha_apply(self.base.gen_bracket(a, b))
             )
             if not defect.is_zero():
@@ -202,7 +180,7 @@ class LineData:
         u_inv = invert_unit(u)
         new_alpha = {}
         for g, field in self._generator_fields.items():
-            new_alpha[g] = self._alpha[g] + u_inv * field.apply(u)
+            new_alpha[g] = self.alpha.values[g] + u_inv * field.apply(u)
         return LineData(self.base, new_alpha, self.degree_bound)
 
     # -- the graded total-space algebra ------------------------------------------
@@ -284,11 +262,7 @@ class LineData:
         elements.append(("t", self.tot_t()))
         findings = []
         for (na, a), (nb, b), (nc, c) in combinations(elements, 3):
-            res = (
-                self.tot_bracket(a, self.tot_bracket(b, c))
-                + self.tot_bracket(b, self.tot_bracket(c, a))
-                + self.tot_bracket(c, self.tot_bracket(a, b))
-            )
+            res = jacobi_sum(self.tot_bracket, a, b, c)
             if not res.is_zero():
                 findings.append(Finding((na, nb, nc), str(res)))
         return Check("tot-jacobi", not findings, tuple(findings))
@@ -298,7 +272,7 @@ class LineData:
             return NotImplemented
         return (
             self.base is other.base or self.base.table_items() == other.base.table_items()
-        ) and self._alpha == other._alpha
+        ) and self.alpha == other.alpha
 
     def __repr__(self) -> str:
         inner = ", ".join(f"alpha({g})={v}" for g, v in self.alpha_items())
@@ -354,19 +328,26 @@ class TotElement:
         return self + (-other)
 
     def __mul__(self, other: Union[TotElement, RatLike]) -> TotElement:
+        """Product of already reduced factors: each degree pair p, q is one
+        kernel product into the slots of degree p + q, which drops powers past
+        them and lifts a module-order factor into degree 0 by zero padding.
+        That product is not well defined on the quotient; a parsed expression
+        is evaluated exactly and reduced once, so at order 2 ``(s*t^2)*s^-1``
+        parses to ``t^2`` while the parsed ``s*t^2`` (0) times ``s^-1`` is 0.
+        """
         if isinstance(other, (int, Fraction)):
             return TotElement(self.line, {d: v * other for d, v in self.coeffs.items()})
         self._check(other)
         line = self.line
-        out: dict[int, TPoly] = {}
+        out: dict[int, Slots] = {}
         for p, f in self.coeffs.items():
             for q, g in other.coeffs.items():
                 degree = p + q
-                target = line.coefficient_order(degree)
-                value = _at_order(f, target) * _at_order(g, target)
-                prev = out.get(degree)
-                out[degree] = value if prev is None else prev + value
-        return TotElement(line, out)
+                slots = out.get(degree)
+                if slots is None:
+                    slots = out[degree] = new_slots(line.coefficient_order(degree))
+                add_truncated_product(slots, f.coeffs, g.coeffs)
+        return TotElement(line, {d: TPoly.from_slots(line.ring, s) for d, s in out.items()})
 
     __rmul__ = __mul__
 
@@ -403,10 +384,3 @@ class TotElement:
     def __repr__(self) -> str:
         return f"<TotElement {self}>"
 
-
-def _at_order(value: TPoly, order: int) -> TPoly:
-    if value.order == order:
-        return value
-    if value.order > order:
-        return value.truncate(order)
-    return value.lift(order)

@@ -14,8 +14,9 @@ the canonical (t-independent) lift of r makes the output reproducible.
 The residual alpha(lift) is kept up to date incrementally, one slot at a
 time, in per-slot accumulators.  Since alpha(t^k c) = k t^(k-1) c + t^k
 alpha(c), the correction c = -r/k at slot k zeroes residual slot k-1 (never
-read again) and adds alpha(c)*t^k to the slots above it: O(n) slot products
-per sweep instead of a full alpha_apply of the lift.  The postconditions are
+read again) and adds alpha(c)*t^k to the slots above it through the alpha
+field's slot primitive ``Derivation.add_into``: O(n) slot products per sweep
+instead of a full alpha_apply of the lift.  The postconditions are
 still checked independently, with a full alpha_apply of every finished lift
 and the recovery of every bracket relation.
 
@@ -45,13 +46,14 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
+    add_truncated_product,
     as_tpoly,
     exact_rank,
     finish_slot,
     new_slots,
 )
 from .line import LineData, TotElement
-from .poisson import ConformalField, Point, PoissonStructure
+from .poisson import ConformalField, Point, PoissonStructure, conformal_defect
 from .reporting import Check, Finding, Report
 
 
@@ -229,17 +231,18 @@ class MomentSystem:
     def trivialize(self) -> TrivializationResult:
         if not self._report.passed:
             raise ValueError("refusing to trivialize a system that fails verification")
+        alpha = self.line.alpha
         lifts: dict[str, TPoly] = {}
         for g in self.ring.gens:
             x = self.ring.var(g)
             slots = [x] + [self.ring.zero()] * self.n
             residual = new_slots(self.n - 1)
-            self.line.add_alpha(residual, x)
+            alpha.add_into(residual, x)
             for k in range(1, self.n + 1):
                 c = finish_slot(self.ring, residual[k - 1]) * Fraction(-1, k)
                 if not c.is_zero():
                     slots[k] = c
-                    self.line.add_alpha(residual, c, k)
+                    alpha.add_into(residual, c, k)
             lifts[g] = TPoly(self.ring, self.n, slots)
 
         flat_findings = []
@@ -335,38 +338,25 @@ class MomentSystem:
         base_check = self.structure.restrict(0).verify_conformal(ConformalField(xi0, weight))
         if not base_check.passed:
             raise NotConformal(base_check, weight)
-        values = {g: v.coefficient(0) for g, v in xi0.values.items()}
         if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
 
         def extended(tp: TPoly, mu: Rat) -> TPoly:
             # t-linear extension with xi(t) = mu*t: on c*t^k the field gives
             # (xi(c) + k*mu*c) * t^k.
-            slots = []
+            slots = new_slots(tp.order)
             for k, c in enumerate(tp.coeffs):
-                out = self.ring.zero()
-                for g in self.ring.gens:
-                    partial = c.diff(g)
-                    if not partial.is_zero():
-                        out = out + partial * values[g]
-                if k:
-                    out = out + c * (mu * k)
-                slots.append(out)
-            return TPoly(self.ring, tp.order, slots)
-
-        def tot_apply(w: TotElement, mu: Rat) -> TotElement:
-            return TotElement(
-                self.line, {d: extended(v, mu) for d, v in w.coeffs.items()}
-            )
+                if c.nums:
+                    xi0.add_into(slots, c, k)
+                    if k:
+                        add_truncated_product(slots, (c,), (self.ring.const(mu * k),), k)
+            return TPoly.from_slots(self.ring, slots)
 
         def pair_defect(a: TotElement, b: TotElement, mu: Rat) -> TotElement:
-            bracket = self.line.tot_bracket
-            return (
-                tot_apply(bracket(a, b), mu)
-                - bracket(tot_apply(a, mu), b)
-                - bracket(a, tot_apply(b, mu))
-                - bracket(a, b) * weight
-            )
+            def tot_apply(w: TotElement) -> TotElement:
+                return TotElement(self.line, {d: extended(v, mu) for d, v in w.coeffs.items()})
+
+            return conformal_defect(self.line.tot_bracket, tot_apply, weight, a, b)
 
         t_elem = self.line.tot_t()
         s_elem = self.line.s_power(1)

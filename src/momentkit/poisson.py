@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from .algebra import (
     Derivation,
@@ -31,6 +31,8 @@ from .algebra import (
     new_slots,
 )
 from .reporting import Check, Finding
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -104,26 +106,11 @@ class PoissonStructure:
         """Biderivation extension of the table; t-coefficients are central scalars.
 
         {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
-        summed as sum_i df/dx_i * h_i with h_i = sum_j B[i][j] dg/dx_j
-        (B[j][i] = -B[i][j]); each derivative is taken once.
+        which is -H_g(f): g's derivatives are contracted with the table once,
+        by ``hamiltonian_field``, and that field is applied to f.
         """
         f = as_tpoly(f, self.ring, self.order)
-        g = as_tpoly(g, self.ring, self.order)
-        gens = self.ring.gens
-        df = [f.diff(a) for a in gens]
-        dg = [g.diff(a) for a in gens]
-        neg_dg = [-d for d in dg]
-        h = [new_slots(self.order) for _ in gens]
-        for (i, j), entry in self._table.items():
-            if not df[i].is_zero():
-                add_truncated_product(h[i], entry.coeffs, dg[j].coeffs)
-            if not df[j].is_zero():
-                add_truncated_product(h[j], entry.coeffs, neg_dg[i].coeffs)
-        slots = new_slots(self.order)
-        for fi, hi in zip(df, h):
-            if not fi.is_zero():
-                add_truncated_product(slots, fi.coeffs, TPoly.from_slots(self.ring, hi).coeffs)
-        return TPoly.from_slots(self.ring, slots)
+        return -self.hamiltonian_field(g).apply(f)
 
     def jacobiator(
         self,
@@ -132,11 +119,7 @@ class PoissonStructure:
         h: Union[TPoly, Poly],
     ) -> TPoly:
         """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, exactly."""
-        return (
-            self.bracket(f, self.bracket(g, h))
-            + self.bracket(g, self.bracket(h, f))
-            + self.bracket(h, self.bracket(f, g))
-        )
+        return jacobi_sum(self.bracket, f, g, h)
 
     def hamiltonian_field(self, f: Union[TPoly, Poly]) -> Derivation:
         """The derivation g -> {f, g}, read off the table: its value on a
@@ -148,10 +131,10 @@ class PoissonStructure:
         values = [new_slots(self.order) for _ in gens]
         for (i, j), entry in self._table.items():
             if not df[i].is_zero():
-                add_truncated_product(values[j], df[i].coeffs, entry.coeffs)
+                add_truncated_product(values[j], entry.coeffs, df[i].coeffs)
             if not df[j].is_zero():
-                add_truncated_product(values[i], (-df[j]).coeffs, entry.coeffs)
-        return Derivation(
+                add_truncated_product(values[i], entry.coeffs, (-df[j]).coeffs)
+        return Derivation._trusted(
             self.ring,
             self.order,
             {g: TPoly.from_slots(self.ring, v) for g, v in zip(gens, values)},
@@ -181,12 +164,7 @@ class PoissonStructure:
         for ga, gb in combinations(self.ring.gens, 2):
             a = TPoly.generator(self.ring, ga, self.order)
             b = TPoly.generator(self.ring, gb, self.order)
-            defect = (
-                xi.apply(self.bracket(a, b))
-                - self.bracket(xi.value(ga), b)
-                - self.bracket(a, xi.value(gb))
-                - self.bracket(a, b) * cf.weight
-            )
+            defect = conformal_defect(self.bracket, xi.apply, cf.weight, a, b)
             if not defect.is_zero():
                 findings.append(Finding((ga, gb), str(defect)))
         return Check("conformal", not findings, tuple(findings))
@@ -217,3 +195,21 @@ class ConformalField:
 
     xi: Derivation
     weight: Rat = field(default_factory=lambda: Fraction(0))
+
+
+# -- identities shared by the base and the total-space brackets ------------------
+
+
+def jacobi_sum(bracket: Callable[[T, T], T], a: T, b: T, c: T) -> T:
+    """{a,{b,c}} + {b,{c,a}} + {c,{a,b}} for an antisymmetric bracket, summed
+    as -({{b,c},a} + ..): {u, a} = -H_a(u) contracts the table with the
+    derivatives of a (a generator in every check), not of the inner result."""
+    return -(bracket(bracket(b, c), a) + bracket(bracket(c, a), b) + bracket(bracket(a, b), c))
+
+
+def conformal_defect(bracket: Callable, xi: Callable, weight: Rat, a: T, b: T) -> T:
+    """xi{a,b} - {xi a, b} - {a, xi b} - weight*{a,b} for the given bracket
+    and field; it vanishes on every pair exactly when xi is conformal of
+    that weight."""
+    ab = bracket(a, b)
+    return xi(ab) - bracket(xi(a), b) - bracket(a, xi(b)) - ab * weight

@@ -121,13 +121,32 @@ def tot_bracket_free_laurent(line, p, f, q, g):
     return {d: v for d, v in out.items() if not v.is_zero()}
 
 
+def tot_product_by_truncate_and_lift(u, v):
+    """Product of two TotElements with every factor first brought to the
+    coefficient order of the product's degree (truncated or zero-padded),
+    then multiplied as whole TPolys."""
+    line = u.line
+    out = {}
+    for p, f in u.coeffs.items():
+        for q, g in v.coeffs.items():
+            order = line.coefficient_order(p + q)
+            f_at = f.truncate(order) if f.order >= order else f.lift(order)
+            g_at = g.truncate(order) if g.order >= order else g.lift(order)
+            prev = out.get(p + q)
+            out[p + q] = f_at * g_at if prev is None else prev + f_at * g_at
+    return line.tot(out)
+
+
 def alpha_by_derivation(line, f):
     """alpha(f) = df/dt + sum_g alpha(g) * df/dg at the module order.
 
     alpha(t) = 1 makes the extension a derivation in t as well; the library
     instead bumps slot by slot with alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
+    An argument at the module order enters through its zero-padded lift.
     """
     low = line.module_order
+    if f.order == low:
+        f = f.lift(line.order)
     total = TPoly(line.ring, low, [f.coefficient(k + 1) * (k + 1) for k in range(low + 1)])
     for g in line.ring.gens:
         total = total + line.alpha_of(g) * f.diff(g).truncate(low)

@@ -238,6 +238,21 @@ def test_derivation_leibniz(d, f, g):
     assert d.apply(f * g) == d.apply(f) * g + f * d.apply(g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slot_primitive_is_the_shifted_apply(data):
+    # Adding D(c_k) at t^(k + shift) for every slot c_k of f is t^shift * D(f);
+    # a shift past the top slot adds nothing.
+    order = data.draw(st.integers(min_value=0, max_value=5))
+    d = data.draw(derivations(order))
+    f = data.draw(tpolys(order))
+    for shift in range(order + 2):
+        slots = new_slots(order)
+        for k, c in enumerate(f.coeffs):
+            d.add_into(slots, c, k + shift)
+        assert TPoly.from_slots(RING, slots) == d.apply(f).t_shift(shift), shift
+
+
 @given(tpolys(), tpolys(), tpolys(), tpolys())
 @settings(max_examples=40, deadline=None)
 def test_substitution_is_a_ring_homomorphism(f, g, vx, vy):

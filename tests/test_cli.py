@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from momentkit import cli
 from momentkit.cli import main
 from momentkit.modelfile import parse_model
 
@@ -139,6 +140,26 @@ def test_long_unary_minus_chain_parses(tmp_path):
 def test_main_returns_exit_codes(worked_model, capsys):
     assert main(["verify", worked_model]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.mks", "."])
+def test_twist_emit_to_unwritable_path_exits_two(worked_model, tmp_path, target):
+    # a path under a missing directory, and a directory
+    proc = run_cli("twist", worked_model, "--seed", "11", "--emit", str(tmp_path / target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write model file")
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_three_with_one_line(worked_model, monkeypatch, capsys):
+    def broken(args):
+        raise AssertionError("postcondition failed;\nthis is a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+    assert main(["verify", worked_model]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: AssertionError: postcondition failed; this is a bug\n"
+    assert captured.out == ""
 
 
 # -- subcommand behavior -----------------------------------------------------------

@@ -9,7 +9,7 @@ from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
 from momentkit.instances import random_line_data, _random_poly
 
-from oracles import tot_bracket_free_laurent
+from oracles import alpha_by_derivation, tot_bracket_free_laurent, tot_product_by_truncate_and_lift
 
 
 @pytest.fixture
@@ -126,6 +126,17 @@ def test_top_t_power_acts_as_multiplication_one_order_down(plane):
     assert got == expected
 
 
+def test_alpha_apply_matches_derivation_oracle():
+    # alpha_apply is the t-power bump plus the alpha field; the oracle sums
+    # df/dt + alpha(g) * df/dg over whole TPolys, at base and module order.
+    rng = random.Random(43)
+    for seed in range(30):
+        line = random_line_data(seed)
+        for order in (line.order, line.module_order):
+            f = TPoly(line.ring, order, [_random_poly(rng, line.ring, 2) for _ in range(order + 1)])
+            assert line.alpha_apply(f) == alpha_by_derivation(line, f), (seed, order)
+
+
 # -- the graded total-space bracket ----------------------------------------------
 
 
@@ -232,6 +243,26 @@ def test_tot_bracket_antisymmetry_and_graded_leibniz():
             a = lhs.coefficient(degree)
             b = rhs.coefficient(degree)
             assert a.truncate(min(a.order, low)) == b.truncate(min(b.order, low)), seed
+
+
+def test_tot_product_matches_truncate_and_lift_oracle():
+    rng = random.Random(47)
+    for seed in range(20):
+        line = random_line_data(seed)
+        u, v = (
+            line.tot(
+                {
+                    p: TPoly(
+                        line.ring,
+                        line.coefficient_order(p),
+                        [_random_poly(rng, line.ring, 2) for _ in range(line.coefficient_order(p) + 1)],
+                    )
+                    for p in rng.sample(range(-2, 3), 3)
+                }
+            )
+            for _ in range(2)
+        )
+        assert u * v == tot_product_by_truncate_and_lift(u, v), seed
 
 
 def test_degree_bound_enforced(plane, monkeypatch):

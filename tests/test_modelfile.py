@@ -258,6 +258,17 @@ def test_tot_expression_order_rules():
     )
 
 
+def test_tot_product_multiplies_reduced_factors():
+    # A parsed expression is evaluated exactly, then reduced; a TotElement
+    # product multiplies factors that are already reduced, so s*t^2 is 0
+    # before it meets s^-1.
+    line = parse_model(TRIVIAL_PLANE).build_system().line
+    left = parse_tot_expression("s*t^2", line)
+    right = parse_tot_expression("s^-1", line)
+    assert (left * right).is_zero()
+    assert not parse_tot_expression("(s*t^2)*s^-1", line).is_zero()
+
+
 # -- parser fuzzing ---------------------------------------------------------------
 
 FUZZ_RING = PolyRing(["x", "y"])
