@@ -481,6 +481,13 @@ class TPoly:
                 return k
         return 0
 
+    def t_order(self) -> int | None:
+        """Lowest k with a nonzero t^k coefficient, or None for 0."""
+        for k, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                return k
+        return None
+
     def truncate(self, order: int) -> TPoly:
         if order > self.order:
             raise OrderMismatch(f"cannot truncate order {self.order} up to {order}")
@@ -742,25 +749,21 @@ class Derivation:
         self.ring.index(gen)
         return self.values[gen]
 
-    def add_into(self, slots: Slots, c: Poly, shift: int = 0) -> None:
-        """Add ``t^shift * D(c)``, for a t-free ``c``, into ``slots`` of any
-        length, dropping powers past the last slot.  Each kernel product
-        takes D(g) as its outer operand and dc/dg, unreduced over c's
-        denominator, as the inner one."""
+    def add_into(self, slots: Slots, coeffs: Sequence[Poly], shift: int = 0) -> None:
+        """Add ``t^shift * D(f)`` into ``slots`` of any length, dropping
+        powers past the last slot; ``coeffs`` are the t-slots of f.  Each
+        kernel product takes D(g) as its outer operand and df/dg, unreduced
+        over the denominators of f's slots, as the inner one."""
         if shift >= len(slots):
             return
-        den, nums = c.den, c.nums
-        for i, coeffs in self._active:
-            partial = _diff_nums(nums, i)
-            if partial:
-                add_truncated_product(slots, coeffs, (_Slot(den, partial),), shift)
+        for i, value in self._active:
+            partials = [_Slot(c.den, _diff_nums(c.nums, i)) for c in coeffs]
+            add_truncated_product(slots, value, partials, shift)
 
     def apply(self, f: Union[TPoly, Poly]) -> TPoly:
         f = as_tpoly(f, self.ring, self.order)
         slots = new_slots(self.order)
-        for k, c in enumerate(f.coeffs):
-            if c.nums:
-                self.add_into(slots, c, k)
+        self.add_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
 
     def truncate(self, order: int) -> Derivation:

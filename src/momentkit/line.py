@@ -107,11 +107,10 @@ class LineData:
                 f"argument at order {f.order}, expected {self.order} or {self.module_order}"
             )
         slots = new_slots(self.module_order)
+        self.alpha.add_into(slots, f.coeffs)
         for k, c in enumerate(f.coeffs):
-            if c.nums:
-                if k:
-                    add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
-                self.alpha.add_into(slots, c, k)
+            if k and c.nums:
+                add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
         return TPoly.from_slots(self.ring, slots)
 
     def partial_alpha(self, f: TPoly) -> TPoly:
@@ -328,13 +327,10 @@ class TotElement:
         return self + (-other)
 
     def __mul__(self, other: Union[TotElement, RatLike]) -> TotElement:
-        """Product of already reduced factors: each degree pair p, q is one
-        kernel product into the slots of degree p + q, which drops powers past
-        them and lifts a module-order factor into degree 0 by zero padding.
-        That product is not well defined on the quotient; a parsed expression
-        is evaluated exactly and reduced once, so at order 2 ``(s*t^2)*s^-1``
-        parses to ``t^2`` while the parsed ``s*t^2`` (0) times ``s^-1`` is 0.
-        """
+        """Product of already reduced factors: one kernel product per degree
+        pair into the slots of degree p + q (zero-padded into degree 0); it is
+        not well defined on the quotient.  A parsed expression is reduced once:
+        at order 2 ``(s*t^2)*s^-1`` is ``t^2``, but ``s*t^2`` (0) * ``s^-1`` is 0."""
         if isinstance(other, (int, Fraction)):
             return TotElement(self.line, {d: v * other for d, v in self.coeffs.items()})
         self._check(other)

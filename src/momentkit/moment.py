@@ -231,18 +231,17 @@ class MomentSystem:
     def trivialize(self) -> TrivializationResult:
         if not self._report.passed:
             raise ValueError("refusing to trivialize a system that fails verification")
-        alpha = self.line.alpha
         lifts: dict[str, TPoly] = {}
         for g in self.ring.gens:
             x = self.ring.var(g)
             slots = [x] + [self.ring.zero()] * self.n
             residual = new_slots(self.n - 1)
-            alpha.add_into(residual, x)
+            self.line.alpha.add_into(residual, (x,))
             for k in range(1, self.n + 1):
                 c = finish_slot(self.ring, residual[k - 1]) * Fraction(-1, k)
                 if not c.is_zero():
                     slots[k] = c
-                    alpha.add_into(residual, c, k)
+                    self.line.alpha.add_into(residual, (c,), k)
             lifts[g] = TPoly(self.ring, self.n, slots)
 
         flat_findings = []
@@ -345,11 +344,10 @@ class MomentSystem:
             # t-linear extension with xi(t) = mu*t: on c*t^k the field gives
             # (xi(c) + k*mu*c) * t^k.
             slots = new_slots(tp.order)
+            xi0.add_into(slots, tp.coeffs)
             for k, c in enumerate(tp.coeffs):
-                if c.nums:
-                    xi0.add_into(slots, c, k)
-                    if k:
-                        add_truncated_product(slots, (c,), (self.ring.const(mu * k),), k)
+                if k and c.nums:
+                    add_truncated_product(slots, (c,), (self.ring.const(mu * k),), k)
             return TPoly.from_slots(self.ring, slots)
 
         def pair_defect(a: TotElement, b: TotElement, mu: Rat) -> TotElement:

@@ -110,7 +110,7 @@ class PoissonStructure:
         by ``hamiltonian_field``, and that field is applied to f.
         """
         f = as_tpoly(f, self.ring, self.order)
-        return -self.hamiltonian_field(g).apply(f)
+        return self.hamiltonian_field(g).apply(-f)
 
     def jacobiator(
         self,
@@ -202,9 +202,9 @@ class ConformalField:
 
 def jacobi_sum(bracket: Callable[[T, T], T], a: T, b: T, c: T) -> T:
     """{a,{b,c}} + {b,{c,a}} + {c,{a,b}} for an antisymmetric bracket, summed
-    as -({{b,c},a} + ..): {u, a} = -H_a(u) contracts the table with the
+    as {{c,b},a} + ..: {u, a} = -H_a(u) contracts the table with the
     derivatives of a (a generator in every check), not of the inner result."""
-    return -(bracket(bracket(b, c), a) + bracket(bracket(c, a), b) + bracket(bracket(a, b), c))
+    return bracket(bracket(c, b), a) + bracket(bracket(a, c), b) + bracket(bracket(b, a), c)
 
 
 def conformal_defect(bracket: Callable, xi: Callable, weight: Rat, a: T, b: T) -> T:

@@ -241,16 +241,19 @@ def test_derivation_leibniz(d, f, g):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_slot_primitive_is_the_shifted_apply(data):
-    # Adding D(c_k) at t^(k + shift) for every slot c_k of f is t^shift * D(f);
-    # a shift past the top slot adds nothing.
+    # Adding D(f) at t^shift, whole or one t-slot c_k of f at a time at
+    # t^(k + shift), is t^shift * D(f); a shift past the top adds nothing.
     order = data.draw(st.integers(min_value=0, max_value=5))
     d = data.draw(derivations(order))
     f = data.draw(tpolys(order))
     for shift in range(order + 2):
-        slots = new_slots(order)
+        whole, by_slot = new_slots(order), new_slots(order)
+        d.add_into(whole, f.coeffs, shift)
         for k, c in enumerate(f.coeffs):
-            d.add_into(slots, c, k + shift)
-        assert TPoly.from_slots(RING, slots) == d.apply(f).t_shift(shift), shift
+            d.add_into(by_slot, (c,), k + shift)
+        expected = d.apply(f).t_shift(shift)
+        assert TPoly.from_slots(RING, whole) == expected, shift
+        assert TPoly.from_slots(RING, by_slot) == expected, shift
 
 
 @given(tpolys(), tpolys(), tpolys(), tpolys())

@@ -247,21 +247,18 @@ def test_tot_bracket_antisymmetry_and_graded_leibniz():
 
 def test_tot_product_matches_truncate_and_lift_oracle():
     rng = random.Random(47)
+
+    def element(line):
+        coeffs = {}
+        for p in rng.sample(range(-2, 3), 3):
+            order = line.coefficient_order(p)
+            slots = [_random_poly(rng, line.ring, 2) for _ in range(order + 1)]
+            coeffs[p] = TPoly(line.ring, order, slots)
+        return line.tot(coeffs)
+
     for seed in range(20):
         line = random_line_data(seed)
-        u, v = (
-            line.tot(
-                {
-                    p: TPoly(
-                        line.ring,
-                        line.coefficient_order(p),
-                        [_random_poly(rng, line.ring, 2) for _ in range(line.coefficient_order(p) + 1)],
-                    )
-                    for p in rng.sample(range(-2, 3), 3)
-                }
-            )
-            for _ in range(2)
-        )
+        u, v = element(line), element(line)
         assert u * v == tot_product_by_truncate_and_lift(u, v), seed
 
 
