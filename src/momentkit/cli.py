@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .instances import random_gauge_twist, random_instance
@@ -82,6 +83,7 @@ class UsageError(Exception):
     """Bad invocation discovered after argument parsing (exit code 2)."""
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentkit",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_main_returns_exit_codes(worked_model, capsys):
     capsys.readouterr()
 
 
+def test_cached_parser_serves_calls_after_a_usage_error(worked_model, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_worked.json").read_text())
+    assert main(["verify", worked_model, "--json"]) == golden["exit_code"] == 0
+    assert capsys.readouterr().out == golden["stdout"]
+
+
 @pytest.mark.parametrize("target", ["missing-dir/out.mks", "."])
 def test_twist_emit_to_unwritable_path_exits_two(worked_model, tmp_path, target):
     # a path under a missing directory, and a directory
@@ -158,7 +168,8 @@ def test_internal_error_exits_three_with_one_line(worked_model, monkeypatch, cap
     monkeypatch.setitem(cli._HANDLERS, "verify", broken)
     assert main(["verify", worked_model]) == 3
     captured = capsys.readouterr()
-    assert captured.err == "error: internal error: AssertionError: postcondition failed; this is a bug\n"
+    message = "error: internal error: AssertionError: postcondition failed; this is a bug\n"
+    assert captured.err == message
     assert captured.out == ""
 
 
