@@ -474,19 +474,19 @@ class TPoly:
     def coefficient(self, k: int) -> Poly:
         return self.coeffs[k]
 
-    def t_degree(self) -> int:
-        """Highest k with a nonzero t^k coefficient (0 for the zero element)."""
-        for k in range(self.order, -1, -1):
-            if not self.coeffs[k].is_zero():
-                return k
-        return 0
-
     def t_order(self) -> int | None:
         """Lowest k with a nonzero t^k coefficient, or None for 0."""
         for k, c in enumerate(self.coeffs):
             if not c.is_zero():
                 return k
         return None
+
+    def t_degree(self) -> int:
+        """Highest k with a nonzero t^k coefficient (0 for the zero element)."""
+        for k in range(self.order, -1, -1):
+            if not self.coeffs[k].is_zero():
+                return k
+        return 0
 
     def truncate(self, order: int) -> TPoly:
         if order > self.order:

@@ -107,7 +107,7 @@ class PoissonStructure:
 
         {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
         which is -H_g(f): g's derivatives are contracted with the table once,
-        by ``hamiltonian_field``, and that field is applied to f.
+        by ``hamiltonian_field``, and that field is applied to -f.
         """
         f = as_tpoly(f, self.ring, self.order)
         return self.hamiltonian_field(g).apply(-f)
