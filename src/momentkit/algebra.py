@@ -7,14 +7,28 @@ Representation notes:
   this package,
 * a ``Poly`` over a ``PolyRing`` with generators ``(x_1, .., x_k)`` is held
   in integer form: a positive denominator ``den`` and a sparse map ``nums``
-  from exponent tuples ``(e_1, .., e_k)`` to nonzero integer numerators, with
+  from packed exponent keys to nonzero integer numerators, with
   ``gcd(den, *nums) == 1``.  That form is unique, so ``==`` compares it
   directly, and sums, negation, scalar multiples and derivatives stay in
   integers,
-* ``Poly.terms`` is the public view ``{exponent: Fraction}`` (``Rat``), built
-  on first read; a ``Fraction`` is built only there, in ``constant_value``
-  and ``evaluate``, when a public constructor converts its input, and for
-  the point coordinates and weights of a model file.  Model-file expressions
+* the packed key of ``x_1^e_1 .. x_k^e_k`` is one int: its top field holds
+  the total degree ``e_1 + .. + e_k`` and below it come ``W``-bit fields for
+  ``e_1`` (the most significant) down to ``e_k``.  A monomial product is one
+  int add, ``d/dx_i`` lowers ``e_i`` by subtracting the unit key of ``x_i``,
+  and comparing keys as ints is the graded lexicographic order.  Only
+  ``PolyRing`` knows the layout (``pack``, ``unpack``, ``units``, ``limit``),
+  and only this module reads fields,
+* the total degree of a monomial is at most ``MAX_TOTAL_DEGREE = 2^W - 1``.  A
+  product of two valid keys whose total degree passes it, with or without a
+  carry out of a generator field, is at least ``ring.limit``, so one
+  comparison finds it: ``finish_slot`` checks every result term, ``unpack``
+  every key it reads and ``pack`` every exponent vector it packs, and each
+  raises ``OverflowError``.  The kernel itself adds keys unchecked,
+* ``Poly.terms`` is the public view ``{exponent tuple: Fraction}`` (``Rat``),
+  built on first read; a ``Fraction`` is built only there, in
+  ``constant_value`` and ``evaluate``, when a public constructor converts
+  its input, and for the point coordinates and weights of a model file.
+  ``Poly(ring, terms)`` takes exponent tuples too.  Model-file expressions
   and ``render_terms`` work on integer forms,
 * a ``TPoly`` of order ``N`` is an element ``c_0 + c_1*t + .. + c_N*t^N``
   of ``A[t]/t^(N+1)`` stored as exactly ``N+1`` Poly slots; arithmetic
@@ -58,14 +72,22 @@ the integer form and puts it in lowest terms with one gcd.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Mapping, Sequence, Union
 
 Rat = Fraction
 
 RatLike = Union[Rat, int]
+
+# Width in bits of each generator field of a packed exponent key.
+W = 32
+# The largest total degree of a monomial; a larger one raises OverflowError.
+MAX_TOTAL_DEGREE = (1 << W) - 1
+_FIELD = MAX_TOTAL_DEGREE  # the mask of one field
+_FIELD_FORMAT = "I"  # struct's unsigned W-bit int
+_DEGREE_ERROR = f"total degree exceeds {MAX_TOTAL_DEGREE}"
 
 
 class GeneratorMismatch(ValueError):
@@ -89,9 +111,15 @@ def _as_rat(value: RatLike) -> Rat:
 
 
 class PolyRing:
-    """A polynomial ring over the rationals with a fixed ordered generator list."""
+    """A polynomial ring over the rationals with a fixed ordered generator list.
 
-    __slots__ = ("gens", "_index")
+    The ring owns the layout of the packed exponent keys of ``Poly.nums``
+    (see the module notes): ``pack`` and ``unpack`` convert between keys and
+    exponent tuples, ``units[i]`` is the key of the i-th generator and
+    ``limit`` bounds every valid key from above.
+    """
+
+    __slots__ = ("gens", "_index", "_shifts", "_fields", "_bytes", "units", "limit")
 
     def __init__(self, gens: Sequence[str]):
         gens = tuple(gens)
@@ -104,6 +132,15 @@ class PolyRing:
                 raise ValueError(f"generator name {g!r} is reserved")
         self.gens = gens
         self._index = {g: i for i, g in enumerate(gens)}
+        k = len(gens)
+        # A key is the big-endian int of the W-bit fields (degree, e_1, .., e_k),
+        # so the field of x_i starts at bit _shifts[i].
+        self._shifts = tuple(W * (k - 1 - i) for i in range(k))
+        self._fields = struct.Struct(">" + _FIELD_FORMAT * (k + 1))
+        self._bytes = self._fields.size
+        degree_one = 1 << (W * k)
+        self.units = tuple(degree_one | (1 << shift) for shift in self._shifts)
+        self.limit = degree_one << W
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and self.gens == other.gens
@@ -124,63 +161,90 @@ class PolyRing:
     def arity(self) -> int:
         return len(self.gens)
 
+    # -- packed exponent keys ----------------------------------------------
+
+    def pack(self, expo: Sequence[int]) -> int:
+        """The key of the exponent vector ``expo``.
+
+        Raises ``GeneratorMismatch`` for a wrong length, ``ValueError`` for a
+        negative exponent and ``OverflowError`` past ``MAX_TOTAL_DEGREE``.
+        """
+        if len(expo) != len(self.gens):
+            raise GeneratorMismatch(
+                f"exponent vector {tuple(expo)} does not match arity {len(self.gens)}"
+            )
+        if min(expo) < 0:
+            raise ValueError(f"negative exponent in {tuple(expo)}")
+        degree = sum(expo)
+        if degree > MAX_TOTAL_DEGREE:
+            raise OverflowError(_DEGREE_ERROR)
+        return int.from_bytes(self._fields.pack(degree, *expo), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of ``key``; a key at or past ``limit`` (a
+        monomial of total degree past ``MAX_TOTAL_DEGREE``) raises ``OverflowError``."""
+        if key >= self.limit:
+            raise OverflowError(_DEGREE_ERROR)
+        return self._fields.unpack(key.to_bytes(self._bytes, "big"))[1:]
+
+    # -- constants -----------------------------------------------------------
+
     def zero(self) -> Poly:
         return Poly._trusted(self, 1, {})
 
     def one(self) -> Poly:
-        return Poly._trusted(self, 1, {(0,) * self.arity: 1})
+        return Poly._trusted(self, 1, {0: 1})
 
     def const(self, value: RatLike) -> Poly:
         c = _as_rat(value)
         if c == 0:
             return Poly._trusted(self, 1, {})
-        return Poly._trusted(self, c.denominator, {(0,) * self.arity: c.numerator})
+        return Poly._trusted(self, c.denominator, {0: c.numerator})
 
     def var(self, gen: str) -> Poly:
-        expo = [0] * self.arity
-        expo[self.index(gen)] = 1
-        return Poly._trusted(self, 1, {tuple(expo): 1})
+        return Poly._trusted(self, 1, {self.units[self.index(gen)]: 1})
 
     def poly(self, terms: Mapping[tuple[int, ...], RatLike]) -> Poly:
         return Poly(self, terms)
 
 
 class Poly:
-    """Sparse exact-rational polynomial ``sum nums[e] * x^e / den``; immutable.
+    """Sparse exact-rational polynomial ``sum nums[key] * x^key / den``; immutable.
 
-    ``den`` is positive, every numerator is a nonzero int and
-    ``gcd(den, *nums) == 1``, so the integer form is unique and ``==``
-    compares it directly.  ``terms``, the same polynomial as
-    ``{exponent: Fraction}``, is built on first read.
+    ``nums`` is keyed by packed exponent keys (``PolyRing.pack``), ``den`` is
+    positive, every numerator is a nonzero int and ``gcd(den, *nums) == 1``,
+    so the integer form is unique and ``==`` compares it directly.
+    ``terms``, the same polynomial as ``{exponent tuple: Fraction}``, is built
+    on first read.
     """
 
     __slots__ = ("ring", "den", "nums", "_terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], RatLike]):
         clean: dict[tuple[int, ...], Rat] = {}
+        keys: list[int] = []
         for expo, coeff in terms.items():
-            if len(expo) != ring.arity:
-                raise GeneratorMismatch(
-                    f"exponent vector {expo} does not match arity {ring.arity}"
-                )
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
+            # pack checks the arity, the signs and the degree bound
+            key = ring.pack(expo)
             coeff = _as_rat(coeff)
             if coeff != 0:
                 clean[expo] = coeff
+                keys.append(key)
         # Over the lcm of the denominators the numerators are already coprime
         # to it: a prime of ``den`` divides some denominator to its full power
         # in ``den``, and that coefficient's numerator is prime to it.
         self.ring = ring
         self.den = den = lcm(*[c.denominator for c in clean.values()])
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.nums = {
+            key: c.numerator * (den // c.denominator) for key, c in zip(keys, clean.values())
+        }
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, ring: PolyRing, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+    def _trusted(cls, ring: PolyRing, den: int, nums: dict[int, int]) -> Poly:
         """Wrap an integer form as is: ``den >= 1``, nonzero int numerators
-        keyed by exponent vectors of ``ring``'s arity, ``gcd(den, *nums) == 1``.
-        For internal results only."""
+        keyed by packed keys of ``ring`` below ``ring.limit``,
+        ``gcd(den, *nums) == 1``.  For internal results only."""
         p = object.__new__(cls)
         p.ring = ring
         p.den = den
@@ -189,7 +253,7 @@ class Poly:
         return p
 
     @classmethod
-    def _reduced(cls, ring: PolyRing, den: int, nums: dict[tuple[int, ...], int]) -> Poly:
+    def _reduced(cls, ring: PolyRing, den: int, nums: dict[int, int]) -> Poly:
         """``_trusted`` after dividing out ``gcd(den, *nums)``; ``nums`` must
         hold no zeros and ``den`` must be positive."""
         if not nums:
@@ -203,14 +267,15 @@ class Poly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Rat]:
-        """``{exponent: Fraction}`` with nonzero lowest-terms coefficients."""
+        """``{exponent tuple: Fraction}`` with nonzero lowest-terms coefficients."""
         terms = self._terms
         if terms is None:
             den = self.den
+            unpack = self.ring.unpack
             if den == 1:  # Fraction(n) skips the gcd
-                terms = {e: Fraction(n) for e, n in self.nums.items()}
+                terms = {unpack(key): Fraction(n) for key, n in self.nums.items()}
             else:
-                terms = {e: Fraction(n, den) for e, n in self.nums.items()}
+                terms = {unpack(key): Fraction(n, den) for key, n in self.nums.items()}
             self._terms = terms
         return terms
 
@@ -237,17 +302,17 @@ class Poly:
         scale = den // self.den
         out = {e: n * scale for e, n in self.nums.items()} if scale != 1 else dict(self.nums)
         scale = den // other.den
-        for expo, n in other.nums.items():
+        for key, n in other.nums.items():
             n *= scale
-            total = out.get(expo)
+            total = out.get(key)
             if total is None:
-                out[expo] = n
+                out[key] = n
                 continue
             total += n
             if total:
-                out[expo] = total
+                out[key] = total
             else:
-                del out[expo]
+                del out[key]
         return Poly._reduced(self.ring, den, out)
 
     __radd__ = __add__
@@ -304,13 +369,15 @@ class Poly:
         """The rational this polynomial equals, or None if it is not constant."""
         if not self.nums:
             return Fraction(0)
-        zero = (0,) * self.ring.arity
-        if len(self.nums) == 1 and zero in self.nums:
-            return Fraction(self.nums[zero], self.den)
+        # the constant monomial has key 0
+        if len(self.nums) == 1 and 0 in self.nums:
+            return Fraction(self.nums[0], self.den)
         return None
 
     def diff(self, gen: str) -> Poly:
-        return Poly._reduced(self.ring, self.den, _diff_nums(self.nums, self.ring.index(gen)))
+        return Poly._reduced(
+            self.ring, self.den, _diff_nums(self.ring, self.nums, self.ring.index(gen))
+        )
 
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         point = [
@@ -320,9 +387,9 @@ class Poly:
         if missing:
             raise GeneratorMismatch(f"point misses generators {missing}")
         total = Fraction(0)
-        for expo, n in self.nums.items():
+        for key, n in self.nums.items():
             term = n
-            for v, e in zip(point, expo):
+            for v, e in zip(point, self.ring.unpack(key)):
                 if e:
                     term *= v**e
             total += term
@@ -335,14 +402,17 @@ class Poly:
         return f"<Poly {self}>"
 
 
-def _diff_nums(nums: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
+def _diff_nums(ring: PolyRing, nums: dict[int, int], i: int) -> dict[int, int]:
     """The numerators of d/dx_i over the same denominator, not reduced."""
-    out: dict[tuple[int, ...], int] = {}
-    # Distinct exponents with e_i > 0 stay distinct after lowering e_i.
-    for expo, n in nums.items():
-        e = expo[i]
+    out: dict[int, int] = {}
+    shift = ring._shifts[i]
+    unit = ring.units[i]
+    # Distinct keys with e_i > 0 stay distinct after lowering e_i; lowering
+    # it by one is subtracting the unit key, which cannot borrow.
+    for key, n in nums.items():
+        e = (key >> shift) & _FIELD
         if e:
-            out[expo[:i] + (e - 1,) + expo[i + 1 :]] = n * e
+            out[key - unit] = n * e
     return out
 
 
@@ -474,6 +544,16 @@ class TPoly:
     def coefficient(self, k: int) -> Poly:
         return self.coeffs[k]
 
+    def support(self) -> list[int]:
+        """Indices of the generators with a positive exponent in some term."""
+        seen = 0
+        for c in self.coeffs:
+            for key in c.nums:
+                seen |= key
+        # below the degree field, the OR of keys has a nonzero field exactly
+        # where some key has one
+        return [i for i, e in enumerate(self.ring.unpack(seen)) if e]
+
     def t_order(self) -> int | None:
         """Lowest k with a nonzero t^k coefficient, or None for 0."""
         for k, c in enumerate(self.coeffs):
@@ -553,32 +633,35 @@ class TPoly:
         # generator's value.  Slots are visited from t^0 up, so the first
         # visit of a monomial, as a term or as a prefix, sets the highest
         # precision it needs, and its prefixes need at least as much.
-        zero = (0,) * ring.arity
-        precision: dict[tuple[int, ...], int] = {}
-        prefix: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        arity = ring.arity
+        precision: dict[int, int] = {}
+        prefix: dict[int, tuple[int, int]] = {}
         for k, poly in enumerate(self.coeffs):
-            for expo in poly.nums:
-                while expo not in precision:
-                    precision[expo] = order - k
-                    if expo == zero:
+            for key in poly.nums:
+                while key not in precision:
+                    precision[key] = order - k
+                    if not key:
                         break
-                    i = max(i for i, e in enumerate(expo) if e)
-                    lower = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-                    prefix[expo] = (lower, i)
-                    expo = lower
+                    # the last generator with a nonzero exponent owns the
+                    # lowest set bit of the key
+                    i = arity - 1 - ((key & -key).bit_length() - 1) // W
+                    lower = key - ring.units[i]
+                    prefix[key] = (lower, i)
+                    key = lower
         # A slot sequence shorter than order + 1 is zero above its end.
-        monomials: dict[tuple[int, ...], tuple[Poly, ...]] = {zero: (ring.one(),)}
-        for expo in sorted(prefix, key=sum):
-            lower, i = prefix[expo]
-            slots = new_slots(precision[expo])
+        monomials: dict[int, tuple[Poly, ...]] = {0: (ring.one(),)}
+        # Keys order by total degree first, so a prefix is built before its users.
+        for key in sorted(prefix):
+            lower, i = prefix[key]
+            slots = new_slots(precision[key])
             add_truncated_product(slots, monomials[lower], values[i].coeffs)
-            monomials[expo] = tuple(finish_slot(ring, slot) for slot in slots)
+            monomials[key] = tuple(finish_slot(ring, slot) for slot in slots)
         slots = new_slots(order)
         for k, poly in enumerate(self.coeffs):
             # Every coefficient of one slot shares its denominator.
             den = poly.den
-            for expo, n in poly.nums.items():
-                add_truncated_product(slots, monomials[expo], (_Slot(den, {zero: n}),), k)
+            for key, n in poly.nums.items():
+                add_truncated_product(slots, monomials[key], (_Slot(den, {0: n}),), k)
         return TPoly.from_slots(ring, slots)
 
     def __str__(self) -> str:
@@ -620,7 +703,7 @@ class _Slot:
 
     __slots__ = ("den", "nums")
 
-    def __init__(self, den: int = 1, nums: dict[tuple[int, ...], int] | None = None) -> None:
+    def __init__(self, den: int = 1, nums: dict[int, int] | None = None) -> None:
         self.den = den
         self.nums = {} if nums is None else nums
 
@@ -669,24 +752,34 @@ def add_truncated_product(
             elif slot.den % den:
                 target = lcm(slot.den, den)
                 scale = target // slot.den
-                for expo in out:
-                    out[expo] *= scale
+                for key in out:
+                    out[key] *= scale
                 slot.den = target
             scale = slot.den // den
             # Accumulated numerators may cancel to 0; finish_slot drops those.
             for ea, na in items_a:
                 na *= scale
                 for eb, nb in items_b:
-                    expo = tuple(map(add, ea, eb))
-                    if expo in out:
-                        out[expo] += na * nb
+                    # x^ea * x^eb is x^(ea + eb); a carry out of a field
+                    # leaves a key at or past ring.limit, which finish_slot
+                    # rejects
+                    key = ea + eb
+                    if key in out:
+                        out[key] += na * nb
                     else:
-                        out[expo] = na * nb
+                        out[key] = na * nb
 
 
 def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
-    """The ``Poly`` a filled accumulator stands for, in lowest terms."""
-    return Poly._reduced(ring, slot.den, {e: n for e, n in slot.nums.items() if n})
+    """The ``Poly`` a filled accumulator stands for, in lowest terms.
+
+    A nonzero term of total degree past ``MAX_TOTAL_DEGREE`` raises
+    ``OverflowError``; cancelled terms are dropped first.
+    """
+    nums = {key: n for key, n in slot.nums.items() if n}
+    if nums and max(nums) >= ring.limit:
+        raise OverflowError(_DEGREE_ERROR)
+    return Poly._reduced(ring, slot.den, nums)
 
 
 def invert_unit(u: TPoly) -> TPoly:
@@ -756,8 +849,9 @@ class Derivation:
         over the denominators of f's slots, as the inner one."""
         if shift >= len(slots):
             return
+        ring = self.ring
         for i, value in self._active:
-            partials = [_Slot(c.den, _diff_nums(c.nums, i)) for c in coeffs]
+            partials = [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in coeffs]
             add_truncated_product(slots, value, partials, shift)
 
     def apply(self, f: Union[TPoly, Poly]) -> TPoly:
@@ -792,27 +886,24 @@ class Derivation:
 # canonical rendering
 
 
-def _monomial_key(expo: tuple[int, ...]) -> tuple:
-    # Sorted in reverse, this is graded lexicographic descending: higher
-    # total degree first, then earlier generators with higher exponents first.
-    return (sum(expo), expo)
-
-
 def render_terms(ring: PolyRing, slots: Sequence[Poly]) -> str:
     """The canonical text of ``sum_k slots[k] * t^k``.
 
     Each coefficient is read off the integer form: ``n/den`` is written in
-    lowest terms after one gcd, with its sign taken from ``n``.
+    lowest terms after one gcd, with its sign taken from ``n``.  Packed keys
+    sort as ints in graded lexicographic order, so descending keys list
+    higher total degree first, then earlier generators with higher exponents.
     """
     chunks: list[str] = []
+    unpack = ring.unpack
     for t_pow, poly in enumerate(slots):
         t_pieces = [] if t_pow == 0 else ["t"] if t_pow == 1 else [f"t^{t_pow}"]
         den = poly.den
         nums = poly.nums
-        for expo in sorted(nums, key=_monomial_key, reverse=True):
-            n = nums[expo]
+        for key in sorted(nums, reverse=True):
+            n = nums[key]
             pieces = t_pieces.copy()
-            for name, e in zip(ring.gens, expo):
+            for name, e in zip(ring.gens, unpack(key)):
                 if e == 1:
                     pieces.append(name)
                 elif e:

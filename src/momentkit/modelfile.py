@@ -30,7 +30,9 @@ with the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
 end, by ``TPoly.from_slots``.  A t-power above the order is an error
 wherever it arises (a literal, product or power), even if a later sum would
 cancel it; the error names the lowest such t-power of the product where it
-arose.  In total-space expressions this applies to the final s-degree 0
+arose.  Likewise a nonzero monomial of total degree past ``MAX_TOTAL_DEGREE``
+(``2^32 - 1``) is an error at the factor, product or power that forms it;
+monomials are stored under ``PolyRing.pack`` keys, one per term.  In total-space expressions this applies to the final s-degree 0
 part, while the other degrees are reduced to the module order.  A
 zero-valued entry is omitted like ``= 0;``.  Integer literals are ASCII
 digits, at most ``sys.get_int_max_str_digits()`` of them.  Parentheses nest
@@ -46,7 +48,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import Poly, PolyRing, Rat, Slots, TPoly
+from .algebra import MAX_TOTAL_DEGREE, Poly, PolyRing, Rat, Slots, TPoly
 from .algebra import _Slot, add_truncated_product, new_slots
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
@@ -87,11 +89,12 @@ class Token(NamedTuple):
     col: int
 
 
-# Integers are ASCII digits.  An identifier continues with ``\w`` (that is,
-# ``str.isalnum`` or ``_``) and starts with ``str.isalpha`` or ``_``, which
-# tokenize checks: ``[^\W\d]`` also admits characters such as ``²``.  The
-# last group catches any other character but blanks.
-_TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|(->|[;,{}()=+\-*^/:])|([^ \t\r])")
+# A match consumes the blanks before its token.  Integers are ASCII digits.
+# An identifier continues with ``\w`` (that is, ``str.isalnum`` or ``_``) and
+# starts with ``str.isalpha`` or ``_``, which tokenize checks: ``[^\W\d]``
+# also admits characters such as ``²``.  The last group catches any other
+# character but blanks.
+_TOKEN = re.compile(r"[ \t\r]*(?:([0-9]+)|([^\W\d]\w*)|(->|[;,{}()=+\-*^/:])|([^ \t\r]))")
 _KINDS = (None, "int", "ident", "punct")
 
 
@@ -99,13 +102,15 @@ def tokenize(text: str) -> list[Token]:
     tokens = []
     for line, code in enumerate(text.split("\n"), 1):
         code = code.partition("#")[0]
-        for m in _TOKEN.finditer(code):
+        # without trailing blanks no match attempt fails
+        for m in _TOKEN.finditer(code.rstrip(" \t\r")):
             kind = m.lastindex
             value = m[kind]
+            col = m.start(kind) + 1
             if kind == 4 or (kind == 2 and not (value[0].isalpha() or value[0] == "_")):
-                raise ModelError(f"unexpected character {value[0]!r}", line, m.start() + 1)
+                raise ModelError(f"unexpected character {value[0]!r}", line, col)
             # tuple.__new__ skips the Python-level Token.__new__
-            tokens.append(tuple.__new__(Token, (_KINDS[kind], value, line, m.start() + 1)))
+            tokens.append(tuple.__new__(Token, (_KINDS[kind], value, line, col)))
     tokens.append(Token("eof", "", line, len(code) + 1))
     return tokens
 
@@ -490,8 +495,8 @@ class _Parser:
         self.limit = order
         self.allow_s = allow_s
         self.depth = 0
-        zero = (0,) * self._ring().arity
-        self.signs = {1: _Slot(1, {zero: 1}), -1: _Slot(1, {zero: -1})}
+        one = self._ring().pack([0] * self._ring().arity)
+        self.signs = {1: _Slot(1, {one: 1}), -1: _Slot(1, {one: -1})}
         return self._parse_expr()
 
     def parse_entry(self, ring: PolyRing, order: int, allow_s: bool) -> _Sum:
@@ -517,13 +522,15 @@ class _Parser:
         """Add ``sign`` times the product of factors at the cursor to ``total``.
 
         Atoms and their powers fold into one monomial ``num/den * s^d * t^k *
-        x^expo`` of integers until a parenthesised factor, or a t-power past
-        the limit, makes the product a _Sum; each later factor is then a
-        kernel product.  A unary minus flips the sign of the whole term.
+        x^expo`` of integers, of total degree ``degree``, until a
+        parenthesised factor, or a t-power past the limit, makes the product
+        a _Sum; each later factor is then a kernel product.  A unary minus
+        flips the sign of the whole term.
         """
         ring = self._ring()
         limit = self.limit
         num, den, d, k, expo = 1, 1, 0, 0, [0] * ring.arity
+        degree = 0
         product: _Sum | None = None
         tok: Token | None = None  # where the factor starts; None for the first
         while True:
@@ -571,16 +578,19 @@ class _Parser:
                     num, den, d, k = num * a_num, den * a_den, d + a_d, k + a_k
                     if gen is not None:
                         expo[gen] += power
+                        degree += power
+                        if degree > MAX_TOTAL_DEGREE:
+                            raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", start)
                     if num and k > limit:
                         product = _Sum({}, {d: (tok, k)})
                 else:
                     a_expo = [0] * ring.arity
                     if gen is not None:
                         a_expo[gen] = power
-                    factor = self._term(a_num, a_den, a_d, a_k, a_expo)
+                    factor = self._term(a_num, a_den, a_d, a_k, a_expo, start)
             if factor is not None:
                 if product is None and tok is not None:
-                    product = self._term(num, den, d, k, expo)
+                    product = self._term(num, den, d, k, expo, tok)
                 product = factor if product is None else self._mul(product, factor, tok)
             if not self.at_punct("*"):
                 break
@@ -588,7 +598,7 @@ class _Parser:
             tok = self.peek()
         if product is None:
             if num:
-                term = (_Slot(den, {tuple(expo): num}),)
+                term = (_Slot(den, {ring.pack(expo): num}),)
                 add_truncated_product(total.at(d, limit), term, (self.signs[sign],), k)
             return
         for deg, slots in product.parts.items():
@@ -621,12 +631,17 @@ class _Parser:
         assert self.ring is not None
         return self.ring
 
-    def _term(self, num: int, den: int, d: int, k: int, expo: list[int]) -> _Sum:
-        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``."""
+    def _term(self, num: int, den: int, d: int, k: int, expo: list[int], tok: Token) -> _Sum:
+        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``; ``tok``
+        is where it arose."""
         if not num:
             return _Sum({}, {})
+        try:
+            key = self._ring().pack(expo)
+        except OverflowError as exc:
+            raise self.error(str(exc), tok) from None
         slots = new_slots(self.limit)
-        slots[k] = _Slot(den, {tuple(expo): num})
+        slots[k] = _Slot(den, {key: num})
         return _Sum({d: slots}, {})
 
     def _mul(self, a: _Sum, b: _Sum, tok: Token) -> _Sum:
@@ -642,6 +657,16 @@ class _Parser:
                 if ks_a[-1] + ks_b[-1] > limit:
                     k = min(i + j for i in ks_a for j in ks_b if i + j > limit)
                     lowest[d] = min(k, lowest.get(d, k))
+        # A product key at or past the ring's limit is a monomial of total
+        # degree past MAX_TOTAL_DEGREE; a cancelled one is dropped like the rest.
+        key_limit = self._ring().limit
+        for slots in result.parts.values():
+            for slot in slots:
+                nums = slot.nums
+                if nums and max(nums) >= key_limit and any(
+                    nums[key] for key in nums if key >= key_limit
+                ):
+                    raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", tok)
         over = result.over
         for d in sorted(lowest):
             over[d] = (tok, lowest[d])
@@ -655,16 +680,18 @@ class _Parser:
         return result
 
     def _power(self, value: _Sum, exponent: int, tok: Token) -> _Sum:
-        zero = [0] * self._ring().arity
+        ring = self._ring()
         terms = list(islice(value.terms(), 2))
         if not value.over and len(terms) < 2:
             # zero or one term: scale its exponents
-            d, k, den, expo, num = terms[0] if terms else (0, 0, 1, zero, 0)
+            d, k, den, key, num = terms[0] if terms else (0, 0, 1, 0, 0)
             if k * exponent > self.limit:
                 return _Sum({}, {d * exponent: (tok, k * exponent)})
-            expo = [e * exponent for e in expo]
-            return self._term(num**exponent, den**exponent, d * exponent, k * exponent, expo)
-        result = self._term(1, 1, 0, 0, zero)
+            expo = [e * exponent for e in ring.unpack(key)]
+            return self._term(
+                num**exponent, den**exponent, d * exponent, k * exponent, expo, tok
+            )
+        result = self._term(1, 1, 0, 0, [0] * ring.arity, tok)
         for _ in range(exponent):
             result = self._mul(result, value, tok)
         return result
@@ -693,13 +720,14 @@ class _Sum:
             slots = self.parts[d] = new_slots(limit)
         return slots
 
-    def terms(self) -> Iterator[tuple[int, int, int, tuple[int, ...], int]]:
-        """``(d, k, den, expo, num)`` of every nonzero term."""
+    def terms(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """``(d, k, den, key, num)`` of every nonzero term; ``key`` is the
+        packed exponent key of its monomial."""
         for d, slots in self.parts.items():
             for k, slot in enumerate(slots):
-                for expo, num in slot.nums.items():
+                for key, num in slot.nums.items():
                     if num:
-                        yield d, k, slot.den, expo, num
+                        yield d, k, slot.den, key, num
 
     def support(self) -> dict[int, list[int]]:
         """The t-powers of the nonzero slots of each s-degree that has one."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .algebra import (
     Derivation,
@@ -107,10 +107,11 @@ class PoissonStructure:
 
         {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
         which is -H_g(f): g's derivatives are contracted with the table once,
-        by ``hamiltonian_field``, and that field is applied to -f.
+        like ``hamiltonian_field`` does, but only for the generators that f
+        involves, and that field is applied to -f.
         """
         f = as_tpoly(f, self.ring, self.order)
-        return self.hamiltonian_field(g).apply(-f)
+        return self._contract(g, f.support()).apply(-f)
 
     def jacobiator(
         self,
@@ -125,14 +126,20 @@ class PoissonStructure:
         """The derivation g -> {f, g}, read off the table: its value on a
         generator x_j is sum_i df/dx_i * {x_i, x_j}, so the field of a
         generator is its row of the table."""
+        return self._contract(f, range(self.ring.arity))
+
+    def _contract(self, f: Union[TPoly, Poly], targets: Iterable[int]) -> Derivation:
+        """The Hamiltonian field of f on the generators with an index in
+        ``targets``, and 0 on the others."""
         f = as_tpoly(f, self.ring, self.order)
         gens = self.ring.gens
         df = [f.diff(a) for a in gens]
+        wanted = set(targets)
         values = [new_slots(self.order) for _ in gens]
         for (i, j), entry in self._table.items():
-            if not df[i].is_zero():
+            if j in wanted and not df[i].is_zero():
                 add_truncated_product(values[j], entry.coeffs, df[i].coeffs)
-            if not df[j].is_zero():
+            if i in wanted and not df[j].is_zero():
                 add_truncated_product(values[i], entry.coeffs, (-df[j]).coeffs)
         return Derivation._trusted(
             self.ring,

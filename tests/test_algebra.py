@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit.algebra import (
+    MAX_TOTAL_DEGREE,
     Derivation,
     GeneratorMismatch,
     NotAUnit,
@@ -14,6 +15,8 @@ from momentkit.algebra import (
     Poly,
     PolyRing,
     TPoly,
+    W,
+    _Slot,
     add_truncated_product,
     exact_rank,
     finish_slot,
@@ -176,7 +179,8 @@ def test_rendering_canonical_order():
 def test_rendering_reduces_each_coefficient():
     # over the common denominator 6 the numerators 3, -4 and 1 share factors
     # with it term by term, not all together
-    p = Poly._trusted(RING, 6, {(1, 0): 3, (0, 1): -4, (0, 0): 1, (2, 0): -6})
+    nums = {(1, 0): 3, (0, 1): -4, (0, 0): 1, (2, 0): -6}
+    p = Poly._trusted(RING, 6, {RING.pack(e): n for e, n in nums.items()})
     assert str(p) == "-x^2 + 1/2*x - 2/3*y + 1/6"
     assert render_terms(RING, (RING.zero(), p)) == "-t*x^2 + 1/2*t*x - 2/3*t*y + 1/6*t"
 
@@ -360,15 +364,22 @@ def trusted_polys():
 
 def assert_canonical(p):
     """A lowest-terms integer form (den >= 1, nonzero int numerators,
-    gcd(den, *nums) == 1) over exponent vectors of the ring's arity, and
-    ``terms`` the same polynomial as nonzero lowest-terms Fractions."""
+    gcd(den, *nums) == 1) over packed keys that unpack to exponent vectors
+    of the ring's arity and pack back to themselves, with the total degree in
+    the degree field, and ``terms`` the same polynomial as nonzero
+    lowest-terms Fractions."""
+    ring = p.ring
     assert type(p.den) is int and p.den >= 1
-    for expo, n in p.nums.items():
-        assert len(expo) == p.ring.arity
+    for key, n in p.nums.items():
+        assert type(key) is int
+        expo = ring.unpack(key)
+        assert ring.pack(expo) == key
+        assert len(expo) == ring.arity
         assert all(type(e) is int and e >= 0 for e in expo)
+        assert key >> (W * ring.arity) == sum(expo)
         assert type(n) is int and n != 0
     assert gcd(p.den, *p.nums.values()) == 1
-    assert p.terms == {e: Fraction(n, p.den) for e, n in p.nums.items()}
+    assert p.terms == {ring.unpack(k): Fraction(n, p.den) for k, n in p.nums.items()}
     for expo, c in p.terms.items():
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
@@ -449,3 +460,99 @@ def test_public_constructor_keeps_its_checks():
         Poly(RING, {(1, 0): 0.5})
     (coeff,) = Poly(RING, {(1, 0): 2, (0, 1): 0}).terms.values()
     assert type(coeff) is Fraction and coeff == 2
+
+
+# -- packed exponent keys and their degree bound ------------------------------------
+
+BIG = 2**31  # two factors of x^BIG make a monomial of degree 2^32
+PAST_BOUND = "^total degree exceeds 4294967295$"
+
+
+@st.composite
+def exponent_vectors(draw, arity):
+    """Exponent vectors of total degree at most MAX_TOTAL_DEGREE, small ones
+    and ones near the bound alike."""
+    top = MAX_TOTAL_DEGREE // arity
+    entry = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
+    return tuple(draw(entry) for _ in range(arity))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(exponent_vectors(k), min_size=2, max_size=6)))
+def test_packed_keys_round_trip_and_order_like_graded_exponents(vectors):
+    ring = PolyRing([f"x{i}" for i in range(len(vectors[0]))])
+    keys = [ring.pack(e) for e in vectors]
+    assert [ring.unpack(k) for k in keys] == vectors
+    assert all(0 <= k < ring.limit for k in keys)
+    assert sorted(keys) == [ring.pack(e) for e in sorted(vectors, key=lambda e: (sum(e), e))]
+    # a monomial product is the sum of the keys while the degree fits
+    a, b = vectors[0], vectors[1]
+    product = tuple(x + y for x, y in zip(a, b))
+    if sum(product) <= MAX_TOTAL_DEGREE:
+        assert ring.unpack(keys[0] + keys[1]) == product
+    else:
+        assert keys[0] + keys[1] >= ring.limit
+
+
+def test_pack_and_unpack_check_the_degree_bound():
+    top = MAX_TOTAL_DEGREE
+    assert RING.unpack(RING.pack((top, 0))) == (top, 0)
+    assert RING.unpack(RING.pack((BIG, top - BIG))) == (BIG, top - BIG)
+    for expo in ((top + 1, 0), (top, 1), (BIG, BIG)):
+        with pytest.raises(OverflowError, match=PAST_BOUND):
+            RING.pack(expo)
+    with pytest.raises(GeneratorMismatch):
+        RING.pack((1,))
+    with pytest.raises(ValueError):
+        RING.pack((1, -1))
+    # a carry out of the y field must not read back as x
+    carried = RING.pack((0, top)) + RING.units[1]
+    for key in (RING.limit, carried, RING.pack((BIG, 0)) * 2):
+        with pytest.raises(OverflowError, match=PAST_BOUND):
+            RING.unpack(key)
+
+
+def test_public_constructor_checks_the_degree_bound():
+    top = MAX_TOTAL_DEGREE
+    assert Poly(RING, {(top, 0): 1}).terms == {(top, 0): 1}
+    assert Poly(RING, {(BIG, top - BIG): 1}).terms == {(BIG, top - BIG): 1}
+    for expo in ((top + 1, 0), (top, 1), (0, top + 1), (BIG, BIG)):
+        with pytest.raises(OverflowError, match=PAST_BOUND):
+            Poly(RING, {expo: 1})
+
+
+def test_kernel_products_check_the_degree_bound():
+    top = MAX_TOTAL_DEGREE
+    x_top = Poly(RING, {(top, 0): 1})
+    assert (x_top * 3).terms == {(top, 0): 3}
+    assert (Poly(RING, {(BIG, 0): 1}) * Poly(RING, {(top - BIG, 0): 1})) == x_top
+    for a, b in (
+        (Poly(RING, {(BIG, 0): 1}), Poly(RING, {(BIG, 0): 1})),
+        (x_top, X),
+        (Poly(RING, {(0, top): 1}), Y),  # carries from the y field into x
+        (x_top, X + 1),
+    ):
+        with pytest.raises(OverflowError, match=PAST_BOUND):
+            a * b
+        with pytest.raises(OverflowError, match=PAST_BOUND):
+            TPoly.from_poly(a, 1) * TPoly.from_poly(b, 1)
+    # a term past the bound that cancels is dropped, not reported
+    slot = _Slot(1, {RING.limit: 0, RING.pack((1, 0)): 2})
+    assert finish_slot(RING, slot) == X * 2
+    with pytest.raises(OverflowError, match=PAST_BOUND):
+        finish_slot(RING, _Slot(1, {RING.limit: 1}))
+
+
+def test_substitute_checks_the_degree_bound():
+    # substitute builds every lower monomial of a term, so the term is x*y
+    # and the degree comes from the values
+    f = TPoly.from_poly(X * Y, 1)
+    x_big = TPoly.from_poly(Poly(RING, {(BIG, 0): 1}), 1)
+    rest = TPoly.from_poly(Poly(RING, {(MAX_TOTAL_DEGREE - BIG, 0): 1}), 1)
+    assert f.substitute({"x": x_big, "y": rest}) == TPoly.from_poly(
+        Poly(RING, {(MAX_TOTAL_DEGREE, 0): 1}), 1
+    )
+    with pytest.raises(OverflowError, match=PAST_BOUND):
+        f.substitute({"x": x_big, "y": x_big})
+    with pytest.raises(OverflowError, match=PAST_BOUND):
+        f.substitute({"x": x_big, "y": x_big + TPoly.t(RING, 1)})

@@ -123,6 +123,30 @@ def test_pathological_expressions_exit_two(tmp_path, body, location):
     assert "Traceback" not in proc.stderr
 
 
+OVER_DEGREE = [
+    ("x^4294967296", 1),
+    ("x^2147483648*x^2147483648", 14),
+    ("((x^2147483648)*(x^2147483648))^1", 17),
+]
+
+
+@pytest.mark.parametrize("body,col", OVER_DEGREE)
+def test_total_degree_past_the_bound_exits_two(tmp_path, worked_model, body, col):
+    path = tmp_path / "over.mks"
+    path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = {body};\n")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: line 3, col {col + 17}: total degree exceeds 4294967295\n"
+    for side in ("--left", "--right"):
+        args = {"--left": "x", "--right": "y", side: body}
+        proc = run_cli("tot", worked_model, *(a for pair in args.items() for a in pair))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: malformed total-space expression: "
+            f"line 1, col {col}: total degree exceeds 4294967295\n"
+        )
+
+
 def test_oversized_literal_in_tot_expression_exits_two(worked_model):
     proc = run_cli("tot", worked_model, "--left", "9" * 5000, "--right", "x")
     assert proc.returncode == 2

@@ -205,6 +205,43 @@ def test_over_order_error_names_the_lowest_t_power():
 
 
 @pytest.mark.parametrize(
+    "text,col",
+    [
+        # the atom, the factor and the group where the degree passes 2^32 - 1
+        ("x^4294967296", 1),
+        ("x^2147483648*x^2147483648", 14),
+        ("((x^2147483648)*(x^2147483648))^1", 17),
+        ("(x^2147483648)^2", 1),
+        ("y*(x + 1)*x^4294967296", 11),
+        ("(y^4294967295 + 1)*y", 20),
+    ],
+)
+def test_total_degree_past_the_bound_is_an_error_at_its_location(text, col):
+    ring = PolyRing(["x", "y"])
+    with pytest.raises(ModelError) as err:
+        parse_polynomial(text, ring, 1)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "total degree exceeds 4294967295",
+        1,
+        col,
+    )
+
+
+def test_total_degree_up_to_the_bound_parses():
+    ring = PolyRing(["x", "y"])
+    for text, expo in (
+        ("x^99999999", (99999999, 0)),
+        ("x^4294967295", (4294967295, 0)),
+        ("(x^2147483648)*(x^2147483647)", (4294967295, 0)),
+        ("x^0*y^4294967295", (0, 4294967295)),
+    ):
+        assert parse_polynomial(text, ring, 1) == TPoly.from_poly(Poly(ring, {expo: 1}), 1)
+    # a monomial past the bound that cancels is dropped like any other
+    text = "(x^2147483648 - x^2147483648)*x^2147483648*x^2147483648"
+    assert parse_polynomial(text, ring, 1).is_zero()
+
+
+@pytest.mark.parametrize(
     "text,message,col",
     [
         ("1 + 2\N{SUPERSCRIPT TWO}*x", "unexpected character '\N{SUPERSCRIPT TWO}'", 6),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -231,6 +232,25 @@ def test_hamiltonian_field_read_off_the_table_is_the_bracket(seeded):
     f = rand_tpoly(rng, structure.ring, 2)
     g = rand_tpoly(rng, structure.ring, 2)
     assert structure.hamiltonian_field(f).apply(g) == structure.bracket(f, g)
+
+
+def test_bracket_of_a_partly_supported_argument_matches_the_references(seeded):
+    # bracket(f, g) contracts the table only for the generators f involves
+    rng, structure = seeded
+    ring, order = structure.ring, structure.order
+    g = rand_tpoly(rng, ring, order)
+    t = TPoly.t(ring, order)
+    for size in range(ring.arity + 1):
+        for used in combinations(ring.gens, size):
+            f = TPoly.constant(ring, rng.randint(-3, 3), order)
+            for a in used:
+                x_a = TPoly.generator(ring, a, order)
+                f = f + x_a * x_a * Fraction(rng.randint(1, 3), rng.randint(1, 3)) + t * x_a
+            f = f * f
+            assert f.support() == [ring.index(a) for a in used]
+            expected = bracket_by_pairs(structure, f, g)
+            assert structure.bracket(f, g) == expected
+            assert structure.hamiltonian_field(g).apply(f) == -expected
 
 
 def test_hamiltonian_fields_are_bracket_derivations(seeded):
