@@ -169,16 +169,20 @@ class PolyRing:
         Raises ``GeneratorMismatch`` for a wrong length, ``ValueError`` for a
         negative exponent and ``OverflowError`` past ``MAX_TOTAL_DEGREE``.
         """
+        try:
+            # struct takes exactly k + 1 ints in 0 .. MAX_TOTAL_DEGREE
+            return int.from_bytes(self._fields.pack(sum(expo), *expo), "big")
+        except struct.error:
+            pass
         if len(expo) != len(self.gens):
             raise GeneratorMismatch(
                 f"exponent vector {tuple(expo)} does not match arity {len(self.gens)}"
             )
         if min(expo) < 0:
             raise ValueError(f"negative exponent in {tuple(expo)}")
-        degree = sum(expo)
-        if degree > MAX_TOTAL_DEGREE:
+        if sum(expo) > MAX_TOTAL_DEGREE:
             raise OverflowError(_DEGREE_ERROR)
-        return int.from_bytes(self._fields.pack(degree, *expo), "big")
+        raise TypeError(f"exponents must be ints, got {tuple(expo)}")
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of ``key``; a key at or past ``limit`` (a

@@ -30,13 +30,14 @@ with the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
 end, by ``TPoly.from_slots``.  A t-power above the order is an error
 wherever it arises (a literal, product or power), even if a later sum would
 cancel it; the error names the lowest such t-power of the product where it
-arose.  Likewise a nonzero monomial of total degree past ``MAX_TOTAL_DEGREE``
-(``2^32 - 1``) is an error at the factor, product or power that forms it;
-monomials are stored under ``PolyRing.pack`` keys, one per term.  In total-space expressions this applies to the final s-degree 0
-part, while the other degrees are reduced to the module order.  A
-zero-valued entry is omitted like ``= 0;``.  Integer literals are ASCII
-digits, at most ``sys.get_int_max_str_digits()`` of them.  Parentheses nest
-at most ``MAX_NESTING`` deep.
+arose.  In total-space expressions this applies to the final s-degree 0
+part, while the other degrees are reduced to the module order.  A nonzero
+monomial of total degree past ``MAX_TOTAL_DEGREE`` (2^32 - 1) is an error at
+the atom, factor or power that forms it; a folded monomial is packed into
+its key by one ``PolyRing.pack`` call.  A zero-valued entry is omitted
+like ``= 0;``.  Integer literals are ASCII digits, at most
+``sys.get_int_max_str_digits()`` of them.  Parentheses nest at most
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -495,8 +496,8 @@ class _Parser:
         self.limit = order
         self.allow_s = allow_s
         self.depth = 0
-        one = self._ring().pack([0] * self._ring().arity)
-        self.signs = {1: _Slot(1, {one: 1}), -1: _Slot(1, {one: -1})}
+        one = self._ring().one()
+        self.signs = {1: one, -1: -one}
         return self._parse_expr()
 
     def parse_entry(self, ring: PolyRing, order: int, allow_s: bool) -> _Sum:
