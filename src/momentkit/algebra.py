@@ -391,9 +391,11 @@ class Poly:
         if missing:
             raise GeneratorMismatch(f"point misses generators {missing}")
         total = Fraction(0)
+        fields = list(zip(point, self.ring._shifts))
         for key, n in self.nums.items():
             term = n
-            for v, e in zip(point, self.ring.unpack(key)):
+            for v, shift in fields:
+                e = (key >> shift) & _FIELD
                 if e:
                     term *= v**e
             total += term
@@ -899,7 +901,8 @@ def render_terms(ring: PolyRing, slots: Sequence[Poly]) -> str:
     higher total degree first, then earlier generators with higher exponents.
     """
     chunks: list[str] = []
-    unpack = ring.unpack
+    # reading the fields in place is cheaper than an unpacked tuple per term
+    fields = list(zip(ring.gens, ring._shifts))
     for t_pow, poly in enumerate(slots):
         t_pieces = [] if t_pow == 0 else ["t"] if t_pow == 1 else [f"t^{t_pow}"]
         den = poly.den
@@ -907,7 +910,8 @@ def render_terms(ring: PolyRing, slots: Sequence[Poly]) -> str:
         for key in sorted(nums, reverse=True):
             n = nums[key]
             pieces = t_pieces.copy()
-            for name, e in zip(ring.gens, unpack(key)):
+            for name, shift in fields:
+                e = (key >> shift) & _FIELD
                 if e == 1:
                     pieces.append(name)
                 elif e:
