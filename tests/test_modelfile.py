@@ -122,6 +122,98 @@ def test_semantic_and_syntax_errors(text, needle):
     assert needle in str(err.value)
 
 
+HEAD = "ring x, y; order 2;\n"
+
+# Every statement-level error, with its exact message and location.
+STATEMENT_ERRORS = [
+    ("ring x, y; order 2;\n3;", "expected a statement, got '3'", 2, 1),
+    (HEAD + "bogus;", "unknown statement 'bogus'", 2, 1),
+    ("ring x; order 2;\nring y;", "duplicate 'ring' declaration", 2, 1),
+    ("ring x; order 2;\norder 3;", "duplicate 'order' declaration", 2, 1),
+    ("ring x;\norder 0;", "order must be >= 1", 2, 1),
+    ("order 1;\n", "missing 'ring' declaration", 2, 1),
+    ("ring x, y;\n", "missing 'order' declaration", 2, 1),
+    ("order 1;\nbracket {x, y} = 1;", "'ring' must be declared first", 2, 1),
+    ("ring x, y;\nalpha x = 1;", "'order' must be declared first", 2, 1),
+    ("ring x, t;", "generator name 't' is reserved", 1, 9),
+    ("ring x, y, x;", "duplicate generator 'x'", 1, 12),
+    (HEAD + "bracket {x, z} = 1;", "undeclared generator 'z'", 2, 13),
+    (HEAD + "bracket {y, y} = 1;", "bracket needs two distinct generators", 2, 10),
+    (
+        HEAD + "bracket {x, y} = 1;\nbracket {y, x} = x;",
+        "bracket {y,x} already declared",
+        3,
+        10,
+    ),
+    (HEAD + "bracket {x, y} = 1/0 + x;", "zero denominator", 2, 22),
+    (HEAD + "alpha z = 1;", "undeclared generator 'z'", 2, 7),
+    (HEAD + "alpha x = 1;\nalpha x = 2;", "alpha x already declared", 3, 7),
+    (HEAD + "alpha y = t^2*x;", "alpha order exceeds n-1: t-degree 2 at order 2", 2, 11),
+    (
+        HEAD + "conformal e: x -> x; weight 0;\nconformal f: y -> y; weight 1;",
+        "duplicate 'conformal' declaration",
+        3,
+        1,
+    ),
+    (HEAD + "conformal ring: x -> x; weight 0;", "name 'ring' is reserved", 2, 11),
+    (
+        HEAD + "conformal e: x -> t*x; weight 0;",
+        "conformal field values must not involve t",
+        2,
+        19,
+    ),
+    (
+        HEAD + "conformal e: ; weight 0;",
+        "conformal declaration needs at least one 'gen -> expr' pair",
+        2,
+        14,
+    ),
+    (HEAD + "conformal e: x -> x; unit 0;", "expected 'weight', got 'unit'", 2, 22),
+    (HEAD + "conformal e: x -> x; 3;", "expected 'weight', got '3'", 2, 22),
+    (HEAD + "conformal e: x -> x; weight -1/0;", "zero denominator", 2, 33),
+    (HEAD + "point s = (x = 1 y = 2);", "name 's' is reserved", 2, 7),
+    (
+        HEAD + "point p = (x = 1 y = 2);\npoint p = (x = 0 y = 0);",
+        "point 'p' already declared",
+        3,
+        7,
+    ),
+    (HEAD + "point p = (x = 1 y = 2 s = 0);", "the s-coordinate must be nonzero", 2, 24),
+    (HEAD + "point p = (x = 1 y = 2 x = 3);", "coordinate 'x' assigned twice", 2, 24),
+    (HEAD + "point p = (x = 1 z = 2);", "undeclared generator 'z'", 2, 18),
+    (HEAD + "point p = (y = 1);", "point misses generators ['x']", 2, 7),
+    (HEAD + "point p = (x = 1/0 y = 2);", "zero denominator", 2, 20),
+    (HEAD + "twist unit: ; unit 1;", "name 'unit' is reserved", 2, 7),
+    (
+        HEAD + "twist g: ; unit 1;\ntwist g: ; unit 2;",
+        "twist 'g' already declared",
+        3,
+        7,
+    ),
+    (
+        HEAD + "twist g: y -> x; unit 1;",
+        "twist must be the identity mod t; phi(y) = x",
+        2,
+        10,
+    ),
+    (HEAD + "twist g: ; weight 1;", "expected 'unit', got 'weight'", 2, 12),
+    (
+        HEAD + "twist g: ; unit 1 + t^2;",
+        "twist unit has t-degree 2, exceeding order 1",
+        2,
+        17,
+    ),
+    (HEAD + "twist g: ; unit t;", "twist unit t is not invertible", 2, 17),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", STATEMENT_ERRORS)
+def test_statement_errors_are_exact(text, message, line, col):
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 def test_error_locations_are_reported():
     text = "ring x, y;\norder 2;\nbracket {x, y} = w;\n"
     with pytest.raises(ModelError) as err:
