@@ -8,12 +8,14 @@ from momentkit.algebra import Poly, PolyRing, TPoly
 from momentkit.instances import random_instance
 from momentkit.line import LineData, TotElement
 from momentkit.modelfile import (
+    KEYWORDS,
     MAX_NESTING,
     ModelError,
     model_from_system,
     parse_model,
     parse_polynomial,
     parse_tot_expression,
+    tokenize,
 )
 from momentkit.poisson import PoissonStructure
 
@@ -595,3 +597,44 @@ def _tpolys(draw):
 @given(_tpolys())
 def test_parse_inverts_render(p):
     assert parse_polynomial(str(p), FUZZ_RING, p.order) == p
+
+
+# -- statement-level fuzzing -------------------------------------------------------
+
+_FULL_TOKENS = [(tok.line, tok.text) for tok in tokenize(FULL)[:-1]]
+# the model's own tokens, keywords and 1-2 digit literals, so order stays small
+_VOCABULARY = st.one_of(
+    st.sampled_from(sorted({text for _, text in _FULL_TOKENS} | KEYWORDS)),
+    st.integers(0, 99).map(str),
+)
+
+
+@st.composite
+def _mutants(draw):
+    """FULL with a few tokens replaced, deleted or inserted, on their lines."""
+    tokens = list(_FULL_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        line = tokens[i][0]
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete":
+            del tokens[i]
+        elif action == "replace":
+            tokens[i] = (line, draw(_VOCABULARY))
+        else:
+            tokens.insert(i, (line, draw(_VOCABULARY)))
+    lines = [[] for _ in range(_FULL_TOKENS[-1][0])]
+    for line, text in tokens:
+        lines[line - 1].append(text)
+    return "\n".join(" ".join(words) for words in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutants())
+def test_mutated_models_round_trip_or_fail_with_a_location(text):
+    try:
+        model = parse_model(text)
+    except ModelError as err:
+        assert err.line >= 1 and err.col >= 1, text
+        return
+    assert parse_model(model.render()) == model, text
