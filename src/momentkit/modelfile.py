@@ -17,8 +17,12 @@ Polynomial expressions support ``+ - * ^`` with integer and rational
 (``p/q``) literals, the declared generators and ``t``; ``s`` with integer
 (possibly negative) powers is additionally allowed in the total-space
 expressions consumed by the ``tot`` subcommand.  ``ring`` and ``order`` must
-appear before any statement that uses them.  Each unordered bracket pair may
-be declared at most once; the antisymmetric mate is derived.
+appear before any statement that uses them.  ``ring``, ``order`` and
+``conformal`` appear at most once, and so does each generator of the ring,
+unordered bracket pair (the antisymmetric mate is derived), alpha, name of a
+conformal field, point or twist, point coordinate (``s`` and ``t`` included)
+and generator of one ``gen -> expr`` list; a repeat is an error at the
+repeated name.
 
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
 accumulators of its t^0 .. t^order coefficients.  A product of atoms folds
@@ -193,6 +197,8 @@ class _Parser:
         self.pos = 0
         self.ring: PolyRing | None = None
         self.order: int | None = None
+        # what the model has declared, for _claim
+        self.declared: set[object] = set()
         # set per expression by _parse_top
         self.limit = 0
         self.allow_s = False
@@ -242,241 +248,207 @@ class _Parser:
     # -- model -------------------------------------------------------------
 
     def parse_model(self) -> ModelFile:
-        brackets: dict[tuple[str, str], TPoly] = {}
-        declared_pairs: set[frozenset[str]] = set()
-        alphas: dict[str, TPoly] = {}
-        conformal: ConformalDecl | None = None
-        points: dict[str, Point] = {}
-        twists: dict[str, GaugeTwist] = {}
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        model = ModelFile((), 0)
+        while (tok := self.peek()).kind != "eof":
             if tok.kind != "ident":
                 raise self.error(f"expected a statement, got {tok.text!r}")
-            keyword = tok.text
-            if keyword == "ring":
-                self.advance()
-                if self.ring is not None:
-                    raise self.error("duplicate 'ring' declaration", tok)
-                self.ring = self._parse_ring()
-            elif keyword == "order":
-                self.advance()
-                if self.order is not None:
-                    raise self.error("duplicate 'order' declaration", tok)
-                value = self.expect_int()
-                if value < 1:
-                    raise self.error("order must be >= 1", tok)
-                self.order = value
-                self.expect_punct(";")
-            elif keyword == "bracket":
-                self.advance()
-                self._require_header(tok)
-                self._parse_bracket(brackets, declared_pairs)
-            elif keyword == "alpha":
-                self.advance()
-                self._require_header(tok)
-                self._parse_alpha(alphas)
-            elif keyword == "conformal":
-                self.advance()
-                self._require_header(tok)
-                if conformal is not None:
-                    raise self.error("duplicate 'conformal' declaration", tok)
-                conformal = self._parse_conformal()
-            elif keyword == "point":
-                self.advance()
-                self._require_header(tok)
-                self._parse_point(points)
-            elif keyword == "twist":
-                self.advance()
-                self._require_header(tok)
-                self._parse_twist(twists)
-            else:
-                raise self.error(f"unknown statement {keyword!r}")
-        if self.ring is None:
-            raise self.error("missing 'ring' declaration")
-        if self.order is None:
-            raise self.error("missing 'order' declaration")
-        return ModelFile(
-            self.ring.gens, self.order, brackets, alphas, conformal, points, twists
-        )
+            statement = self._STATEMENTS.get(tok.text)
+            if statement is None:
+                raise self.error(f"unknown statement {tok.text!r}")
+            self.advance()
+            if tok.text not in ("ring", "order"):
+                self._require_header("{!r} must be declared first", tok)
+            if tok.text in ("ring", "order", "conformal"):
+                self._claim(self.declared, tok.text, f"duplicate {tok.text!r} declaration", tok)
+            statement(self, model, tok)
+        self._require_header("missing {!r} declaration", tok)
+        return model
 
-    def _require_header(self, tok: Token) -> None:
-        if self.ring is None:
-            raise self.error("'ring' must be declared first", tok)
-        if self.order is None:
-            raise self.error("'order' must be declared first", tok)
+    def _require_header(self, message: str, tok: Token) -> None:
+        """Raise ``message`` about the first of ring and order not declared yet."""
+        for keyword in ("ring", "order"):
+            if keyword not in self.declared:
+                raise self.error(message.format(keyword), tok)
 
-    def _parse_ring(self) -> PolyRing:
+    def _claim(self, seen: set, key: object, message: str, tok: Token) -> None:
+        """Add ``key`` to ``seen``; a key already there is ``message`` at ``tok``.
+        Every uniqueness rule of the language goes through here."""
+        if key in seen:
+            raise self.error(message, tok)
+        seen.add(key)
+
+    def _declared_name(self, kind: str) -> Token:
+        """The name of a new ``kind``: not reserved, not given to a ``kind`` before."""
+        tok = self.expect_ident(f"{kind} name")
+        name = tok.text
+        if name in RESERVED:
+            raise self.error(f"name {name!r} is reserved", tok)
+        self._claim(self.declared, (kind, name), f"{kind} {name!r} already declared", tok)
+        return tok
+
+    def _generator(self) -> Token:
+        tok = self.expect_ident("generator")
+        if tok.text not in self._ring().gens:
+            raise self.error(f"undeclared generator {tok.text!r}", tok)
+        return tok
+
+    def _expect_keyword(self, word: str) -> None:
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text != word:
+            raise self.error(f"expected {word!r}, got {tok.text!r}")
+        self.advance()
+
+    def _parse_pairs(self) -> Iterator[tuple[str, TPoly, Token, Token]]:
+        """The ``gen -> expr`` pairs up to ``;``: the generator, its value,
+        and the tokens where each starts.  The caller checks each value
+        before the next pair is read."""
+        mapped: set[str] = set()
+        while self.peek().kind == "ident":
+            gen_tok = self._generator()
+            self.expect_punct("->")
+            expr_tok = self.peek()
+            value = self._parse_tpoly()
+            g = gen_tok.text
+            self._claim(mapped, g, f"generator {g!r} assigned twice", gen_tok)
+            yield g, value, gen_tok, expr_tok
+        self.expect_punct(";")
+
+    def _parse_truncated(self, message: str) -> tuple[TPoly, Token]:
+        """An expression of t-degree at most n-1 and its ``;``, truncated to
+        n-1, and the token where it starts; a higher degree is ``message``
+        formatted with ``degree``, ``n`` and ``top`` = n-1."""
+        tok = self.peek()
+        value = self._parse_tpoly()
+        self.expect_punct(";")
+        n = self.order
+        assert n is not None
+        if value.t_degree() > n - 1:
+            raise self.error(message.format(degree=value.t_degree(), n=n, top=n - 1), tok)
+        return value.truncate(n - 1), tok
+
+    # -- statements: each writes into the model -------------------------------
+
+    def _parse_ring(self, model: ModelFile, keyword: Token) -> None:
         names: list[str] = []
         while True:
             tok = self.expect_ident("generator name")
             if tok.text in RESERVED:
                 raise self.error(f"generator name {tok.text!r} is reserved", tok)
-            if tok.text in names:
-                raise self.error(f"duplicate generator {tok.text!r}", tok)
-            names.append(tok.text)
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
+            name = tok.text
+            self._claim(self.declared, ("generator", name), f"duplicate generator {name!r}", tok)
+            names.append(name)
+            if not self.at_punct(","):
+                break
+            self.advance()
         self.expect_punct(";")
-        return PolyRing(names)
+        self.ring = PolyRing(names)
+        model.generators = self.ring.gens
 
-    def _generator(self, what: str) -> str:
-        tok = self.expect_ident(what)
-        assert self.ring is not None
-        if tok.text not in self.ring.gens:
-            raise self.error(f"undeclared generator {tok.text!r}", tok)
-        return tok.text
+    def _parse_order(self, model: ModelFile, keyword: Token) -> None:
+        value = self.expect_int()
+        if value < 1:
+            raise self.error("order must be >= 1", keyword)
+        self.order = model.order = value
+        self.expect_punct(";")
 
-    def _parse_bracket(
-        self,
-        brackets: dict[tuple[str, str], TPoly],
-        declared: set[frozenset[str]],
-    ) -> None:
+    def _parse_bracket(self, model: ModelFile, keyword: Token) -> None:
         self.expect_punct("{")
-        first_tok = self.peek()
-        a = self._generator("generator")
+        first = self._generator()
         self.expect_punct(",")
-        b = self._generator("generator")
+        a, b = first.text, self._generator().text
         self.expect_punct("}")
         if a == b:
-            raise self.error("bracket needs two distinct generators", first_tok)
+            raise self.error("bracket needs two distinct generators", first)
         pair = frozenset((a, b))
-        if pair in declared:
-            raise self.error(f"bracket {{{a},{b}}} already declared", first_tok)
-        declared.add(pair)
+        self._claim(self.declared, pair, f"bracket {{{a},{b}}} already declared", first)
         self.expect_punct("=")
         value = self._parse_tpoly()
         self.expect_punct(";")
         if not value.is_zero():
-            brackets[(a, b)] = value
+            model.brackets[(a, b)] = value
 
-    def _parse_alpha(self, alphas: dict[str, TPoly]) -> None:
-        tok = self.peek()
-        g = self._generator("generator")
-        if g in alphas:
-            raise self.error(f"alpha {g} already declared", tok)
+    def _parse_alpha(self, model: ModelFile, keyword: Token) -> None:
+        tok = self._generator()
+        g = tok.text
+        self._claim(self.declared, ("alpha", g), f"alpha {g} already declared", tok)
         self.expect_punct("=")
-        expr_tok = self.peek()
-        value = self._parse_tpoly()
-        self.expect_punct(";")
-        assert self.order is not None
-        if value.t_degree() > self.order - 1:
-            raise self.error(
-                f"alpha order exceeds n-1: t-degree {value.t_degree()} at order {self.order}",
-                expr_tok,
-            )
-        entry = value.truncate(self.order - 1)
+        entry, _ = self._parse_truncated("alpha order exceeds n-1: t-degree {degree} at order {n}")
         if not entry.is_zero():
-            alphas[g] = entry
+            model.alphas[g] = entry
 
-    def _parse_conformal(self) -> ConformalDecl:
-        name_tok = self.expect_ident("conformal field name")
-        if name_tok.text in RESERVED:
-            raise self.error(f"name {name_tok.text!r} is reserved", name_tok)
+    def _parse_conformal(self, model: ModelFile, keyword: Token) -> None:
+        name = self._declared_name("conformal field").text
         self.expect_punct(":")
-        assert self.ring is not None
-        values: dict[str, Poly] = {g: self.ring.zero() for g in self.ring.gens}
-        saw_pair = False
-        while self.peek().kind == "ident":
-            g = self._generator("generator")
-            self.expect_punct("->")
-            expr_tok = self.peek()
-            value = self._parse_tpoly()
+        if self.peek().kind != "ident":
+            raise self.error("conformal declaration needs at least one 'gen -> expr' pair")
+        ring = self._ring()
+        values = {g: ring.zero() for g in ring.gens}
+        for g, value, _, expr_tok in self._parse_pairs():
             if value.t_degree() > 0:
                 raise self.error("conformal field values must not involve t", expr_tok)
             values[g] = value.coefficient(0)
-            saw_pair = True
-        if not saw_pair:
-            raise self.error("conformal declaration needs at least one 'gen -> expr' pair")
-        self.expect_punct(";")
-        weight_tok = self.expect_ident("'weight'")
-        if weight_tok.text != "weight":
-            raise self.error(f"expected 'weight', got {weight_tok.text!r}", weight_tok)
+        self._expect_keyword("weight")
         weight = self._parse_signed_rational()
         self.expect_punct(";")
-        return ConformalDecl(name_tok.text, values, weight)
+        model.conformal = ConformalDecl(name, values, weight)
 
-    def _parse_point(self, points: dict[str, Point]) -> None:
-        name_tok = self.expect_ident("point name")
-        if name_tok.text in RESERVED:
-            raise self.error(f"name {name_tok.text!r} is reserved", name_tok)
-        if name_tok.text in points:
-            raise self.error(f"point {name_tok.text!r} already declared", name_tok)
+    def _parse_point(self, model: ModelFile, keyword: Token) -> None:
+        name_tok = self._declared_name("point")
         self.expect_punct("=")
         self.expect_punct("(")
-        assert self.ring is not None
-        values: dict[str, Rat] = {}
-        s_value: Rat | None = None
-        t_value = Fraction(0)
+        gens = self._ring().gens
+        coords: dict[str, Rat] = {}
+        assigned: set[str] = set()
         while self.peek().kind == "ident":
-            coord_tok = self.advance()
-            coord = coord_tok.text
+            tok = self.advance()
+            coord = tok.text
             self.expect_punct("=")
             value = self._parse_signed_rational()
-            if coord == "s":
-                if value == 0:
-                    raise self.error("the s-coordinate must be nonzero", coord_tok)
-                s_value = value
-            elif coord == "t":
-                t_value = value
-            elif coord in self.ring.gens:
-                if coord in values:
-                    raise self.error(f"coordinate {coord!r} assigned twice", coord_tok)
-                values[coord] = value
-            else:
-                raise self.error(f"undeclared generator {coord!r}", coord_tok)
+            if coord not in gens and coord not in ("s", "t"):
+                raise self.error(f"undeclared generator {coord!r}", tok)
+            if coord == "s" and value == 0:
+                raise self.error("the s-coordinate must be nonzero", tok)
+            self._claim(assigned, coord, f"coordinate {coord!r} assigned twice", tok)
+            coords[coord] = value
         self.expect_punct(")")
         self.expect_punct(";")
-        missing = [g for g in self.ring.gens if g not in values]
+        s, t = coords.pop("s", None), coords.pop("t", Fraction(0))
+        missing = [g for g in gens if g not in coords]
         if missing:
             raise self.error(f"point misses generators {missing}", name_tok)
-        points[name_tok.text] = Point(values, s_value, t_value)
+        model.points[name_tok.text] = Point(coords, s, t)
 
-    def _parse_twist(self, twists: dict[str, GaugeTwist]) -> None:
-        name_tok = self.expect_ident("twist name")
-        if name_tok.text in RESERVED:
-            raise self.error(f"name {name_tok.text!r} is reserved", name_tok)
-        if name_tok.text in twists:
-            raise self.error(f"twist {name_tok.text!r} already declared", name_tok)
+    def _parse_twist(self, model: ModelFile, keyword: Token) -> None:
+        name = self._declared_name("twist").text
         self.expect_punct(":")
-        assert self.ring is not None and self.order is not None
-        n = self.order
-        phi = {g: TPoly.generator(self.ring, g, n) for g in self.ring.gens}
-        while self.peek().kind == "ident":
-            gen_tok = self.peek()
-            g = self._generator("generator")
-            self.expect_punct("->")
-            value = self._parse_tpoly()
-            if value.coefficient(0) != self.ring.var(g):
+        ring, n = self._ring(), self.order
+        phi = {g: TPoly.generator(ring, g, n) for g in ring.gens}
+        for g, value, gen_tok, _ in self._parse_pairs():
+            if value.coefficient(0) != ring.var(g):
                 raise self.error(
                     f"twist must be the identity mod t; phi({g}) = {value}", gen_tok
                 )
             phi[g] = value
-        self.expect_punct(";")
-        unit_tok = self.expect_ident("'unit'")
-        if unit_tok.text != "unit":
-            raise self.error(f"expected 'unit', got {unit_tok.text!r}", unit_tok)
-        expr_tok = self.peek()
-        value = self._parse_tpoly()
-        self.expect_punct(";")
-        if value.t_degree() > n - 1:
-            raise self.error(
-                f"twist unit has t-degree {value.t_degree()}, exceeding order {n - 1}",
-                expr_tok,
-            )
-        unit = value.truncate(n - 1)
+        self._expect_keyword("unit")
+        unit, tok = self._parse_truncated("twist unit has t-degree {degree}, exceeding order {top}")
         if not unit.is_unit():
-            raise self.error(f"twist unit {unit} is not invertible", expr_tok)
-        twists[name_tok.text] = GaugeTwist(phi, unit)
+            raise self.error(f"twist unit {unit} is not invertible", tok)
+        model.twists[name] = GaugeTwist(phi, unit)
+
+    _STATEMENTS = {
+        "ring": _parse_ring,
+        "order": _parse_order,
+        "bracket": _parse_bracket,
+        "alpha": _parse_alpha,
+        "conformal": _parse_conformal,
+        "point": _parse_point,
+        "twist": _parse_twist,
+    }
 
     # -- expressions (evaluated as the module docstring says) ---------------
 
-    def _parse_signed_rational(self) -> Rat:
-        negative = False
-        while self.at_punct("-"):
-            self.advance()
-            negative = not negative
+    def _parse_literal(self) -> tuple[int, int]:
+        """``p[/q]``: the numerator and the nonzero denominator."""
         numerator = self.expect_int()
         denominator = 1
         if self.at_punct("/"):
@@ -484,8 +456,15 @@ class _Parser:
             denominator = self.expect_int()
             if denominator == 0:
                 raise self.error("zero denominator")
-        value = Fraction(numerator, denominator)
-        return -value if negative else value
+        return numerator, denominator
+
+    def _parse_signed_rational(self) -> Rat:
+        negative = False
+        while self.at_punct("-"):
+            self.advance()
+            negative = not negative
+        numerator, denominator = self._parse_literal()
+        return Fraction(-numerator if negative else numerator, denominator)
 
     def _parse_tpoly(self) -> TPoly:
         assert self.order is not None
@@ -548,12 +527,7 @@ class _Parser:
                 a_d = a_k = 0
                 gen = None
                 if start.kind == "int":
-                    a_num = self.expect_int()
-                    if self.at_punct("/"):
-                        self.advance()
-                        a_den = self.expect_int()
-                        if a_den == 0:
-                            raise self.error("zero denominator")
+                    a_num, a_den = self._parse_literal()
                 elif start.kind == "ident":
                     self.advance()
                     if start.text == "t":

@@ -277,6 +277,14 @@ def test_twist_declared_name(tmp_path):
     assert run_cli("twist", str(many), "--name", "h").returncode == 0
 
 
+def test_repeated_assignment_exits_two_with_its_location(tmp_path):
+    path = tmp_path / "repeated.mks"
+    path.write_text("ring x, y;\norder 2;\npoint p = (x = 1 y = 2 s = 1 s = 3);\n")
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 3, col 30: coordinate 's' assigned twice\n"
+
+
 def test_roundtrip_subcommand():
     proc = run_cli("roundtrip", "--cases", "8", "--seed", "7", "--json")
     assert proc.returncode == 0

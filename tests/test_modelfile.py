@@ -206,6 +206,17 @@ STATEMENT_ERRORS = [
         17,
     ),
     (HEAD + "twist g: ; unit t;", "twist unit t is not invertible", 2, 17),
+    # repeated assignments: an error at the repeated name, once its value is read
+    (HEAD + "point p = (x = 1 y = 2 s = 1 s = 3);", "coordinate 's' assigned twice", 2, 30),
+    (HEAD + "point p = (x = 1 y = 2 t = 1 t = 5);", "coordinate 't' assigned twice", 2, 30),
+    (HEAD + "conformal e: x -> x x -> y; weight 0;", "generator 'x' assigned twice", 2, 21),
+    (
+        HEAD + "twist g: y -> y + t y -> y + 2*t; unit 1;",
+        "generator 'y' assigned twice",
+        2,
+        21,
+    ),
+    (HEAD + "alpha x = 0;\nalpha x = 1;", "alpha x already declared", 3, 7),
 ]
 
 
