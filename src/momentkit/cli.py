@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("trivialize", "compute the canonical flat lifts of the generators")
 
     twist = add("twist", "apply a gauge twist and report the twisted system")
-    twist.add_argument("--seed", type=int, help="generate the twist from a seed")
-    twist.add_argument("--name", help="use a twist declared in the model")
+    source = twist.add_mutually_exclusive_group()
+    source.add_argument("--seed", type=int, help="generate the twist from a seed")
+    source.add_argument("--name", help="use a twist declared in the model")
     twist.add_argument("--emit", help="write the twisted system as a model file")
 
     tot = add("tot", "bracket of two total-space expressions")

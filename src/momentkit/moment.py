@@ -66,10 +66,13 @@ class GaugeTwist:
 
     def validate(self, system: MomentSystem) -> None:
         """Ring and order go through ``as_tpoly`` (``GeneratorMismatch`` /
-        ``OrderMismatch``); a plain ``Poly`` or rational is refused outright,
+        ``OrderMismatch``), and so does a ``phi`` key outside the ring, as in
+        ``Derivation``; a plain ``Poly`` or rational is refused outright,
         since it carries no order."""
         ring = system.ring
         n = system.n
+        for g in self.phi:
+            ring.index(g)
         for g in ring.gens:
             value = self.phi.get(g)
             if value is None:

@@ -277,6 +277,16 @@ def test_twist_declared_name(tmp_path):
     assert run_cli("twist", str(many), "--name", "h").returncode == 0
 
 
+def test_twist_seed_and_name_are_exclusive(tmp_path):
+    path = tmp_path / "twisty.mks"
+    path.write_text("ring x, y;\norder 2;\nbracket {x, y} = 1;\ntwist g: ; unit 1;\n")
+    for name in ("g", "nosuch"):
+        proc = run_cli("twist", str(path), "--seed", "3", "--name", name)
+        assert proc.returncode == 2
+        assert "not allowed with argument" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_repeated_assignment_exits_two_with_its_location(tmp_path):
     path = tmp_path / "repeated.mks"
     path.write_text("ring x, y;\norder 2;\npoint p = (x = 1 y = 2 s = 1 s = 3);\n")

@@ -199,6 +199,15 @@ def test_twist_over_a_foreign_ring_is_a_generator_mismatch(plane):
         system.twist(GaugeTwist(phi, TPoly.constant(ring, 1, 2)))
 
 
+def test_twist_of_a_generator_outside_the_ring_is_a_generator_mismatch(plane):
+    system = MomentSystem.trivial(plane, 2)
+    ring = system.ring
+    phi = {name: TPoly.generator(ring, name, 2) for name in ring.gens}
+    extra = {**phi, "w": TPoly.generator(ring, "x", 2)}
+    with pytest.raises(GeneratorMismatch, match="undeclared generator 'w'"):
+        system.twist(GaugeTwist(extra, TPoly.constant(ring, 1, 1)))
+
+
 def test_twist_refuses_plain_polys_and_rationals(plane):
     system = MomentSystem.trivial(plane, 2)
     ring = system.ring
