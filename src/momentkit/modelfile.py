@@ -24,6 +24,14 @@ conformal field, point or twist, point coordinate (``s`` and ``t`` included)
 and generator of one ``gen -> expr`` list; a repeat is an error at the
 repeated name.
 
+The parser reads the texts of the tokens, found by one ``re.findall`` over
+the text with its comments removed, and refers to a token by its index into
+that list; ``""`` is the end of input.  Text the scan cannot vouch for (a
+character outside ASCII, or one that no token may hold) is read by
+``tokenize``, which raises at the first character it rejects.  Line and
+column are computed only when an error is raised, as
+``tokenize(text)[index]``: ``tokenize`` is the one source of positions.
+
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
 accumulators of its t^0 .. t^order coefficients.  A product of atoms folds
 into one integer monomial (numerator, denominator, s-degree, t-power,
@@ -94,13 +102,28 @@ class Token(NamedTuple):
     col: int
 
 
-# A match consumes the blanks before its token.  Integers are ASCII digits.
-# An identifier continues with ``\w`` (that is, ``str.isalnum`` or ``_``) and
-# starts with ``str.isalpha`` or ``_``, which tokenize checks: ``[^\W\d]``
-# also admits characters such as ``²``.  The last group catches any other
-# character but blanks.
-_TOKEN = re.compile(r"[ \t\r]*(?:([0-9]+)|([^\W\d]\w*)|(->|[;,{}()=+\-*^/:])|([^ \t\r]))")
+# The token classes.  Integers are ASCII digits.  An identifier continues
+# with ``\w`` (that is, ``str.isalnum`` or ``_``) and starts with
+# ``str.isalpha`` or ``_``, which tokenize checks: ``[^\W\d]`` also admits
+# characters such as ``²``.
+_INT = r"[0-9]+"
+_IDENT = r"[^\W\d]\w*"
+_PUNCT = r"->|[;,{}()=+\-*^/:]"
+
+# A match consumes the blanks before its token.  The last group catches any
+# other character but blanks.
+_TOKEN = re.compile(rf"[ \t\r]*(?:({_INT})|({_IDENT})|({_PUNCT})|([^ \t\r]))")
 _KINDS = (None, "int", "ident", "punct")
+
+# The scan finds the same tokens but skips, rather than reports, a character
+# that starts none.  It vouches only for text whose characters are blanks,
+# newlines and one-character tokens, plus each ``>`` that closes a ``->``:
+# _UNVOUCHED finds any other character, such as ``@``, a lone ``>`` or
+# anything outside ASCII.
+_SCAN = re.compile(f"{_INT}|{_IDENT}|{_PUNCT}")
+_VOUCHED = " \t\r\n" + "".join(c for c in map(chr, range(128)) if _SCAN.fullmatch(c))
+_UNVOUCHED = re.compile(f"[^{re.escape(_VOUCHED)}]|(?<!-)>")
+_COMMENT = re.compile("#[^\n]*")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -118,6 +141,28 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(tuple.__new__(Token, (_KINDS[kind], value, line, col)))
     tokens.append(Token("eof", "", line, len(code) + 1))
     return tokens
+
+
+def _scan(text: str) -> list[str]:
+    """``[tok.text for tok in tokenize(text)]``, by one ``re.findall`` where
+    the text lets the scan vouch for it; otherwise by ``tokenize``, which
+    raises where the text has a character no token may hold."""
+    code = _COMMENT.sub("", text) if "#" in text else text
+    if _UNVOUCHED.search(code):
+        return [tok.text for tok in tokenize(text)]
+    texts = _SCAN.findall(code)
+    texts.append("")
+    return texts
+
+
+def _kind(text: str) -> str:
+    """The kind of a token text, as ``Token.kind``: only an int token is all
+    digits, and only the end of input is ``""``."""
+    if text.isdigit():
+        return "int"
+    if not text:
+        return "eof"
+    return "ident" if text[0].isalpha() or text[0] == "_" else "punct"
 
 
 @dataclass(frozen=True)
@@ -192,9 +237,18 @@ class ModelFile:
 
 
 class _Parser:
+    """A recursive-descent parser over the token texts of ``_scan``.
+
+    A token is its index into ``texts``; the end of input is ``""`` and the
+    cursor never moves past it.  ``error`` finds the line and column of a
+    token by ``tokenize``, so positions are computed only for an error.
+    """
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.texts = _scan(text)
         self.pos = 0
+        self.max_digits = sys.get_int_max_str_digits()
         self.ring: PolyRing | None = None
         self.order: int | None = None
         # what the model has declared, for _claim
@@ -206,156 +260,156 @@ class _Parser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> ModelError:
-        tok = tok or self.peek()
+    def error(self, message: str, at: int | None = None) -> ModelError:
+        """``message`` at token ``at``, by default the current one."""
+        tok = tokenize(self.text)[self.pos if at is None else at]
         return ModelError(message, tok.line, tok.col)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.error(f"expected {text!r}, got {tok.text!r}")
-        return self.advance()
+    def expect_punct(self, text: str) -> None:
+        # No other kind of token has a punctuation mark as its text.
+        got = self.texts[self.pos]
+        if got != text:
+            raise self.error(f"expected {text!r}, got {got!r}")
+        self.pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, got {tok.text!r}")
-        return self.advance()
+    def expect_ident(self, what: str = "identifier") -> str:
+        text = self.texts[self.pos]
+        if _kind(text) != "ident":
+            raise self.error(f"expected {what}, got {text!r}")
+        self.pos += 1
+        return text
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.error(f"expected integer, got {tok.text!r}")
-        limit = sys.get_int_max_str_digits()
-        if limit and len(tok.text) > limit:
-            raise self.error(f"integer literal longer than {limit} digits")
-        self.advance()
-        return int(tok.text)
+        text = self.texts[self.pos]
+        if not text.isdigit():
+            raise self.error(f"expected integer, got {text!r}")
+        if self.max_digits and len(text) > self.max_digits:
+            raise self.error(f"integer literal longer than {self.max_digits} digits")
+        self.pos += 1
+        return int(text)
 
     def at_punct(self, text: str) -> bool:
-        # No other kind of token has a punctuation mark as its text.
-        return self.tokens[self.pos].text == text
+        return self.texts[self.pos] == text
 
     # -- model -------------------------------------------------------------
 
     def parse_model(self) -> ModelFile:
         model = ModelFile((), 0)
-        while (tok := self.peek()).kind != "eof":
-            if tok.kind != "ident":
-                raise self.error(f"expected a statement, got {tok.text!r}")
-            statement = self._STATEMENTS.get(tok.text)
+        while keyword := self.peek():
+            at = self.pos
+            if _kind(keyword) != "ident":
+                raise self.error(f"expected a statement, got {keyword!r}")
+            statement = self._STATEMENTS.get(keyword)
             if statement is None:
-                raise self.error(f"unknown statement {tok.text!r}")
-            self.advance()
-            if tok.text not in ("ring", "order"):
-                self._require_header("{!r} must be declared first", tok)
-            if tok.text in ("ring", "order", "conformal"):
-                self._claim(self.declared, tok.text, f"duplicate {tok.text!r} declaration", tok)
-            statement(self, model, tok)
-        self._require_header("missing {!r} declaration", tok)
+                raise self.error(f"unknown statement {keyword!r}")
+            self.pos += 1
+            if keyword not in ("ring", "order"):
+                self._require_header("{!r} must be declared first", at)
+            if keyword in ("ring", "order", "conformal"):
+                self._claim(self.declared, keyword, f"duplicate {keyword!r} declaration", at)
+            statement(self, model, at)
+        self._require_header("missing {!r} declaration", self.pos)
         return model
 
-    def _require_header(self, message: str, tok: Token) -> None:
+    def _require_header(self, message: str, at: int) -> None:
         """Raise ``message`` about the first of ring and order not declared yet."""
         for keyword in ("ring", "order"):
             if keyword not in self.declared:
-                raise self.error(message.format(keyword), tok)
+                raise self.error(message.format(keyword), at)
 
-    def _claim(self, seen: set, key: object, message: str, tok: Token) -> None:
-        """Add ``key`` to ``seen``; a key already there is ``message`` at ``tok``.
+    def _claim(self, seen: set, key: object, message: str, at: int) -> None:
+        """Add ``key`` to ``seen``; a key already there is ``message`` at ``at``.
         Every uniqueness rule of the language goes through here."""
         if key in seen:
-            raise self.error(message, tok)
+            raise self.error(message, at)
         seen.add(key)
 
-    def _declared_name(self, kind: str) -> Token:
-        """The name of a new ``kind``: not reserved, not given to a ``kind`` before."""
-        tok = self.expect_ident(f"{kind} name")
-        name = tok.text
+    def _declared_name(self, kind: str) -> tuple[str, int]:
+        """The name of a new ``kind`` and its token: not reserved, not given
+        to a ``kind`` before."""
+        at = self.pos
+        name = self.expect_ident(f"{kind} name")
         if name in RESERVED:
-            raise self.error(f"name {name!r} is reserved", tok)
-        self._claim(self.declared, (kind, name), f"{kind} {name!r} already declared", tok)
-        return tok
+            raise self.error(f"name {name!r} is reserved", at)
+        self._claim(self.declared, (kind, name), f"{kind} {name!r} already declared", at)
+        return name, at
 
-    def _generator(self) -> Token:
-        tok = self.expect_ident("generator")
-        if tok.text not in self._ring().gens:
-            raise self.error(f"undeclared generator {tok.text!r}", tok)
-        return tok
+    def _generator(self) -> str:
+        at = self.pos
+        name = self.expect_ident("generator")
+        if name not in self._ring().gens:
+            raise self.error(f"undeclared generator {name!r}", at)
+        return name
 
     def _expect_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"expected {word!r}, got {tok.text!r}")
-        self.advance()
+        # Only an identifier token can have a keyword as its text.
+        text = self.texts[self.pos]
+        if text != word:
+            raise self.error(f"expected {word!r}, got {text!r}")
+        self.pos += 1
 
-    def _parse_pairs(self) -> Iterator[tuple[str, TPoly, Token, Token]]:
+    def _parse_pairs(self) -> Iterator[tuple[str, TPoly, int, int]]:
         """The ``gen -> expr`` pairs up to ``;``: the generator, its value,
         and the tokens where each starts.  The caller checks each value
         before the next pair is read."""
         mapped: set[str] = set()
-        while self.peek().kind == "ident":
-            gen_tok = self._generator()
+        while _kind(self.peek()) == "ident":
+            gen_at = self.pos
+            g = self._generator()
             self.expect_punct("->")
-            expr_tok = self.peek()
+            expr_at = self.pos
             value = self._parse_tpoly()
-            g = gen_tok.text
-            self._claim(mapped, g, f"generator {g!r} assigned twice", gen_tok)
-            yield g, value, gen_tok, expr_tok
+            self._claim(mapped, g, f"generator {g!r} assigned twice", gen_at)
+            yield g, value, gen_at, expr_at
         self.expect_punct(";")
 
-    def _parse_truncated(self, message: str) -> tuple[TPoly, Token]:
+    def _parse_truncated(self, message: str) -> tuple[TPoly, int]:
         """An expression of t-degree at most n-1 and its ``;``, truncated to
         n-1, and the token where it starts; a higher degree is ``message``
         formatted with ``degree``, ``n`` and ``top`` = n-1."""
-        tok = self.peek()
+        at = self.pos
         value = self._parse_tpoly()
         self.expect_punct(";")
         n = self.order
         assert n is not None
         if value.t_degree() > n - 1:
-            raise self.error(message.format(degree=value.t_degree(), n=n, top=n - 1), tok)
-        return value.truncate(n - 1), tok
+            raise self.error(message.format(degree=value.t_degree(), n=n, top=n - 1), at)
+        return value.truncate(n - 1), at
 
     # -- statements: each writes into the model -------------------------------
 
-    def _parse_ring(self, model: ModelFile, keyword: Token) -> None:
+    def _parse_ring(self, model: ModelFile, keyword: int) -> None:
         names: list[str] = []
         while True:
-            tok = self.expect_ident("generator name")
-            if tok.text in RESERVED:
-                raise self.error(f"generator name {tok.text!r} is reserved", tok)
-            name = tok.text
-            self._claim(self.declared, ("generator", name), f"duplicate generator {name!r}", tok)
+            at = self.pos
+            name = self.expect_ident("generator name")
+            if name in RESERVED:
+                raise self.error(f"generator name {name!r} is reserved", at)
+            self._claim(self.declared, ("generator", name), f"duplicate generator {name!r}", at)
             names.append(name)
             if not self.at_punct(","):
                 break
-            self.advance()
+            self.pos += 1
         self.expect_punct(";")
         self.ring = PolyRing(names)
         model.generators = self.ring.gens
 
-    def _parse_order(self, model: ModelFile, keyword: Token) -> None:
+    def _parse_order(self, model: ModelFile, keyword: int) -> None:
         value = self.expect_int()
         if value < 1:
             raise self.error("order must be >= 1", keyword)
         self.order = model.order = value
         self.expect_punct(";")
 
-    def _parse_bracket(self, model: ModelFile, keyword: Token) -> None:
+    def _parse_bracket(self, model: ModelFile, keyword: int) -> None:
         self.expect_punct("{")
-        first = self._generator()
+        first = self.pos
+        a = self._generator()
         self.expect_punct(",")
-        a, b = first.text, self._generator().text
+        b = self._generator()
         self.expect_punct("}")
         if a == b:
             raise self.error("bracket needs two distinct generators", first)
@@ -367,72 +421,72 @@ class _Parser:
         if not value.is_zero():
             model.brackets[(a, b)] = value
 
-    def _parse_alpha(self, model: ModelFile, keyword: Token) -> None:
-        tok = self._generator()
-        g = tok.text
-        self._claim(self.declared, ("alpha", g), f"alpha {g} already declared", tok)
+    def _parse_alpha(self, model: ModelFile, keyword: int) -> None:
+        at = self.pos
+        g = self._generator()
+        self._claim(self.declared, ("alpha", g), f"alpha {g} already declared", at)
         self.expect_punct("=")
         entry, _ = self._parse_truncated("alpha order exceeds n-1: t-degree {degree} at order {n}")
         if not entry.is_zero():
             model.alphas[g] = entry
 
-    def _parse_conformal(self, model: ModelFile, keyword: Token) -> None:
-        name = self._declared_name("conformal field").text
+    def _parse_conformal(self, model: ModelFile, keyword: int) -> None:
+        name, _ = self._declared_name("conformal field")
         self.expect_punct(":")
-        if self.peek().kind != "ident":
+        if _kind(self.peek()) != "ident":
             raise self.error("conformal declaration needs at least one 'gen -> expr' pair")
         ring = self._ring()
         values = {g: ring.zero() for g in ring.gens}
-        for g, value, _, expr_tok in self._parse_pairs():
+        for g, value, _, expr_at in self._parse_pairs():
             if value.t_degree() > 0:
-                raise self.error("conformal field values must not involve t", expr_tok)
+                raise self.error("conformal field values must not involve t", expr_at)
             values[g] = value.coefficient(0)
         self._expect_keyword("weight")
         weight = self._parse_signed_rational()
         self.expect_punct(";")
         model.conformal = ConformalDecl(name, values, weight)
 
-    def _parse_point(self, model: ModelFile, keyword: Token) -> None:
-        name_tok = self._declared_name("point")
+    def _parse_point(self, model: ModelFile, keyword: int) -> None:
+        name, name_at = self._declared_name("point")
         self.expect_punct("=")
         self.expect_punct("(")
         gens = self._ring().gens
         coords: dict[str, Rat] = {}
         assigned: set[str] = set()
-        while self.peek().kind == "ident":
-            tok = self.advance()
-            coord = tok.text
+        while _kind(coord := self.peek()) == "ident":
+            at = self.pos
+            self.pos += 1
             self.expect_punct("=")
             value = self._parse_signed_rational()
             if coord not in gens and coord not in ("s", "t"):
-                raise self.error(f"undeclared generator {coord!r}", tok)
+                raise self.error(f"undeclared generator {coord!r}", at)
             if coord == "s" and value == 0:
-                raise self.error("the s-coordinate must be nonzero", tok)
-            self._claim(assigned, coord, f"coordinate {coord!r} assigned twice", tok)
+                raise self.error("the s-coordinate must be nonzero", at)
+            self._claim(assigned, coord, f"coordinate {coord!r} assigned twice", at)
             coords[coord] = value
         self.expect_punct(")")
         self.expect_punct(";")
         s, t = coords.pop("s", None), coords.pop("t", Fraction(0))
         missing = [g for g in gens if g not in coords]
         if missing:
-            raise self.error(f"point misses generators {missing}", name_tok)
-        model.points[name_tok.text] = Point(coords, s, t)
+            raise self.error(f"point misses generators {missing}", name_at)
+        model.points[name] = Point(coords, s, t)
 
-    def _parse_twist(self, model: ModelFile, keyword: Token) -> None:
-        name = self._declared_name("twist").text
+    def _parse_twist(self, model: ModelFile, keyword: int) -> None:
+        name, _ = self._declared_name("twist")
         self.expect_punct(":")
         ring, n = self._ring(), self.order
         phi = {g: TPoly.generator(ring, g, n) for g in ring.gens}
-        for g, value, gen_tok, _ in self._parse_pairs():
+        for g, value, gen_at, _ in self._parse_pairs():
             if value.coefficient(0) != ring.var(g):
                 raise self.error(
-                    f"twist must be the identity mod t; phi({g}) = {value}", gen_tok
+                    f"twist must be the identity mod t; phi({g}) = {value}", gen_at
                 )
             phi[g] = value
         self._expect_keyword("unit")
-        unit, tok = self._parse_truncated("twist unit has t-degree {degree}, exceeding order {top}")
+        unit, at = self._parse_truncated("twist unit has t-degree {degree}, exceeding order {top}")
         if not unit.is_unit():
-            raise self.error(f"twist unit {unit} is not invertible", tok)
+            raise self.error(f"twist unit {unit} is not invertible", at)
         model.twists[name] = GaugeTwist(phi, unit)
 
     _STATEMENTS = {
@@ -450,25 +504,27 @@ class _Parser:
     def _parse_literal(self) -> tuple[int, int]:
         """``p[/q]``: the numerator and the nonzero denominator."""
         numerator = self.expect_int()
-        denominator = 1
-        if self.at_punct("/"):
-            self.advance()
-            denominator = self.expect_int()
-            if denominator == 0:
-                raise self.error("zero denominator")
+        if self.texts[self.pos] != "/":
+            return numerator, 1
+        at = self.pos = self.pos + 1
+        denominator = self.expect_int()
+        if not denominator:
+            raise self.error("zero denominator", at)
         return numerator, denominator
 
     def _parse_signed_rational(self) -> Rat:
         negative = False
         while self.at_punct("-"):
-            self.advance()
+            self.pos += 1
             negative = not negative
         numerator, denominator = self._parse_literal()
         return Fraction(-numerator if negative else numerator, denominator)
 
     def _parse_tpoly(self) -> TPoly:
         assert self.order is not None
-        return self._parse_top(self.order, allow_s=False).tpoly(self._ring(), self.order)
+        value = self._parse_top(self.order, allow_s=False)
+        self.check_order(value)
+        return value.tpoly(self._ring(), self.order)
 
     def _parse_top(self, order: int, allow_s: bool) -> _Sum:
         """A whole expression whose t-powers may reach ``order``."""
@@ -480,23 +536,39 @@ class _Parser:
         return self._parse_expr()
 
     def parse_entry(self, ring: PolyRing, order: int, allow_s: bool) -> _Sum:
-        """The whole text as one expression over ``ring`` at ``order``."""
+        """The whole text as one expression over ``ring`` at ``order``, with
+        no over-order term at s-degree 0."""
         self.ring = ring
         self.order = order
         value = self._parse_top(order, allow_s)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}")
+        text = self.peek()
+        if text:
+            raise self.error(f"unexpected trailing input {text!r}")
+        self.check_order(value)
         return value
 
+    def check_order(self, value: _Sum) -> None:
+        """Raise if an over-order term of the expression ``value`` arose at
+        s-degree 0."""
+        got = value.over.get(0)
+        if got is not None:
+            at, k = got
+            raise self.error(f"t-degree {k} exceeding order {self.limit}", at)
+
     def _parse_expr(self) -> _Sum:
+        texts = self.texts
         total = _Sum({}, {})
         sign = 1
         while True:
             self._parse_term(total, sign)
-            if not (self.at_punct("+") or self.at_punct("-")):
+            text = texts[self.pos]
+            if text == "+":
+                sign = 1
+            elif text == "-":
+                sign = -1
+            else:
                 return total
-            sign = 1 if self.advance().text == "+" else -1
+            self.pos += 1
 
     def _parse_term(self, total: _Sum, sign: int) -> None:
         """Add ``sign`` times the product of factors at the cursor to ``total``.
@@ -508,41 +580,44 @@ class _Parser:
         flips the sign of the whole term.
         """
         ring = self._ring()
+        gens = ring.gens
+        texts = self.texts
         limit = self.limit
         num, den, d, k, expo = 1, 1, 0, 0, [0] * ring.arity
         degree = 0
         product: _Sum | None = None
-        tok: Token | None = None  # where the factor starts; None for the first
+        at: int | None = None  # where the factor starts; None for the first
         while True:
-            while self.at_punct("-"):
-                self.advance()
+            while texts[self.pos] == "-":
+                self.pos += 1
                 sign = -sign
-            start = self.peek()
+            start = self.pos
+            text = texts[start]
             factor: _Sum | None = None
-            if start.kind == "punct" and start.text == "(":
+            if text == "(":
                 factor = self._parse_group(start)
             else:
                 # the atom, with its power: a_num/a_den * s^a_d * t^a_k * gen^power
                 a_num = a_den = power = 1
                 a_d = a_k = 0
                 gen = None
-                if start.kind == "int":
+                if text.isdigit():
                     a_num, a_den = self._parse_literal()
-                elif start.kind == "ident":
-                    self.advance()
-                    if start.text == "t":
+                else:
+                    if text == "t":
                         a_k = 1
-                    elif start.text == "s":
+                    elif text == "s":
                         if not self.allow_s:
                             raise self.error("s is not allowed in this expression", start)
                         a_d = 1
-                    elif start.text in ring.gens:
-                        gen = ring.index(start.text)
+                    elif text in gens:
+                        gen = ring.index(text)
+                    elif _kind(text) == "ident":
+                        raise self.error(f"undeclared generator {text!r}", start)
                     else:
-                        raise self.error(f"undeclared generator {start.text!r}", start)
-                else:
-                    raise self.error(f"expected an expression, got {start.text!r}")
-                if self.at_punct("^"):
+                        raise self.error(f"expected an expression, got {text!r}")
+                    self.pos = start + 1
+                if texts[self.pos] == "^":
                     power = self._parse_exponent(a_d == 1)
                     if power >= 0:  # only s takes a negative power
                         a_num, a_den = a_num**power, a_den**power
@@ -557,20 +632,19 @@ class _Parser:
                         if degree > MAX_TOTAL_DEGREE:
                             raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", start)
                     if num and k > limit:
-                        product = _Sum({}, {d: (tok, k)})
+                        product = _Sum({}, {d: (at, k)})
                 else:
                     a_expo = [0] * ring.arity
                     if gen is not None:
                         a_expo[gen] = power
                     factor = self._term(a_num, a_den, a_d, a_k, a_expo, start)
             if factor is not None:
-                if product is None and tok is not None:
-                    product = self._term(num, den, d, k, expo, tok)
-                product = factor if product is None else self._mul(product, factor, tok)
-            if not self.at_punct("*"):
+                if product is None and at is not None:
+                    product = self._term(num, den, d, k, expo, at)
+                product = factor if product is None else self._mul(product, factor, at)
+            if texts[self.pos] != "*":
                 break
-            self.advance()
-            tok = self.peek()
+            at = self.pos = self.pos + 1
         if product is None:
             if num:
                 term = (_Slot(den, {ring.pack(expo): num}),)
@@ -582,16 +656,17 @@ class _Parser:
             total.over.setdefault(deg, where)
 
     def _parse_exponent(self, allow_negative: bool) -> int:
-        caret = self.advance()
+        caret = self.pos
+        self.pos += 1
         if self.at_punct("-"):
             if not allow_negative:
                 raise self.error("negative exponents are only allowed on s", caret)
-            self.advance()
+            self.pos += 1
             return -self.expect_int()
         return self.expect_int()
 
-    def _parse_group(self, start: Token) -> _Sum:
-        self.advance()
+    def _parse_group(self, start: int) -> _Sum:
+        self.pos += 1
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", start)
@@ -606,21 +681,21 @@ class _Parser:
         assert self.ring is not None
         return self.ring
 
-    def _term(self, num: int, den: int, d: int, k: int, expo: list[int], tok: Token) -> _Sum:
-        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``; ``tok``
-        is where it arose."""
+    def _term(self, num: int, den: int, d: int, k: int, expo: list[int], at: int) -> _Sum:
+        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``; ``at``
+        is the token where it arose."""
         if not num:
             return _Sum({}, {})
         try:
             key = self._ring().pack(expo)
         except OverflowError as exc:
-            raise self.error(str(exc), tok) from None
+            raise self.error(str(exc), at) from None
         slots = new_slots(self.limit)
         slots[k] = _Slot(den, {key: num})
         return _Sum({d: slots}, {})
 
-    def _mul(self, a: _Sum, b: _Sum, tok: Token) -> _Sum:
-        """``a * b`` by kernel products; ``tok`` is where ``b`` starts."""
+    def _mul(self, a: _Sum, b: _Sum, at: int) -> _Sum:
+        """``a * b`` by kernel products; ``b`` starts at token ``at``."""
         limit = self.limit
         support_a, support_b = a.support(), b.support()
         result = _Sum({}, {})
@@ -641,10 +716,10 @@ class _Parser:
                 if nums and max(nums) >= key_limit and any(
                     nums[key] for key in nums if key >= key_limit
                 ):
-                    raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", tok)
+                    raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", at)
         over = result.over
         for d in sorted(lowest):
-            over[d] = (tok, lowest[d])
+            over[d] = (at, lowest[d])
         # An over-order term times a nonzero cofactor is over-order too.
         for mine, theirs, support in ((a, b, support_b), (b, a, support_a)):
             if mine.over:
@@ -654,21 +729,21 @@ class _Parser:
                         over.setdefault(d + e, where)
         return result
 
-    def _power(self, value: _Sum, exponent: int, tok: Token) -> _Sum:
+    def _power(self, value: _Sum, exponent: int, at: int) -> _Sum:
         ring = self._ring()
         terms = list(islice(value.terms(), 2))
         if not value.over and len(terms) < 2:
             # zero or one term: scale its exponents
             d, k, den, key, num = terms[0] if terms else (0, 0, 1, 0, 0)
             if k * exponent > self.limit:
-                return _Sum({}, {d * exponent: (tok, k * exponent)})
+                return _Sum({}, {d * exponent: (at, k * exponent)})
             expo = [e * exponent for e in ring.unpack(key)]
             return self._term(
-                num**exponent, den**exponent, d * exponent, k * exponent, expo, tok
+                num**exponent, den**exponent, d * exponent, k * exponent, expo, at
             )
-        result = self._term(1, 1, 0, 0, [0] * ring.arity, tok)
+        result = self._term(1, 1, 0, 0, [0] * ring.arity, at)
         for _ in range(exponent):
-            result = self._mul(result, value, tok)
+            result = self._mul(result, value, at)
         return result
 
 
@@ -677,14 +752,14 @@ class _Sum:
     slots of the s^d coefficient (cancelled numerators may stay as 0).
 
     Terms past the limit are not kept; ``over`` maps each s-degree at which
-    one arose to the token where it arose and its t-power (the lowest of that
-    product).  A product with an over-order term is over-order too, but a
+    one arose to the index of the token where it arose and its t-power (the
+    lowest of that product).  A product with an over-order term is over-order too, but a
     power of s can move it to another s-degree: products carry ``over`` along.
     """
 
     __slots__ = ("parts", "over")
 
-    def __init__(self, parts: dict[int, Slots], over: dict[int, tuple[Token, int]]):
+    def __init__(self, parts: dict[int, Slots], over: dict[int, tuple[int, int]]):
         self.parts = parts
         self.over = over
 
@@ -713,18 +788,8 @@ class _Sum:
                 out[d] = ks
         return out
 
-    def check_order(self, order: int) -> None:
-        """Raise if an over-order term arose at s-degree 0."""
-        got = self.over.get(0)
-        if got is not None:
-            tok, k = got
-            raise ModelError(f"t-degree {k} exceeding order {order}", tok.line, tok.col)
-
     def tpoly(self, ring: PolyRing, order: int, d: int = 0) -> TPoly:
-        """The s^d coefficient at ``order``; an s-degree 0 value is checked
-        first, higher t-powers of other degrees are dropped."""
-        if d == 0:
-            self.check_order(order)
+        """The s^d coefficient at ``order``, higher t-powers dropped."""
         slots = self.parts.get(d)
         return TPoly.from_slots(ring, slots[: order + 1] if slots else new_slots(order))
 
@@ -751,7 +816,6 @@ def parse_tot_expression(text: str, line: LineData) -> TotElement:
     (the quotient map, t^n acts as 0).
     """
     value = _Parser(text).parse_entry(line.ring, line.order, allow_s=True)
-    value.check_order(line.order)
     # A degree with a nonzero term is kept even if the reduction empties it,
     # so the Laurent degree bound applies to it.
     return TotElement(

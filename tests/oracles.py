@@ -16,7 +16,7 @@ from operator import add
 
 from momentkit.algebra import Poly, TPoly
 from momentkit.line import TotElement
-from momentkit.modelfile import MAX_NESTING, ModelError, _Parser
+from momentkit.modelfile import MAX_NESTING, _Parser
 
 
 def det(rows):
@@ -231,10 +231,10 @@ class _Terms:
 
     ``terms`` maps ``(d, k, e)`` to a nonzero ``Fraction``.  Terms whose
     t-power exceeds the parse order are not kept; ``over`` maps each s-degree
-    at which one arose to the token where it arose and its t-power.  A product
-    with an over-order term is over-order too, so such a term never comes back
-    into range, but a power of s can move it to another s-degree: products
-    carry ``over`` along.
+    at which one arose to the index of the token where it arose and its
+    t-power.  A product with an over-order term is over-order too, so such a
+    term never comes back into range, but a power of s can move it to another
+    s-degree: products carry ``over`` along.
     """
 
     __slots__ = ("terms", "over")
@@ -259,7 +259,7 @@ class _Terms:
         for d, where in other.over.items():
             self.over.setdefault(d, where)
 
-    def mul(self, other, tok, limit):
+    def mul(self, other, at, limit):
         terms = {}
         lowest = {}
         b_items = list(other.terms.items())
@@ -271,7 +271,7 @@ class _Terms:
                     continue
                 key = (da + db, k, tuple(map(add, ea, eb)))
                 terms[key] = terms.get(key, 0) + ca * cb
-        over = {d: (tok, lowest[d]) for d in sorted(lowest)}
+        over = {d: (at, lowest[d]) for d in sorted(lowest)}
         for mine, theirs in ((self, other), (other, self)):
             if mine.over:
                 degrees = {d for d, _, _ in theirs.terms} | set(theirs.over)
@@ -280,7 +280,7 @@ class _Terms:
                         over.setdefault(d + e, where)
         return _Terms({key: c for key, c in terms.items() if c}, over)
 
-    def power(self, exponent, tok, limit, zero):
+    def power(self, exponent, at, limit, zero):
         if not self.terms and not self.over:
             return _Terms({}, {}) if exponent else _Terms.term(0, 0, zero, 1)
         if len(self.terms) == 1 and not self.over:
@@ -288,24 +288,18 @@ class _Terms:
             # reaches here on a bare s).
             ((d, k, expo), c), = self.terms.items()
             if k * exponent > limit:
-                return _Terms({}, {d * exponent: (tok, k * exponent)})
+                return _Terms({}, {d * exponent: (at, k * exponent)})
             return _Terms.term(
                 d * exponent, k * exponent, tuple(e * exponent for e in expo), c**exponent
             )
         result = _Terms.term(0, 0, zero, 1)
         for _ in range(exponent):
-            result = result.mul(self, tok, limit)
+            result = result.mul(self, at, limit)
         return result
 
     def negate(self):
         for key, c in self.terms.items():
             self.terms[key] = -c
-
-    def check_order(self, order):
-        got = self.over.get(0)
-        if got is not None:
-            tok, k = got
-            raise ModelError(f"t-degree {k} exceeding order {order}", tok.line, tok.col)
 
     def coefficient(self, ring, degree, order):
         slots = [{} for _ in range(order + 1)]
@@ -321,36 +315,38 @@ class _TermMapParser(_Parser):
 
     def _parse_expr(self):
         value = self._parse_term()
-        while self.at_punct("+") or self.at_punct("-"):
-            sign = 1 if self.advance().text == "+" else -1
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.peek() == "+" else -1
+            self.pos += 1
             value.add(self._parse_term(), sign)
         return value
 
     def _parse_term(self):
         value = self._parse_factor()
         while self.at_punct("*"):
-            self.advance()
-            tok = self.peek()
-            value = value.mul(self._parse_factor(), tok, self.limit)
+            self.pos += 1
+            at = self.pos
+            value = value.mul(self._parse_factor(), at, self.limit)
         return value
 
     def _parse_factor(self):
         negative = False
         while self.at_punct("-"):
-            self.advance()
+            self.pos += 1
             negative = not negative
-        tok = self.peek()
+        at = self.pos
         value, is_s = self._parse_atom()
         if self.at_punct("^"):
-            caret = self.advance()
+            caret = self.pos
+            self.pos += 1
             sign = 1
             if self.at_punct("-"):
                 if not is_s:
                     raise self.error("negative exponents are only allowed on s", caret)
-                self.advance()
+                self.pos += 1
                 sign = -1
             zero = (0,) * self._ring().arity
-            value = value.power(sign * self.expect_int(), tok, self.limit, zero)
+            value = value.power(sign * self.expect_int(), at, self.limit, zero)
         if negative:
             value.negate()
         return value
@@ -358,32 +354,33 @@ class _TermMapParser(_Parser):
     def _parse_atom(self):
         ring = self._ring()
         zero = (0,) * ring.arity
-        tok = self.peek()
-        if tok.kind == "int":
+        at = self.pos
+        text = self.peek()
+        if text.isdigit():
             return _Terms.term(0, 0, zero, self._parse_signed_rational()), False
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
+        if text[:1].isalpha() or text[:1] == "_":
+            self.pos += 1
+            if text == "t":
                 return _Terms.term(0, 1, zero, 1), False
-            if tok.text == "s":
+            if text == "s":
                 if not self.allow_s:
-                    raise self.error("s is not allowed in this expression", tok)
+                    raise self.error("s is not allowed in this expression", at)
                 return _Terms.term(1, 0, zero, 1), True
-            if tok.text not in ring.gens:
-                raise self.error(f"undeclared generator {tok.text!r}", tok)
+            if text not in ring.gens:
+                raise self.error(f"undeclared generator {text!r}", at)
             expo = [0] * ring.arity
-            expo[ring.index(tok.text)] = 1
+            expo[ring.index(text)] = 1
             return _Terms.term(0, 0, tuple(expo), 1), False
-        if self.at_punct("("):
-            self.advance()
+        if text == "(":
+            self.pos += 1
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", tok)
+                raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", at)
             value = self._parse_expr()
             self.expect_punct(")")
             self.depth -= 1
             return value, False
-        raise self.error(f"expected an expression, got {tok.text!r}")
+        raise self.error(f"expected an expression, got {text!r}")
 
 
 def evaluate_by_term_map(text, ring, order, line=None):
@@ -398,10 +395,8 @@ def evaluate_by_term_map(text, ring, order, line=None):
     """
     if line is None:
         value = _TermMapParser(text).parse_entry(ring, order, allow_s=False)
-        value.check_order(order)
         return value.coefficient(ring, 0, order)
     value = _TermMapParser(text).parse_entry(line.ring, line.order, allow_s=True)
-    value.check_order(line.order)
     degrees = {d for d, _, _ in value.terms}
     return TotElement(
         line, {d: value.coefficient(line.ring, d, line.coefficient_order(d)) for d in degrees}

@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from momentkit.modelfile import (
     model_from_system,
     parse_model,
     parse_polynomial,
+    _scan,
     parse_tot_expression,
     tokenize,
 )
@@ -147,7 +149,7 @@ STATEMENT_ERRORS = [
         3,
         10,
     ),
-    (HEAD + "bracket {x, y} = 1/0 + x;", "zero denominator", 2, 22),
+    (HEAD + "bracket {x, y} = 1/0 + x;", "zero denominator", 2, 20),
     (HEAD + "alpha z = 1;", "undeclared generator 'z'", 2, 7),
     (HEAD + "alpha x = 1;\nalpha x = 2;", "alpha x already declared", 3, 7),
     (HEAD + "alpha y = t^2*x;", "alpha order exceeds n-1: t-degree 2 at order 2", 2, 11),
@@ -172,7 +174,7 @@ STATEMENT_ERRORS = [
     ),
     (HEAD + "conformal e: x -> x; unit 0;", "expected 'weight', got 'unit'", 2, 22),
     (HEAD + "conformal e: x -> x; 3;", "expected 'weight', got '3'", 2, 22),
-    (HEAD + "conformal e: x -> x; weight -1/0;", "zero denominator", 2, 33),
+    (HEAD + "conformal e: x -> x; weight -1/0;", "zero denominator", 2, 32),
     (HEAD + "point s = (x = 1 y = 2);", "name 's' is reserved", 2, 7),
     (
         HEAD + "point p = (x = 1 y = 2);\npoint p = (x = 0 y = 0);",
@@ -184,7 +186,7 @@ STATEMENT_ERRORS = [
     (HEAD + "point p = (x = 1 y = 2 x = 3);", "coordinate 'x' assigned twice", 2, 24),
     (HEAD + "point p = (x = 1 z = 2);", "undeclared generator 'z'", 2, 18),
     (HEAD + "point p = (y = 1);", "point misses generators ['x']", 2, 7),
-    (HEAD + "point p = (x = 1/0 y = 2);", "zero denominator", 2, 20),
+    (HEAD + "point p = (x = 1/0 y = 2);", "zero denominator", 2, 18),
     (HEAD + "twist unit: ; unit 1;", "name 'unit' is reserved", 2, 7),
     (
         HEAD + "twist g: ; unit 1;\ntwist g: ; unit 2;",
@@ -239,6 +241,33 @@ def test_comments_and_whitespace():
     text = "# header\n  ring x , y ;# inline\n\torder 1;\n"
     model = parse_model(text)
     assert model.generators == ("x", "y")
+
+
+# characters the scan must not vouch for, next to the ones it reads
+_SCAN_PIECES = st.one_of(
+    st.sampled_from(["->", "-->", "->>", ">", "@", ".", "#", " ", "\r", "\t", "\n"]),
+    st.sampled_from(["\N{LATIN SMALL LETTER E WITH ACUTE}", "\N{SUPERSCRIPT TWO}"]),
+    st.just("\N{ARABIC-INDIC DIGIT THREE}"),
+    st.sampled_from(string.ascii_letters + string.digits),
+    st.sampled_from(string.punctuation),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SCAN_PIECES, max_size=30).map("".join))
+def test_scan_agrees_with_tokenize(text):
+    try:
+        expected = [tok.text for tok in tokenize(text)]
+    except ModelError as err:
+        with pytest.raises(ModelError) as got:
+            _scan(text)
+        assert (got.value.message, got.value.line, got.value.col) == (
+            err.message,
+            err.line,
+            err.col,
+        ), text
+        return
+    assert _scan(text) == expected, text
 
 
 def test_parse_polynomial_round_trip():
@@ -646,6 +675,7 @@ def test_mutated_models_round_trip_or_fail_with_a_location(text):
     try:
         model = parse_model(text)
     except ModelError as err:
-        assert err.line >= 1 and err.col >= 1, text
+        # the location of a token, or of the end of input
+        assert (err.line, err.col) in {(tok.line, tok.col) for tok in tokenize(text)}, text
         return
     assert parse_model(model.render()) == model, text
