@@ -327,15 +327,14 @@ class _Parser:
             raise self.error(message, at)
         seen.add(key)
 
-    def _declared_name(self, kind: str) -> tuple[str, int]:
-        """The name of a new ``kind`` and its token: not reserved, not given
-        to a ``kind`` before."""
+    def _declared_name(self, kind: str) -> str:
+        """The name of a new ``kind``: not reserved, not given to a ``kind`` before."""
         at = self.pos
         name = self.expect_ident(f"{kind} name")
         if name in RESERVED:
             raise self.error(f"name {name!r} is reserved", at)
         self._claim(self.declared, (kind, name), f"{kind} {name!r} already declared", at)
-        return name, at
+        return name
 
     def _generator(self) -> str:
         at = self.pos
@@ -431,7 +430,7 @@ class _Parser:
             model.alphas[g] = entry
 
     def _parse_conformal(self, model: ModelFile, keyword: int) -> None:
-        name, _ = self._declared_name("conformal field")
+        name = self._declared_name("conformal field")
         self.expect_punct(":")
         if _kind(self.peek()) != "ident":
             raise self.error("conformal declaration needs at least one 'gen -> expr' pair")
@@ -447,7 +446,8 @@ class _Parser:
         model.conformal = ConformalDecl(name, values, weight)
 
     def _parse_point(self, model: ModelFile, keyword: int) -> None:
-        name, name_at = self._declared_name("point")
+        name_at = self.pos
+        name = self._declared_name("point")
         self.expect_punct("=")
         self.expect_punct("(")
         gens = self._ring().gens
@@ -473,7 +473,7 @@ class _Parser:
         model.points[name] = Point(coords, s, t)
 
     def _parse_twist(self, model: ModelFile, keyword: int) -> None:
-        name, _ = self._declared_name("twist")
+        name = self._declared_name("twist")
         self.expect_punct(":")
         ring, n = self._ring(), self.order
         phi = {g: TPoly.generator(ring, g, n) for g in ring.gens}
@@ -523,7 +523,7 @@ class _Parser:
     def _parse_tpoly(self) -> TPoly:
         assert self.order is not None
         value = self._parse_top(self.order, allow_s=False)
-        self.check_order(value)
+        self._check_order(value)
         return value.tpoly(self._ring(), self.order)
 
     def _parse_top(self, order: int, allow_s: bool) -> _Sum:
@@ -544,10 +544,10 @@ class _Parser:
         text = self.peek()
         if text:
             raise self.error(f"unexpected trailing input {text!r}")
-        self.check_order(value)
+        self._check_order(value)
         return value
 
-    def check_order(self, value: _Sum) -> None:
+    def _check_order(self, value: _Sum) -> None:
         """Raise if an over-order term of the expression ``value`` arose at
         s-degree 0."""
         got = value.over.get(0)

@@ -16,7 +16,7 @@ from operator import add
 
 from momentkit.algebra import Poly, TPoly
 from momentkit.line import TotElement
-from momentkit.modelfile import MAX_NESTING, _Parser
+from momentkit.modelfile import MAX_NESTING, _kind, _Parser
 
 
 def det(rows):
@@ -356,9 +356,10 @@ class _TermMapParser(_Parser):
         zero = (0,) * ring.arity
         at = self.pos
         text = self.peek()
-        if text.isdigit():
+        kind = _kind(text)
+        if kind == "int":
             return _Terms.term(0, 0, zero, self._parse_signed_rational()), False
-        if text[:1].isalpha() or text[:1] == "_":
+        if kind == "ident":
             self.pos += 1
             if text == "t":
                 return _Terms.term(0, 1, zero, 1), False
