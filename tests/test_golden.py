@@ -86,6 +86,10 @@ alpha y = 2*t*x*z - 1/2*t*z + 1/4*t^2*x*z - 2*t^2*y*z - 1/8*t^3*x^2*z + 1/2*t^3*
 alpha z = 1/2*t*y - 1/4*t^2*x*y + 1/8*t^3*x^2*y - 1/2*t^3*x*z + 1/4*t^3*y^2;
 """
 
+# SO3_TWISTED with the Euler field: the system passes verification, and the
+# extension fails on every generator pair and every module pair.
+SO3_TWISTED_CONFORMAL = SO3_TWISTED + "conformal euler: x -> x y -> y z -> z; weight -1;\n"
+
 # so3 written loosely: comments, tabs, CRLF line ends, nested parentheses
 # and parenthesised twist values.
 LOOSE_SO3 = (
@@ -132,6 +136,7 @@ CASES = {
     "rank_tot": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "tot"], None),
     "conformal_worked": (WORKED, ["conformal", "model.mks"], None),
     "conformal_weight_3": (WORKED_WEIGHT_3, ["conformal", "model.mks"], None),
+    "conformal_so3_twisted": (SO3_TWISTED_CONFORMAL, ["conformal", "model.mks"], None),
     "roundtrip_seed_0": (None, ["roundtrip", "--cases", "20", "--seed", "0"], None),
     "roundtrip_seed_100": (None, ["roundtrip", "--cases", "20", "--seed", "100"], None),
 }

@@ -185,6 +185,17 @@ def test_tot_jacobi_equivalence_documented_failure(plane2):
     assert check.findings[0].witness == ("x", "y", "s")
 
 
+def test_tot_jacobi_findings_pinned():
+    # a corrupted datum over the plane at order 2: both Laurent witnesses
+    # fail, each with its full rendered residual
+    check = random_line_data(3, corrupt=True).verify_tot_jacobi()
+    assert check.name == "tot-jacobi" and not check.passed
+    assert [(f.witness, f.residual) for f in check.findings] == [
+        (("x", "y", "s"), "-1/3*s"),
+        (("x", "y", "s^-1"), "1/3*s^-1"),
+    ]
+
+
 def test_tot_jacobi_zero_bracket_any_alpha(zero_bracket):
     system = MomentSystem.trivial(zero_bracket, 2)
     rng = random.Random(5)
