@@ -250,7 +250,7 @@ def _cmd_conformal(args: argparse.Namespace) -> RunReport:
         return RunReport("conformal", False, 1, [exc.check], {"weight": str(decl.weight)})
     details = {
         "weight": str(decl.weight),
-        "mu": None if extension.mu is None else str(extension.mu),
+        "mu": str(extension.mu),
         "h": "free constant" if extension.h_is_free else "non-constant h required",
         "notes": list(extension.notes),
     }

@@ -49,7 +49,7 @@ from .algebra import (
     new_slots,
 )
 from .poisson import PoissonStructure, jacobi_sum
-from .reporting import Check, Finding
+from .reporting import Check
 
 DEFAULT_DEGREE_BOUND = 16
 DEGREE_BOUND_ENV = "MOMENTKIT_DEGREE_BOUND"
@@ -151,19 +151,17 @@ class LineData:
         gens = self.ring.gens
         fields = self._generator_fields
         alpha = self.alpha.values
-        findings = []
-        for a, b in combinations(gens, 2):
-            defect = (
-                fields[a].apply(alpha[b])
-                - fields[b].apply(alpha[a])
-                - self.alpha_apply(self.base.gen_bracket(a, b))
-            )
-            if not defect.is_zero():
-                findings.append(Finding((a, b), str(defect)))
-        return Check(
+        return Check.of(
             "cocycle",
-            not findings,
-            tuple(findings),
+            (
+                (
+                    (a, b),
+                    fields[a].apply(alpha[b])
+                    - fields[b].apply(alpha[a])
+                    - self.alpha_apply(self.base.gen_bracket(a, b)),
+                )
+                for a, b in combinations(gens, 2)
+            ),
             notes=("pairs involving t hold by construction: alpha(t) = 1, t central",),
         )
 
@@ -259,12 +257,13 @@ class LineData:
         elements.append(("s", self.s_power(1)))
         elements.append(("s^-1", self.s_power(-1)))
         elements.append(("t", self.tot_t()))
-        findings = []
-        for (na, a), (nb, b), (nc, c) in combinations(elements, 3):
-            res = jacobi_sum(self.tot_bracket, a, b, c)
-            if not res.is_zero():
-                findings.append(Finding((na, nb, nc), str(res)))
-        return Check("tot-jacobi", not findings, tuple(findings))
+        return Check.of(
+            "tot-jacobi",
+            (
+                ((na, nb, nc), jacobi_sum(self.tot_bracket, a, b, c))
+                for (na, a), (nb, b), (nc, c) in combinations(elements, 3)
+            ),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LineData):

@@ -54,7 +54,7 @@ from .algebra import (
 )
 from .line import LineData, TotElement
 from .poisson import ConformalField, Point, PoissonStructure, conformal_defect
-from .reporting import Check, Finding, Report
+from .reporting import Check, Report
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ class ConformalExtension:
     """
 
     weight: Rat
-    mu: Rat | None
-    obstruction: str | None
+    mu: Rat
     base: Check
     pairs: Check
     module_check: Check
@@ -247,26 +246,25 @@ class MomentSystem:
                     self.line.alpha.add_into(residual, (c,), k)
             lifts[g] = TPoly(self.ring, self.n, slots)
 
-        flat_findings = []
-        for g, lift in lifts.items():
-            residual = self.line.alpha_apply(lift)
-            if not residual.is_zero():
-                flat_findings.append(Finding((g,), str(residual)))
-        flat = Check("lift-module-bracket-zero", not flat_findings, tuple(flat_findings))
+        flat = Check.of(
+            "lift-module-bracket-zero",
+            (((g,), self.line.alpha_apply(lift)) for g, lift in lifts.items()),
+        )
 
         # Every pair must bracket to its base entry evaluated on the lifts,
-        # and a pair with no base entry to zero.
+        # and a pair with no base entry to zero.  Comparing before
+        # subtracting keeps the difference off the passing pairs.
         base_table = self.structure.base_table()
-        relation_findings = []
-        for a, b in combinations(self.ring.gens, 2):
-            value = base_table.get((a, b), self.ring.zero())
-            expected = TPoly.from_poly(value, self.n).substitute(lifts)
-            actual = self.structure.bracket(lifts[a], lifts[b])
-            if actual != expected:
-                relation_findings.append(Finding((a, b), str(actual - expected)))
-        relations = Check(
-            "lift-bracket-relations", not relation_findings, tuple(relation_findings)
-        )
+
+        def relation_defects():
+            for a, b in combinations(self.ring.gens, 2):
+                value = base_table.get((a, b), self.ring.zero())
+                expected = TPoly.from_poly(value, self.n).substitute(lifts)
+                actual = self.structure.bracket(lifts[a], lifts[b])
+                if actual != expected:
+                    yield (a, b), actual - expected
+
+        relations = Check.of("lift-bracket-relations", relation_defects())
         if not flat.passed or not relations.passed:
             raise AssertionError(
                 "trivialization postcondition failed on a system that passes "
@@ -280,21 +278,18 @@ class MomentSystem:
     def verify_gm_hamiltonian(self, degree_range: range = range(-3, 4)) -> Check:
         """The bracket with t acts on degree-p elements as multiplication by p."""
         t_elem = self.line.tot_t()
-        findings = []
-        for p in degree_range:
-            witnesses: list[tuple[str, TotElement]] = [
-                (f"s^{p}", self.line.s_power(p))
-            ]
-            for g in self.ring.gens:
+
+        def defects():
+            for p in degree_range:
                 order = self.line.coefficient_order(p)
-                witnesses.append(
+                witnesses = [(f"s^{p}", self.line.s_power(p))] + [
                     (f"{g}*s^{p}", self.line.tot_term(p, TPoly.generator(self.ring, g, order)))
-                )
-            for label, w in witnesses:
-                defect = self.line.tot_bracket(t_elem, w) - w * Fraction(p)
-                if not defect.is_zero():
-                    findings.append(Finding(("t", label), str(defect)))
-        return Check("gm-hamiltonian", not findings, tuple(findings))
+                    for g in self.ring.gens
+                ]
+                for label, w in witnesses:
+                    yield ("t", label), self.line.tot_bracket(t_elem, w) - w * Fraction(p)
+
+        return Check.of("gm-hamiltonian", defects())
 
     def tot_matrix(self, pt: Point) -> list[list[Rat]]:
         if pt.s is None:
@@ -325,12 +320,14 @@ class MomentSystem:
     ) -> ConformalExtension:
         """Extend a base conformal field of the given weight across the deformation.
 
-        The field acts t-linearly on generators; the scaling mu in xi(t) = mu*t
-        is solved from the conformality constraint on the pair (t, s), which is
-        linear in mu.  The extended field is then re-checked on every pair of
-        Tot coordinates {x_i, s, t}; the (x_i, s) constraints are the module
-        ones, H_{x_i}(h) = defect for xi(e) = h*e, evaluated under the constant
-        ansatz for h (the defects must vanish, and h is then a free constant).
+        The field acts t-linearly on generators, with xi(s) = 0 and
+        xi(t) = mu*t.  The scaling is forced: alpha(t) = 1 gives {t, s} = s,
+        so the (s, t) defect is -(mu + weight)*s and mu = -weight.  It is
+        still checked, on the (s, t) pair, with every other pair of Tot
+        coordinates {x_i, s, t}; the (x_i, s) constraints are the module
+        ones, H_{x_i}(h) = defect for xi(e) = h*e, evaluated under the
+        constant ansatz for h (the defects must vanish, and h is then a free
+        constant).
 
         Raises ``NotConformal`` when the field is not conformal of this weight
         on the undeformed base.
@@ -342,8 +339,9 @@ class MomentSystem:
             raise NotConformal(base_check, weight)
         if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
+        mu = -weight
 
-        def extended(tp: TPoly, mu: Rat) -> TPoly:
+        def extended(tp: TPoly) -> TPoly:
             # t-linear extension with xi(t) = mu*t: on c*t^k the field gives
             # (xi(c) + k*mu*c) * t^k.
             slots = new_slots(tp.order)
@@ -353,98 +351,47 @@ class MomentSystem:
                     add_truncated_product(slots, (c,), (self.ring.const(mu * k),), k)
             return TPoly.from_slots(self.ring, slots)
 
-        def pair_defect(a: TotElement, b: TotElement, mu: Rat) -> TotElement:
-            def tot_apply(w: TotElement) -> TotElement:
-                return TotElement(self.line, {d: extended(v, mu) for d, v in w.coeffs.items()})
-
-            return conformal_defect(self.line.tot_bracket, tot_apply, weight, a, b)
-
-        t_elem = self.line.tot_t()
-        s_elem = self.line.s_power(1)
-        r0 = pair_defect(t_elem, s_elem, Fraction(0)).coefficient(1)
-        r1 = pair_defect(t_elem, s_elem, Fraction(1)).coefficient(1)
-        slope = r1 - r0
-        mu: Rat | None
-        obstruction: str | None = None
-        if slope.is_zero():
-            mu = Fraction(0) if r0.is_zero() else None
-            if mu is None:
-                obstruction = str(r0)
-        else:
-            mu = _solve_scalar(r0, slope)
-            if mu is None:
-                obstruction = str(r0)
-        if mu is None:
-            failed = Check("tot-conformal", False, (Finding(("t", "s"), obstruction or "0"),))
-            return ConformalExtension(
-                weight,
-                None,
-                obstruction,
-                base_check,
-                failed,
-                Check("module-weight", False),
-                False,
-                False,
-            )
+        def tot_apply(w: TotElement) -> TotElement:
+            return TotElement(self.line, {d: extended(v) for d, v in w.coeffs.items()})
 
         coordinates: list[tuple[str, TotElement]] = [
             (g, self.line.tot_term(0, TPoly.generator(self.ring, g, self.n)))
             for g in self.ring.gens
         ]
-        coordinates.append(("s", s_elem))
-        coordinates.append(("t", t_elem))
-        pair_findings = []
-        module_findings = []
-        for (na, a), (nb, b) in combinations(coordinates, 2):
-            defect = pair_defect(a, b, mu)
-            if defect.is_zero():
-                continue
-            finding = Finding((na, nb), str(defect))
-            # A defect on a (generator, s) pair is the module constraint
-            # H_{x_i}(h) = defect under the constant ansatz for h; every
-            # other pair is h-independent and must vanish outright.
-            if "s" in (na, nb) and "t" not in (na, nb):
-                module_findings.append(finding)
-            else:
-                pair_findings.append(finding)
-        pairs = Check("tot-conformal", not pair_findings, tuple(pair_findings))
-        module_check = Check(
+        coordinates.append(("s", self.line.s_power(1)))
+        coordinates.append(("t", self.line.tot_t()))
+        defects = [
+            ((na, nb), conformal_defect(self.line.tot_bracket, tot_apply, weight, a, b))
+            for (na, a), (nb, b) in combinations(coordinates, 2)
+        ]
+        # A defect on a (generator, s) pair is the module constraint
+        # H_{x_i}(h) = defect under the constant ansatz for h; every other
+        # pair is h-independent and must vanish outright.
+        module_pairs = {(g, "s") for g in self.ring.gens}
+        pairs = Check.of("tot-conformal", (d for d in defects if d[0] not in module_pairs))
+        module_check = Check.of(
             "module-weight",
-            not module_findings,
-            tuple(module_findings),
+            (d for d in defects if d[0] in module_pairs),
             notes=(
                 "constant ansatz for h in xi(e) = h*e; a nonzero defect means a "
                 "non-constant h would be required",
             ),
         )
-        notes = [f"solved t-scaling: xi(t) = {mu}*t"]
-        if mu == -weight:
-            notes.append("mu = -weight")
-        notes.append(f"module brackets checked at weight {weight}")
         return ConformalExtension(
             weight,
             mu,
-            None,
             base_check,
             pairs,
             module_check,
             h_is_free=module_check.passed,
             passed=pairs.passed,
-            notes=tuple(notes),
+            notes=(
+                f"solved t-scaling: xi(t) = {mu}*t",
+                "mu = -weight",
+                f"module brackets checked at weight {weight}",
+            ),
         )
 
     def __repr__(self) -> str:
         return f"<MomentSystem n={self.n} over {self.ring!r}>"
 
-
-def _solve_scalar(offset: TPoly, slope: TPoly) -> Rat | None:
-    """Solve offset + x*slope = 0 for a rational x, or None if impossible."""
-    for k in range(slope.order + 1):
-        terms = slope.coefficient(k).terms
-        if terms:
-            expo, coeff = next(iter(terms.items()))
-            candidate = -offset.coefficient(k).terms.get(expo, Fraction(0)) / coeff
-            if (offset + slope * candidate).is_zero():
-                return candidate
-            return None
-    return None

@@ -30,7 +30,7 @@ from .algebra import (
     exact_rank,
     new_slots,
 )
-from .reporting import Check, Finding
+from .reporting import Check
 
 T = TypeVar("T")
 
@@ -150,12 +150,13 @@ class PoissonStructure:
     # -- verification --------------------------------------------------------
 
     def verify_jacobi(self) -> Check:
-        findings = []
-        for triple in combinations(self.ring.gens, 3):
-            res = self.jacobiator(*(TPoly.generator(self.ring, g, self.order) for g in triple))
-            if not res.is_zero():
-                findings.append(Finding(triple, str(res)))
-        return Check("jacobi", not findings, tuple(findings))
+        return Check.of(
+            "jacobi",
+            (
+                (w, self.jacobiator(*(TPoly.generator(self.ring, g, self.order) for g in w)))
+                for w in combinations(self.ring.gens, 3)
+            ),
+        )
 
     def verify_conformal(self, cf: ConformalField) -> Check:
         """Check xi({a,b}) = {xi a, b} + {a, xi b} + weight*{a,b} on generator pairs.
@@ -167,14 +168,14 @@ class PoissonStructure:
             raise GeneratorMismatch("conformal field over a different ring")
         if xi.order != self.order:
             raise OrderMismatch("conformal field at a different order")
-        findings = []
-        for ga, gb in combinations(self.ring.gens, 2):
-            a = TPoly.generator(self.ring, ga, self.order)
-            b = TPoly.generator(self.ring, gb, self.order)
-            defect = conformal_defect(self.bracket, xi.apply, cf.weight, a, b)
-            if not defect.is_zero():
-                findings.append(Finding((ga, gb), str(defect)))
-        return Check("conformal", not findings, tuple(findings))
+        gen = {g: TPoly.generator(self.ring, g, self.order) for g in self.ring.gens}
+        return Check.of(
+            "conformal",
+            (
+                ((a, b), conformal_defect(self.bracket, xi.apply, cf.weight, gen[a], gen[b]))
+                for a, b in combinations(self.ring.gens, 2)
+            ),
+        )
 
     # -- pointwise rank --------------------------------------------------------
 

@@ -2,11 +2,20 @@
 
 A failed check carries its witnesses: the generator pair or triple it was
 evaluated on together with the nonzero residual, rendered canonically.
+``Check.of`` is the one place where a residual becomes a ``Finding``: every
+check hands it its (witness, residual) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Protocol
+
+
+class Residual(Protocol):
+    """A ``TPoly`` or ``TotElement``: exact, with a canonical ``str``."""
+
+    def is_zero(self) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -24,6 +33,19 @@ class Check:
     passed: bool
     findings: tuple[Finding, ...] = ()
     notes: tuple[str, ...] = ()
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        residuals: Iterable[tuple[tuple[str, ...], Residual]],
+        notes: tuple[str, ...] = (),
+    ) -> Check:
+        """The check over (witness, residual) pairs, read once: each nonzero
+        residual becomes a ``Finding``, in order, and the check passes when
+        none is left."""
+        findings = tuple(Finding(w, str(r)) for w, r in residuals if not r.is_zero())
+        return cls(name, not findings, findings, notes)
 
     def to_dict(self) -> dict:
         return {

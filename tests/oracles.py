@@ -4,7 +4,8 @@ Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
 separate multiplication by s, flat lifts by a sweep that recomputes the
-whole residual from the derivation formula at every order, truncated
+whole residual from the derivation formula at every order, the t-linear
+conformal extension slot by slot from partial derivatives, truncated
 products by plain ``Fraction`` accumulation, the inverse of a generator
 map by error correction, model-file expressions by a flat ``Fraction`` term
 map, and the canonical text by sorting ``Fraction`` terms.  Keep these
@@ -151,6 +152,23 @@ def alpha_by_derivation(line, f):
     for g in line.ring.gens:
         total = total + line.alpha_of(g) * f.diff(g).truncate(low)
     return total
+
+
+def tot_field_t_linear(line, xi, mu, w):
+    """The t-linear extension of a base field to the total space, with
+    xi(t) = mu*t and xi(s) = 0: on c*t^k*s^p it gives (xi(c) + k*mu*c)*t^k*s^p,
+    where xi(c) = sum_g dc/dg * xi[g] is summed slot by slot from the partial
+    derivatives of each ``Poly`` slot, not through a ``Derivation``."""
+    out = {}
+    for p, coeff in w.coeffs.items():
+        slots = []
+        for k, c in enumerate(coeff.coeffs):
+            term = c * (mu * k)
+            for g in line.ring.gens:
+                term = term + c.diff(g) * xi[g]
+            slots.append(term)
+        out[p] = TPoly(line.ring, coeff.order, slots)
+    return line.tot(out)
 
 
 def trivialize_by_full_recompute(system):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,13 +8,14 @@ from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly
 from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
 from momentkit.line import LineData
 from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_generator_map
-from momentkit.poisson import Point, PoissonStructure
+from momentkit.poisson import Point, PoissonStructure, conformal_defect
 
 from oracles import (
     invert_generator_map_by_error_correction,
     pfaffian,
     rank_by_minors,
     substitute_by_terms,
+    tot_field_t_linear,
     trivialize_by_full_recompute,
 )
 
@@ -464,24 +466,10 @@ def test_extension_recheck_with_module_action(plane):
     assert ext.passed and ext.h_is_free
     line = system.line
     h = Fraction(5)
-    mu = ext.mu
 
     def apply_tot(w):
-        out = {}
-        for p, coeff in w.coeffs.items():
-            slots = []
-            for k, c in enumerate(coeff.coeffs):
-                term = plane.ring.zero()
-                for g in plane.ring.gens:
-                    term = term + c.diff(g) * xi_map[g]
-                if k:
-                    term = term + c * (mu * k)
-                slots.append(term)
-            value = TPoly(plane.ring, coeff.order, slots) + coeff * (h * p)
-            out[p] = value
-        from momentkit.line import TotElement
-
-        return TotElement(line, out)
+        grading = line.tot({p: coeff * (h * p) for p, coeff in w.coeffs.items()})
+        return tot_field_t_linear(line, xi_map, ext.mu, w) + grading
 
     coords = [
         line.tot_term(0, TPoly.generator(plane.ring, "x", 2)),
@@ -499,6 +487,34 @@ def test_extension_recheck_with_module_action(plane):
                 - line.tot_bracket(a, b) * Fraction(-2)
             )
             assert defect.is_zero(), (i, j)
+
+
+def test_conformal_scaling_is_forced_by_the_module_normalization():
+    # alpha(t) = 1 gives {t, s} = s, and the t-linear extension has xi(s) = 0
+    # and xi(t) = mu*t, so the (t, s) defect is -(mu + weight)*s on every
+    # system: the scaling that makes it vanish is mu = -weight
+    weights = [Fraction(0), Fraction(-1), Fraction(-2), Fraction(3, 2)]
+    extended = set()
+    for seed in range(1, 61):
+        model, gauge = random_instance(seed)
+        system = model.build_system()
+        if seed % 2:
+            system = system.twist(gauge)
+        line = system.line
+        t, s = line.tot_t(), line.s_power(1)
+        euler = {g: system.ring.var(g) for g in system.ring.gens}
+        for weight in weights:
+            for mu in (Fraction(0), Fraction(1), Fraction(7, 3)):
+                field = partial(tot_field_t_linear, line, euler, mu)
+                defect = conformal_defect(line.tot_bracket, field, weight, t, s)
+                assert defect == s * -(mu + weight), (seed, weight, mu)
+            try:
+                ext = system.extend_conformal(euler, weight)
+            except NotConformal:
+                continue
+            assert ext.mu == -weight, (seed, weight)
+            extended.add(weight)
+    assert extended == set(weights)
 
 
 def test_inner_datum_requires_nonconstant_h(worked):

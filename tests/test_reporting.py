@@ -1,0 +1,57 @@
+import re
+from pathlib import Path
+
+from momentkit.algebra import TPoly
+from momentkit.moment import MomentSystem
+from momentkit.reporting import Check, Finding
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "momentkit"
+
+
+def test_check_of_keeps_nonzero_residuals_in_witness_order(plane):
+    x = TPoly.generator(plane.ring, "x", 1)
+    zero = TPoly.constant(plane.ring, 0, 1)
+    check = Check.of("c", [(("b",), x), (("a",), zero), (("a", "b"), -x), (("c",), zero)])
+    assert check.name == "c" and not check.passed
+    assert check.findings == (Finding(("b",), "x"), Finding(("a", "b"), "-x"))
+    assert check.notes == ()
+
+
+def test_check_of_passes_only_without_findings(plane):
+    zero = TPoly.constant(plane.ring, 0, 1)
+    assert Check.of("c", [(("a",), zero)], notes=("n",)) == Check("c", True, (), ("n",))
+    assert Check.of("c", []) == Check("c", True)
+    failed = Check.of("c", [(("a",), zero + 1)], notes=("n",))
+    assert not failed.passed and failed.notes == ("n",)
+
+
+def test_check_of_renders_tot_elements(plane):
+    line = MomentSystem.trivial(plane, 1).line
+    s = line.s_power(1)
+    check = Check.of("c", [(("s",), s * 2), (("0",), line.tot_zero())])
+    assert check.findings == (Finding(("s",), "2*s"),)
+
+
+def test_check_of_reads_a_generator_once(plane):
+    x = TPoly.generator(plane.ring, "x", 1)
+    pulled = []
+
+    def residuals():
+        for k in range(3):
+            pulled.append(k)
+            yield (str(k),), x * k
+
+    check = Check.of("c", residuals())
+    assert pulled == [0, 1, 2]
+    assert [f.witness for f in check.findings] == [("1",), ("2",)]
+    assert [f.residual for f in check.findings] == ["x", "2*x"]
+
+
+def test_findings_are_built_only_in_reporting():
+    # Check.of is the one place where a residual becomes a Finding
+    offenders = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "reporting.py" and re.search(r"\bFinding\(", path.read_text())
+    ]
+    assert offenders == []
