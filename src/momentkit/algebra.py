@@ -39,16 +39,20 @@ Representation notes:
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
   not divide the slot's.  ``Poly``, ``TPoly`` and ``TotElement`` products,
-  ``TPoly.substitute``, ``PoissonStructure.hamiltonian_field``, the model-file
+  ``substitute_all``, ``PoissonStructure.hamiltonian_field``, the model-file
   evaluator and ``Derivation.add_into``, the slot primitive that applies every
   vector field (alpha, Hamiltonian and conformal fields), all accumulate this
   way instead of building a whole ``TPoly`` per partial product,
-* ``substitute`` builds each monomial of the assigned values once, by a
-  single kernel product of the monomial one degree lower and a generator
-  value, and only to the t-precision that its lowest-t term needs: a term
-  at t^k needs its monomial mod t^(N-k+1).  That precision is passed down
-  the chain of lower monomials (the truncation discipline of relaxed power
-  series; van der Hoeven, J. Symb. Comput. 34(6), 2002),
+* ``substitute_all`` substitutes one assignment into several ``TPoly``s of
+  one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
+  monomial of the assigned values once for all of them, by a single kernel
+  product of the monomial one degree lower and a generator value (the
+  monomial of a generator is its value, cut), and only to the t-precision
+  its terms need: a term at t^k needs its monomial mod t^(N-k+1), so the
+  precision is the largest N-k over every poly and slot the monomial occurs
+  in.  It is pushed down the chain of lower monomials (the truncation
+  discipline of relaxed power series; van der Hoeven, J. Symb. Comput.
+  34(6), 2002),
 * one finisher, ``finish_slot``, turns an accumulator into a ``Poly``: it
   drops cancelled terms and divides out one gcd; no caller reads the slot
   layout,
@@ -621,54 +625,8 @@ class TPoly:
         return total
 
     def substitute(self, assignment: Mapping[str, TPoly]) -> TPoly:
-        """Simultaneous substitution generator -> TPoly, truncated; t maps to t.
-
-        A term at t^k needs its monomial's value only mod t^(order-k+1), so
-        each monomial is built once, to the precision its lowest-t term needs.
-        """
-        values: list[TPoly] = []
-        for g in self.ring.gens:
-            v = assignment.get(g)
-            if v is None:
-                raise GeneratorMismatch(f"assignment misses generator {g!r}")
-            values.append(as_tpoly(v, self.ring, self.order))
-        ring = self.ring
-        order = self.order
-        # Every monomial is a single kernel product of its prefix, the
-        # monomial one degree lower in its last nonzero exponent, and that
-        # generator's value.  Slots are visited from t^0 up, so the first
-        # visit of a monomial, as a term or as a prefix, sets the highest
-        # precision it needs, and its prefixes need at least as much.
-        arity = ring.arity
-        precision: dict[int, int] = {}
-        prefix: dict[int, tuple[int, int]] = {}
-        for k, poly in enumerate(self.coeffs):
-            for key in poly.nums:
-                while key not in precision:
-                    precision[key] = order - k
-                    if not key:
-                        break
-                    # the last generator with a nonzero exponent owns the
-                    # lowest set bit of the key
-                    i = arity - 1 - ((key & -key).bit_length() - 1) // W
-                    lower = key - ring.units[i]
-                    prefix[key] = (lower, i)
-                    key = lower
-        # A slot sequence shorter than order + 1 is zero above its end.
-        monomials: dict[int, tuple[Poly, ...]] = {0: (ring.one(),)}
-        # Keys order by total degree first, so a prefix is built before its users.
-        for key in sorted(prefix):
-            lower, i = prefix[key]
-            slots = new_slots(precision[key])
-            add_truncated_product(slots, monomials[lower], values[i].coeffs)
-            monomials[key] = tuple(finish_slot(ring, slot) for slot in slots)
-        slots = new_slots(order)
-        for k, poly in enumerate(self.coeffs):
-            # Every coefficient of one slot shares its denominator.
-            den = poly.den
-            for key, n in poly.nums.items():
-                add_truncated_product(slots, monomials[key], (_Slot(den, {0: n}),), k)
-        return TPoly.from_slots(ring, slots)
+        """Simultaneous substitution generator -> TPoly, truncated; t maps to t."""
+        return substitute_all([self], assignment)[0]
 
     def __str__(self) -> str:
         return render_terms(self.ring, self.coeffs)
@@ -786,6 +744,71 @@ def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
     if nums and max(nums) >= ring.limit:
         raise OverflowError(_DEGREE_ERROR)
     return Poly._reduced(ring, slot.den, nums)
+
+
+def substitute_all(polys: Sequence[TPoly], assignment: Mapping[str, TPoly]) -> list[TPoly]:
+    """Each of ``polys``, all of one ring and order, under the simultaneous
+    substitution generator -> TPoly, truncated; t maps to t.
+
+    One memo of monomials of the assigned values serves every poly.  A term
+    at t^k needs its monomial only mod t^(order-k+1), so a monomial is built
+    once, to the largest precision ``order - k`` over every poly and slot it
+    occurs in, and that precision is pushed down its chain of prefixes.
+    """
+    if not polys:
+        return []
+    ring = polys[0].ring
+    order = polys[0].order
+    for poly in polys:
+        as_tpoly(poly, ring, order)
+    values: list[TPoly] = []
+    for g in ring.gens:
+        v = assignment.get(g)
+        if v is None:
+            raise GeneratorMismatch(f"assignment misses generator {g!r}")
+        values.append(as_tpoly(v, ring, order))
+    # Every monomial is a single kernel product of its prefix, the monomial
+    # one degree lower in its last nonzero exponent, and that generator's
+    # value.  A key's chain is walked down only while it raises a precision,
+    # so every prefix keeps at least the precision of its users.
+    arity = ring.arity
+    precision: dict[int, int] = {}
+    prefix: dict[int, tuple[int, int]] = {}
+    for poly in polys:
+        for k, c in enumerate(poly.coeffs):
+            need = order - k
+            for key in c.nums:
+                while precision.get(key, -1) < need:
+                    precision[key] = need
+                    if not key:
+                        break
+                    # the last generator with a nonzero exponent owns the
+                    # lowest set bit of the key
+                    i = arity - 1 - ((key & -key).bit_length() - 1) // W
+                    lower = key - ring.units[i]
+                    prefix[key] = (lower, i)
+                    key = lower
+    # A slot sequence shorter than order + 1 is zero above its end.
+    monomials: dict[int, Sequence[Poly]] = {0: (ring.one(),)}
+    # Keys order by total degree first, so a prefix is built before its users.
+    for key in sorted(prefix):
+        lower, i = prefix[key]
+        if not lower:  # a generator: its value, cut to the precision
+            monomials[key] = values[i].coeffs[: precision[key] + 1]
+            continue
+        slots = new_slots(precision[key])
+        add_truncated_product(slots, monomials[lower], values[i].coeffs)
+        monomials[key] = tuple(finish_slot(ring, slot) for slot in slots)
+    out = []
+    for poly in polys:
+        slots = new_slots(order)
+        for k, c in enumerate(poly.coeffs):
+            # Every coefficient of one slot shares its denominator.
+            den = c.den
+            for key, n in c.nums.items():
+                add_truncated_product(slots, monomials[key], (_Slot(den, {0: n}),), k)
+        out.append(TPoly.from_slots(ring, slots))
+    return out
 
 
 def invert_unit(u: TPoly) -> TPoly:

@@ -51,6 +51,7 @@ from .algebra import (
     exact_rank,
     finish_slot,
     new_slots,
+    substitute_all,
 )
 from .line import LineData, TotElement
 from .poisson import ConformalField, Point, PoissonStructure, conformal_defect
@@ -138,7 +139,9 @@ def invert_generator_map(
     psi = x - T(psi).  T(psi) mod t^(m+1) depends on psi only mod t^m, so
     pass m lifts psi from order m-1 to order m.  Each pass substitutes psi
     into the small T rather than phi into the growing psi (the fixed-point
-    form of series reversion; Brent & Kung, JACM 25(4), 1978).
+    form of series reversion; Brent & Kung, JACM 25(4), 1978).  In each pass
+    the k tails share ``lifted``, so one ``substitute_all`` memo builds the
+    monomials of psi for all of them.
     """
     tail = {}
     for g in ring.gens:
@@ -152,10 +155,8 @@ def invert_generator_map(
     psi = {g: TPoly.generator(ring, g, 0) for g in ring.gens}
     for m in range(1, order + 1):
         lifted = {g: v.lift(m) for g, v in psi.items()}
-        psi = {
-            g: TPoly.generator(ring, g, m) - tail[g].truncate(m).substitute(lifted)
-            for g in ring.gens
-        }
+        moved = substitute_all([tail[g].truncate(m) for g in ring.gens], lifted)
+        psi = {g: TPoly.generator(ring, g, m) - v for g, v in zip(ring.gens, moved)}
     return psi
 
 
@@ -211,21 +212,20 @@ class MomentSystem:
 
     def twist(self, g: GaugeTwist) -> MomentSystem:
         """Transport the system along (phi, unit): automorphism first, then the
-        trivialization change e -> unit*e."""
+        trivialization change e -> unit*e.  The table entries share psi, and
+        the alpha components share psi mod t^n, in one substitution each."""
         g.validate(self)
+        gens = self.ring.gens
         psi = invert_generator_map(self.ring, self.n, g.phi)
-        table = {}
-        for a, b in combinations(self.ring.gens, 2):
-            entry = self.structure.bracket(g.phi[a], g.phi[b]).substitute(psi)
-            if not entry.is_zero():
-                table[(a, b)] = entry
-        structure = PoissonStructure(self.ring, self.n, table)
+        pairs = list(combinations(gens, 2))
+        entries = substitute_all(
+            [self.structure.bracket(g.phi[a], g.phi[b]) for a, b in pairs], psi
+        )
+        structure = PoissonStructure(self.ring, self.n, dict(zip(pairs, entries)))
         changed = self.line.change_trivialization(g.unit)
         psi_low = {name: v.truncate(self.n - 1) for name, v in psi.items()}
-        alpha = {
-            name: changed.alpha_apply(g.phi[name]).substitute(psi_low)
-            for name in self.ring.gens
-        }
+        moved = substitute_all([changed.alpha_apply(g.phi[name]) for name in gens], psi_low)
+        alpha = dict(zip(gens, moved))
         return MomentSystem(structure, LineData(structure, alpha, self.line.degree_bound))
 
     # -- trivialization ------------------------------------------------------

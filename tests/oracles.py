@@ -7,16 +7,19 @@ separate multiplication by s, flat lifts by a sweep that recomputes the
 whole residual from the derivation formula at every order, the t-linear
 conformal extension slot by slot from partial derivatives, truncated
 products by plain ``Fraction`` accumulation, the inverse of a generator
-map by error correction, model-file expressions by a flat ``Fraction`` term
-map, and the canonical text by sorting ``Fraction`` terms.  Keep these
-independent of the code under test.
+map by error correction, the cocycle defect as three subtracted parts, the
+composite and inverse of gauge twists by term-by-term substitution,
+model-file expressions by a flat ``Fraction`` term map, and the canonical
+text by sorting ``Fraction`` terms.  Keep these independent of the code
+under test.
 """
 
 from fractions import Fraction
 from operator import add
 
-from momentkit.algebra import Poly, TPoly
+from momentkit.algebra import Poly, TPoly, invert_unit
 from momentkit.line import TotElement
+from momentkit.moment import GaugeTwist
 from momentkit.modelfile import MAX_NESTING, _kind, _Parser
 
 
@@ -154,6 +157,23 @@ def alpha_by_derivation(line, f):
     return total
 
 
+def cocycle_defect_by_parts(line, a, b):
+    """H_a(alpha(b)) - H_b(alpha(a)) - alpha({a,b}) as three finished TPolys,
+    then subtracted.  H_g(m) = {g, m} is summed over ordered pairs at the
+    module order and alpha by the derivation formula; the library adds all
+    three terms into one slot set instead."""
+    low = line.base.restrict(line.module_order)
+
+    def hamiltonian(g, m):
+        return bracket_by_pairs(low, TPoly.generator(line.ring, g, low.order), m)
+
+    return (
+        hamiltonian(a, line.alpha_of(b))
+        - hamiltonian(b, line.alpha_of(a))
+        - alpha_by_derivation(line, line.base.gen_bracket(a, b))
+    )
+
+
 def tot_field_t_linear(line, xi, mu, w):
     """The t-linear extension of a base field to the total space, with
     xi(t) = mu*t and xi(s) = 0: on c*t^k*s^p it gives (xi(c) + k*mu*c)*t^k*s^p,
@@ -220,6 +240,24 @@ def invert_generator_map_by_error_correction(ring, order, phi):
             return psi
         psi = {g: psi[g] - errors[g] for g in ring.gens}
     raise ValueError("generator map is not invertible (not the identity mod t?)")
+
+
+def compose_twists(g1, g2, n):
+    """The twist g1 * g2 with ``S.twist(g1).twist(g2) == S.twist(g1 * g2)``:
+    phi(x) = phi2[x](phi1) and unit = u1 * u2(phi1 mod t^n), substituted
+    term by term."""
+    low = {x: v.truncate(n - 1) for x, v in g1.phi.items()}
+    phi = {x: substitute_by_terms(v, g1.phi) for x, v in g2.phi.items()}
+    return GaugeTwist(phi, g1.unit * substitute_by_terms(g2.unit, low))
+
+
+def invert_twist(g, n):
+    """The twist g^-1 = (psi, u^-1(psi mod t^n)), with psi = phi^-1 by error
+    correction and the unit substituted term by term."""
+    ring = g.unit.ring
+    psi = invert_generator_map_by_error_correction(ring, n, g.phi)
+    low = {x: v.truncate(n - 1) for x, v in psi.items()}
+    return GaugeTwist(psi, substitute_by_terms(invert_unit(g.unit), low))
 
 
 def accumulate_product(out, a, b):

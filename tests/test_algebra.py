@@ -23,7 +23,9 @@ from momentkit.algebra import (
     invert_unit,
     new_slots,
     render_terms,
+    substitute_all,
 )
+from momentkit import algebra
 
 from oracles import (
     accumulate_product,
@@ -293,6 +295,82 @@ def test_substitute_at_each_terms_precision_matches_term_by_term_oracle(data):
     f = data.draw(dense_tpolys(order, 3))
     assignment = {g: data.draw(dense_tpolys(order, 2)) for g in RING.gens}
     assert f.substitute(assignment) == substitute_by_terms(f, assignment)
+
+
+def _set_term(f, k, expo, coeff):
+    """f with the coefficient of x^expo in its t^k slot set to ``coeff``."""
+    slots = list(f.coeffs)
+    slots[k] = Poly(RING, {**slots[k].terms, expo: coeff})
+    return TPoly(RING, f.order, slots)
+
+
+@st.composite
+def polys_sharing_a_monomial(draw, order):
+    """2-4 TPolys at ``order``.  One monomial sits at t^high in an earlier
+    poly, all of whose terms sit at t^high or above, and at t^0 in a later
+    one: the later poly needs the monomial to a higher precision than the
+    earlier one, which is visited first."""
+    count = draw(st.integers(2, 4))
+    polys = [draw(dense_tpolys(order, 3)) for _ in range(count)]
+    expo = draw(exponents.filter(lambda e: 1 <= sum(e) <= 3))
+    nonzero_rats = small_rats.filter(bool)
+    first = draw(st.integers(0, count - 2))
+    later = draw(st.integers(first + 1, count - 1))
+    high = draw(st.integers(1, order))
+    polys[first] = _set_term(polys[first], 0, expo, draw(nonzero_rats)).t_shift(high)
+    polys[later] = _set_term(polys[later], 0, expo, draw(nonzero_rats))
+    return polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_all_matches_term_by_term_oracle_on_each_poly(data):
+    order = data.draw(st.integers(1, 5))
+    polys = data.draw(polys_sharing_a_monomial(order))
+    assignment = {g: data.draw(dense_tpolys(order, 2)) for g in RING.gens}
+    assert substitute_all(polys, assignment) == [
+        substitute_by_terms(f, assignment) for f in polys
+    ]
+
+
+def test_substitute_all_builds_each_monomial_once(monkeypatch):
+    # Every term of every poly costs one kernel call on top of the shared
+    # monomial builds, so k copies of f cost (k - 1) * terms more calls than
+    # one copy; a memo per poly would also repeat the builds of x^2, x^2*y,
+    # x*y, x*y^2, y^2 and y^3.
+    kernel = algebra.add_truncated_product
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "add_truncated_product", counted)
+    f = TPoly(RING, 3, [X**2 * Y, X * Y**2 * 3, Y**3 + X, RING.zero()])
+    t = TPoly.t(RING, 3)
+    assignment = {"x": t * Y + X, "y": t * X**2 + Y}
+    terms = sum(len(c.nums) for c in f.coeffs)
+
+    def cost(k):
+        nonlocal calls
+        calls = 0
+        substitute_all([f] * k, assignment)
+        return calls
+
+    one = cost(1)
+    assert one > terms  # the monomials are built through the kernel too
+    for k in (2, 3, 4):
+        assert cost(k) - one == (k - 1) * terms, k
+
+
+def test_substitute_all_checks_its_polys():
+    assignment = {"x": TPoly.generator(RING, "x", 2), "y": TPoly.generator(RING, "y", 2)}
+    assert substitute_all([], assignment) == []
+    with pytest.raises(OrderMismatch):
+        substitute_all([TPoly.from_poly(X, 2), TPoly.from_poly(X, 1)], assignment)
+    with pytest.raises(GeneratorMismatch):
+        substitute_all([TPoly.from_poly(PolyRing(["x", "z"]).var("x"), 2)], assignment)
 
 
 @given(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,9 +8,20 @@ from momentkit.algebra import GeneratorMismatch, OrderMismatch, Poly, PolyRing, 
 from momentkit.line import LineData, TotElement
 from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
-from momentkit.instances import random_line_data, _random_poly
+from momentkit.instances import (
+    _random_alpha,
+    _random_poly,
+    catalog_structure,
+    random_gauge_twist,
+    random_line_data,
+)
 
-from oracles import alpha_by_derivation, tot_bracket_free_laurent, tot_product_by_truncate_and_lift
+from oracles import (
+    alpha_by_derivation,
+    cocycle_defect_by_parts,
+    tot_bracket_free_laurent,
+    tot_product_by_truncate_and_lift,
+)
 
 
 @pytest.fixture
@@ -214,6 +226,55 @@ def test_cocycle_tot_jacobi_equivalence_seeded():
         tot = line.verify_tot_jacobi().passed
         assert cocycle == tot, seed
         outcomes.add(cocycle)
+    assert outcomes == {True, False}
+
+
+def _oscillator():
+    """A 4-generator Lie-Poisson base: {a,b} = c, {d,a} = b, {d,b} = -a, c central."""
+    ring = PolyRing(["a", "b", "c", "d"])
+    a, b, c = ring.var("a"), ring.var("b"), ring.var("c")
+    return PoissonStructure(ring, 0, {("a", "b"): c, ("d", "a"): b, ("d", "b"): -a})
+
+
+def _seeded_line(base, seed, corrupt):
+    """A valid datum over ``base`` carried by a seeded twist, so table and
+    alpha depend on t; with ``corrupt`` one alpha value gains a generator."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    trivial = MomentSystem.trivial(base, n)
+    alpha = _random_alpha(rng, trivial, 2)
+    system = MomentSystem(trivial.structure, LineData(trivial.structure, alpha))
+    line = system.twist(random_gauge_twist(rng, base.ring, n)).line
+    if corrupt:
+        gens = line.ring.gens
+        alpha = {g: line.alpha_of(g) for g in gens}
+        g = rng.choice(gens)
+        alpha[g] = alpha[g] + TPoly.generator(line.ring, rng.choice(gens), line.module_order)
+        line = LineData(line.base, alpha)
+    return line
+
+
+@pytest.mark.parametrize(
+    "base",
+    [catalog_structure(0), catalog_structure(1), _oscillator()],
+    ids=["plane", "so3", "oscillator"],
+)
+def test_cocycle_findings_match_the_defect_by_parts(base):
+    outcomes = set()
+    for seed in range(12):
+        corrupt = seed % 2 == 1
+        line = _seeded_line(base, seed, corrupt)
+        check = line.verify_cocycle()
+        expected = []
+        for a, b in combinations(line.ring.gens, 2):
+            defect = cocycle_defect_by_parts(line, a, b)
+            if not defect.is_zero():
+                expected.append(((a, b), str(defect)))
+        assert [(f.witness, f.residual) for f in check.findings] == expected, seed
+        assert check.passed == (not expected), seed
+        if not corrupt:
+            assert check.passed, seed
+        outcomes.add(check.passed)
     assert outcomes == {True, False}
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly
 from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
@@ -11,7 +13,9 @@ from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_gene
 from momentkit.poisson import Point, PoissonStructure, conformal_defect
 
 from oracles import (
+    compose_twists,
     invert_generator_map_by_error_correction,
+    invert_twist,
     pfaffian,
     rank_by_minors,
     substitute_by_terms,
@@ -155,6 +159,44 @@ def test_inversion_matches_error_correction_oracle(name, build):
         phi = random_gauge_twist(rng, ring, n).phi  # nonlinear: degree 2
         expected = invert_generator_map_by_error_correction(ring, n, phi)
         assert invert_generator_map(ring, n, phi) == expected, n
+
+
+# -- gauge-group laws: the composite and inverse twists are built in
+# oracles.py by term-by-term substitution, not by ``twist``'s transport.
+
+
+def _same_system(a, b):
+    return a.structure.table_items() == b.structure.table_items() and a.line == b.line
+
+
+@st.composite
+def twisted_systems(draw):
+    """A catalog base at order n <= 4 under a seeded twist (so table and
+    alpha depend on t), plus the rng that draws further twists."""
+    _, build = draw(st.sampled_from(CATALOG))
+    base = build()
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    system = MomentSystem.trivial(base, n).twist(random_gauge_twist(rng, base.ring, n))
+    return system, rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(twisted_systems())
+def test_twisting_by_the_inverse_gives_back_the_system(case):
+    system, rng = case
+    g = random_gauge_twist(rng, system.ring, system.n)
+    back = system.twist(g).twist(invert_twist(g, system.n))
+    assert _same_system(back, system)
+
+
+@settings(max_examples=25, deadline=None)
+@given(twisted_systems())
+def test_twists_compose(case):
+    system, rng = case
+    g1, g2 = (random_gauge_twist(rng, system.ring, system.n) for _ in range(2))
+    composite = compose_twists(g1, g2, system.n)
+    assert _same_system(system.twist(g1).twist(g2), system.twist(composite))
 
 
 def test_inversion_needs_the_identity_mod_t(plane_ring):
