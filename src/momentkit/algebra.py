@@ -39,10 +39,14 @@ Representation notes:
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
   not divide the slot's.  ``Poly``, ``TPoly`` and ``TotElement`` products,
-  ``substitute_all``, ``PoissonStructure.hamiltonian_field``, the model-file
-  evaluator and ``Derivation.add_into``, the slot primitive that applies every
-  vector field (alpha, Hamiltonian and conformal fields), all accumulate this
-  way instead of building a whole ``TPoly`` per partial product,
+  ``substitute_all``, the contraction of the bracket table into Hamiltonian
+  fields, the model-file evaluator and ``Derivation.add_into``, the slot
+  primitive that applies every vector field (alpha, Hamiltonian and
+  conformal fields), all accumulate this way instead of building a whole
+  ``TPoly`` per partial product.  So do ``LineData.verify_cocycle``,
+  ``PoissonStructure.add_bracket_into`` (the one slot-level bracket, behind
+  ``bracket``) and ``LineData.tot_bracket``: each adds its terms into one
+  slot set per generator pair or output degree,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel

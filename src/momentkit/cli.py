@@ -39,10 +39,14 @@ SCHEMA_VERSION = 1
 class RunReport:
     command: str
     passed: bool
-    exit_code: int
     checks: list[Check] = field(default_factory=list)
     details: dict = field(default_factory=dict)
     elapsed: float = 0.0
+
+    @property
+    def exit_code(self) -> int:
+        """0 when every check passed or the command computed, 1 otherwise."""
+        return 0 if self.passed else 1
 
     def to_json(self) -> str:
         payload = {
@@ -126,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_model(path: str) -> ModelFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read model file {path!r}: {exc}") from exc
     return parse_model(text)
 
@@ -134,12 +138,7 @@ def _load_model(path: str) -> ModelFile:
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
     model = _load_model(args.model)
     report = model.build_system().verify()
-    return RunReport(
-        "verify",
-        report.passed,
-        0 if report.passed else 1,
-        list(report.checks),
-    )
+    return RunReport("verify", report.passed, list(report.checks))
 
 
 def _cmd_trivialize(args: argparse.Namespace) -> RunReport:
@@ -147,12 +146,11 @@ def _cmd_trivialize(args: argparse.Namespace) -> RunReport:
     system = model.build_system()
     report = system.verify()
     if not report.passed:
-        return RunReport("trivialize", False, 1, list(report.checks))
+        return RunReport("trivialize", False, list(report.checks))
     result = system.trivialize()
     return RunReport(
         "trivialize",
         True,
-        0,
         list(result.checks),
         {"lifts": {g: str(v) for g, v in result.lifts.items()}},
     )
@@ -184,13 +182,7 @@ def _cmd_twist(args: argparse.Namespace) -> RunReport:
         except OSError as exc:
             raise UsageError(f"cannot write model file {args.emit!r}: {exc}") from exc
         details["emitted"] = args.emit
-    return RunReport(
-        "twist",
-        report.passed,
-        0 if report.passed else 1,
-        list(report.checks),
-        details,
-    )
+    return RunReport("twist", report.passed, list(report.checks), details)
 
 
 def _cmd_tot(args: argparse.Namespace) -> RunReport:
@@ -205,7 +197,6 @@ def _cmd_tot(args: argparse.Namespace) -> RunReport:
     return RunReport(
         "tot",
         True,
-        0,
         [],
         {"left": str(left), "right": str(right), "bracket": str(bracket)},
     )
@@ -229,7 +220,6 @@ def _cmd_rank(args: argparse.Namespace) -> RunReport:
     return RunReport(
         "rank",
         True,
-        0,
         [],
         {"rank": rank, "space": args.space, "point": args.point},
     )
@@ -243,11 +233,11 @@ def _cmd_conformal(args: argparse.Namespace) -> RunReport:
     system = model.build_system()
     report = system.verify()
     if not report.passed:
-        return RunReport("conformal", False, 1, list(report.checks))
+        return RunReport("conformal", False, list(report.checks))
     try:
         extension = system.extend_conformal(decl.values, decl.weight)
     except NotConformal as exc:
-        return RunReport("conformal", False, 1, [exc.check], {"weight": str(decl.weight)})
+        return RunReport("conformal", False, [exc.check], {"weight": str(decl.weight)})
     details = {
         "weight": str(decl.weight),
         "mu": str(extension.mu),
@@ -255,14 +245,8 @@ def _cmd_conformal(args: argparse.Namespace) -> RunReport:
         "notes": list(extension.notes),
     }
     # A failed constant ansatz for the module weight is reported, not fatal.
-    passed = extension.passed
-    return RunReport(
-        "conformal",
-        passed,
-        0 if passed else 1,
-        [extension.base, extension.pairs, extension.module_check],
-        details,
-    )
+    checks = [extension.base, extension.pairs, extension.module_check]
+    return RunReport("conformal", extension.passed, checks, details)
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> RunReport:
@@ -281,11 +265,9 @@ def _cmd_roundtrip(args: argparse.Namespace) -> RunReport:
         # trivialize() raises unless every lift is flat and every relation is
         # recovered, so a returned result is a recovered case.
         twisted.trivialize()
-    passed = not failures
     return RunReport(
         "roundtrip",
-        passed,
-        0 if passed else 1,
+        not failures,
         [],
         {
             "cases": args.cases,

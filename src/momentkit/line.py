@@ -127,14 +127,11 @@ class LineData:
         return self.alpha.apply(f)
 
     def module_bracket(self, a: TPoly, m: Union[TPoly, Poly, RatLike]) -> TPoly:
-        """Coefficient of e in {a, m*e}: H_a(m) + m*alpha(a).
+        """Coefficient of e in {a, m*e}: the degree-1 part of {a, m s}.
 
         a lives at base order N, the section coefficient m at order N-1.
         """
-        a = as_tpoly(a, self.ring, self.order)
-        m = as_tpoly(m, self.ring, self.module_order)
-        field = self.base.hamiltonian_field(a).truncate(self.module_order)
-        return field.apply(m) + m * self.alpha_apply(a)
+        return self.tot_bracket(self.tot_term(0, a), self.tot_term(1, m)).coefficient(1)
 
     @cached_property
     def _generator_fields(self) -> dict[str, Derivation]:
@@ -206,28 +203,20 @@ class LineData:
     def tot_t(self) -> TotElement:
         return self.tot_term(0, TPoly.t(self.ring, self.order))
 
-    @cached_property
-    def _base_low(self) -> PoissonStructure:
-        """The base structure truncated to the module order, built once."""
-        return self.base.restrict(self.module_order)
-
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
-        """Bilinear extension of {f s^n, g s^m} = ({f,g} + m g alpha(f) - n f alpha(g)) s^(n+m)."""
+        """Bilinear extension of {f s^p, g s^q} = ({f,g} + q g alpha(f) - p f alpha(g)) s^(p+q).
+
+        Each pair of terms adds into the slots of its output degree, as in
+        ``TotElement.__mul__``.  A pair with p or q nonzero is determined
+        only below t^N, so it adds into the first N slots: the zero-padded
+        lift in degree 0, and the whole slot set in every other degree.
+        """
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
         if v.line is not self and v.line != self:
             raise GeneratorMismatch("right element belongs to different module data")
-        base_low = self._base_low
-        out: dict[int, TPoly] = {}
-
-        def accumulate(degree: int, value: TPoly) -> None:
-            if value.is_zero():
-                return
-            if degree == 0 and value.order == self.module_order:
-                value = value.lift(self.order)
-            prev = out.get(degree)
-            out[degree] = value if prev is None else prev + value
-
+        n = self.order
+        out: dict[int, Slots] = {}
         for p, f in u.coeffs.items():
             for q, g in v.coeffs.items():
                 degree = p + q
@@ -235,20 +224,18 @@ class LineData:
                     raise OverflowError(
                         f"Laurent degree {degree} exceeds bound {self.degree_bound}"
                     )
-                if p == 0 and q == 0:
-                    accumulate(0, self.base.bracket(f, g))
-                    continue
-                f_low = f.truncate(self.module_order) if p == 0 else f
-                g_low = g.truncate(self.module_order) if q == 0 else g
-                term = base_low.bracket(f_low, g_low)
+                slots = out.get(degree)
+                if slots is None:
+                    slots = out[degree] = new_slots(self.coefficient_order(degree))
+                low = slots[:n] if p or q else slots
+                self.base.add_bracket_into(low, f, g)
                 if q:
                     alpha_f = self.alpha_apply(f) if p == 0 else self.partial_alpha(f)
-                    term = term + g_low * alpha_f * q
+                    add_truncated_product(low, g.coeffs, (alpha_f * q).coeffs)
                 if p:
                     alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
-                    term = term - f_low * alpha_g * p
-                accumulate(degree, term)
-        return TotElement(self, out)
+                    add_truncated_product(low, f.coeffs, (alpha_g * -p).coeffs)
+        return TotElement(self, {d: TPoly.from_slots(self.ring, s) for d, s in out.items()})
 
     def verify_tot_jacobi(self) -> Check:
         """Jacobiator of the Tot bracket on triples from {x_i, s, s^-1, t}.

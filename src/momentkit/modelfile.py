@@ -119,10 +119,11 @@ _KINDS = (None, "int", "ident", "punct")
 # that starts none.  It vouches only for text whose characters are blanks,
 # newlines and one-character tokens, plus each ``>`` that closes a ``->``:
 # _UNVOUCHED finds any other character, such as ``@``, a lone ``>`` or
-# anything outside ASCII.
+# anything outside ASCII.  Its class admits ``>``, so that only the second
+# alternative judges a ``>``, by the character before it.
 _SCAN = re.compile(f"{_INT}|{_IDENT}|{_PUNCT}")
 _VOUCHED = " \t\r\n" + "".join(c for c in map(chr, range(128)) if _SCAN.fullmatch(c))
-_UNVOUCHED = re.compile(f"[^{re.escape(_VOUCHED)}]|(?<!-)>")
+_UNVOUCHED = re.compile(f"[^{re.escape(_VOUCHED + '>')}]|(?<!-)>")
 _COMMENT = re.compile("#[^\n]*")
 
 

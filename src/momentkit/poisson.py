@@ -24,6 +24,7 @@ from .algebra import (
     PolyRing,
     Rat,
     RatLike,
+    Slots,
     TPoly,
     add_truncated_product,
     as_tpoly,
@@ -106,12 +107,24 @@ class PoissonStructure:
         """Biderivation extension of the table; t-coefficients are central scalars.
 
         {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
-        which is -H_g(f): g's derivatives are contracted with the table once,
-        like ``hamiltonian_field`` does, but only for the generators that f
-        involves, and that field is applied to -f.
+        added into one slot set by ``add_bracket_into``.
         """
         f = as_tpoly(f, self.ring, self.order)
-        return self._contract(g, f.support()).apply(-f)
+        g = as_tpoly(g, self.ring, self.order)
+        slots = new_slots(self.order)
+        self.add_bracket_into(slots, f, g)
+        return TPoly.from_slots(self.ring, slots)
+
+    def add_bracket_into(self, slots: Slots, f: TPoly, g: TPoly) -> None:
+        """Add {f, g} = -H_g(f) into ``slots`` of any length, dropping powers
+        past the last slot; f and g are ``TPoly``s of this ring at any order.
+
+        g's derivatives are contracted with the table once, like
+        ``hamiltonian_field`` does, but only for the generators that f
+        involves, and that field is applied to -f.  It is the one slot-level
+        bracket: ``bracket`` and ``LineData.tot_bracket`` both add through it.
+        """
+        self._contract(g, f.support()).add_into(slots, (-f).coeffs)
 
     def jacobiator(
         self,
@@ -126,16 +139,15 @@ class PoissonStructure:
         """The derivation g -> {f, g}, read off the table: its value on a
         generator x_j is sum_i df/dx_i * {x_i, x_j}, so the field of a
         generator is its row of the table."""
-        return self._contract(f, range(self.ring.arity))
+        return self._contract(as_tpoly(f, self.ring, self.order), range(self.ring.arity))
 
-    def _contract(self, f: Union[TPoly, Poly], targets: Iterable[int]) -> Derivation:
-        """The Hamiltonian field of f on the generators with an index in
-        ``targets``, and 0 on the others."""
-        f = as_tpoly(f, self.ring, self.order)
+    def _contract(self, f: TPoly, targets: Iterable[int]) -> Derivation:
+        """The Hamiltonian field of f, at f's own order, on the generators
+        with an index in ``targets``, and 0 on the others."""
         gens = self.ring.gens
         df = [f.diff(a) for a in gens]
         wanted = set(targets)
-        values = [new_slots(self.order) for _ in gens]
+        values = [new_slots(f.order) for _ in gens]
         for (i, j), entry in self._table.items():
             if j in wanted and not df[i].is_zero():
                 add_truncated_product(values[j], entry.coeffs, df[i].coeffs)
@@ -143,7 +155,7 @@ class PoissonStructure:
                 add_truncated_product(values[i], entry.coeffs, (-df[j]).coeffs)
         return Derivation._trusted(
             self.ring,
-            self.order,
+            f.order,
             {g: TPoly.from_slots(self.ring, v) for g, v in zip(gens, values)},
         )
 

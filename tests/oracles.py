@@ -3,7 +3,8 @@
 Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
 summation, the graded bracket via a free Laurent expansion that keeps the
-separate multiplication by s, flat lifts by a sweep that recomputes the
+separate multiplication by s, term pair by term pair, the module bracket
+via the whole Hamiltonian field, flat lifts by a sweep that recomputes the
 whole residual from the derivation formula at every order, the t-linear
 conformal extension slot by slot from partial derivatives, truncated
 products by plain ``Fraction`` accumulation, the inverse of a generator
@@ -105,17 +106,19 @@ def tot_bracket_free_laurent(line, p, f, q, g):
     Expansion in the free Laurent algebra: the base-bracket part lands at
     s^(p+q) directly, while the module parts are first placed at s^(p+q-1)
     and then multiplied by one more power of s.  Coefficients are handled at
-    the module order throughout except for a pure degree-0 pair.
+    the module order throughout except for a pure degree-0 pair.  Brackets
+    are summed over ordered pairs, alpha by the derivation formula (with the
+    t-power bump in degree 0, t-linear elsewhere).
     """
     low = line.module_order
     if p == 0 and q == 0:
-        return {0: line.base.bracket(f, g)}
+        return {0: bracket_by_pairs(line.base, f, g)}
     base_low = line.base.restrict(low)
     f_low = f.truncate(low) if f.order > low else f
     g_low = g.truncate(low) if g.order > low else g
-    alpha_f = line.alpha_apply(f) if p == 0 else line.partial_alpha(f)
-    alpha_g = line.alpha_apply(g) if q == 0 else line.partial_alpha(g)
-    direct = {p + q: base_low.bracket(f_low, g_low)}
+    alpha_f = alpha_by_derivation(line, f) if p == 0 else alpha_t_linear(line, f)
+    alpha_g = alpha_by_derivation(line, g) if q == 0 else alpha_t_linear(line, g)
+    direct = {p + q: bracket_by_pairs(base_low, f_low, g_low)}
     lower = {p + q - 1: g_low * alpha_f * q - f_low * alpha_g * p}
     # multiply the lower part by s: shift every degree up by one
     shifted = {d + 1: v for d, v in lower.items() if not v.is_zero()}
@@ -123,6 +126,26 @@ def tot_bracket_free_laurent(line, p, f, q, g):
     for d, v in shifted.items():
         out[d] = out.get(d, TPoly.constant(line.ring, 0, low)) + v
     return {d: v for d, v in out.items() if not v.is_zero()}
+
+
+def tot_bracket_by_term_pairs(line, u, v):
+    """{u, v} as the sum of ``tot_bracket_free_laurent`` over every pair of
+    terms.  A module-order value in degree 0 enters by its zero-padded lift,
+    so the t^N slot there holds only the brackets of degree-0 terms."""
+    out = {}
+    for p, f in u.coeffs.items():
+        for q, g in v.coeffs.items():
+            for d, value in tot_bracket_free_laurent(line, p, f, q, g).items():
+                value = value.lift(line.coefficient_order(d))
+                out[d] = out[d] + value if d in out else value
+    return line.tot(out)
+
+
+def module_bracket_by_field(line, a, m):
+    """The coefficient of e in {a, m*e} as H_a(m) + m*alpha(a): the whole
+    Hamiltonian field of a, cut to the module order, applied to m."""
+    field = line.base.hamiltonian_field(a).truncate(line.module_order)
+    return field.apply(m) + m * alpha_by_derivation(line, a)
 
 
 def tot_product_by_truncate_and_lift(u, v):
@@ -154,6 +177,15 @@ def alpha_by_derivation(line, f):
     total = TPoly(line.ring, low, [f.coefficient(k + 1) * (k + 1) for k in range(low + 1)])
     for g in line.ring.gens:
         total = total + line.alpha_of(g) * f.diff(g).truncate(low)
+    return total
+
+
+def alpha_t_linear(line, f):
+    """sum_g alpha(g) * df/dg: the t-linear extension of alpha (no t-power
+    bump) to a module-order f."""
+    total = TPoly.constant(line.ring, 0, line.module_order)
+    for g in line.ring.gens:
+        total = total + line.alpha_of(g) * f.diff(g)
     return total
 
 

@@ -79,6 +79,15 @@ def test_missing_file_exits_two():
     assert proc.returncode == 2
 
 
+def test_non_utf8_model_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "utf16.mks"
+    path.write_bytes(WORKED.encode("utf-16"))  # starts with the bytes ff fe
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read model file")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exits_two(worked_model):
     assert run_cli("frobnicate", worked_model).returncode == 2
     assert run_cli("rank", worked_model, "--point", "nope").returncode == 2

@@ -19,7 +19,8 @@ from momentkit.instances import (
 from oracles import (
     alpha_by_derivation,
     cocycle_defect_by_parts,
-    tot_bracket_free_laurent,
+    module_bracket_by_field,
+    tot_bracket_by_term_pairs,
     tot_product_by_truncate_and_lift,
 )
 
@@ -35,6 +36,10 @@ def inner_line(plane):
     """Order-1 plane with the inner datum from h = x^2/2: alpha(y) = x."""
     system = MomentSystem.trivial(plane, 1)
     return LineData(system.structure, {"y": plane.ring.var("x")})
+
+
+def _random_tpoly(rng, ring, order):
+    return TPoly(ring, order, [_random_poly(rng, ring, 2) for _ in range(order + 1)])
 
 
 # -- cocycle -------------------------------------------------------------------
@@ -145,8 +150,17 @@ def test_alpha_apply_matches_derivation_oracle():
     for seed in range(30):
         line = random_line_data(seed)
         for order in (line.order, line.module_order):
-            f = TPoly(line.ring, order, [_random_poly(rng, line.ring, 2) for _ in range(order + 1)])
+            f = _random_tpoly(rng, line.ring, order)
             assert line.alpha_apply(f) == alpha_by_derivation(line, f), (seed, order)
+
+
+def test_module_bracket_matches_field_oracle():
+    rng = random.Random(41)
+    for seed in range(30):
+        line = random_line_data(seed)
+        a = _random_tpoly(rng, line.ring, line.order)
+        m = _random_tpoly(rng, line.ring, line.module_order)
+        assert line.module_bracket(a, m) == module_bracket_by_field(line, a, m), seed
 
 
 # -- the graded total-space bracket ----------------------------------------------
@@ -174,20 +188,22 @@ def test_degree_cancellation_example(plane2):
 
 
 def test_matches_free_laurent_expansion():
+    # multi-term, t-dependent operands on (often twisted) bases, compared in
+    # every degree at full order: in degree 0 the t^N slot holds only the
+    # brackets of degree-0 terms
     rng = random.Random(17)
-    for seed in range(25):
+    for seed in range(40):
         line = random_line_data(seed)
-        p = rng.randint(-3, 3)
-        q = rng.randint(-3, 3)
-        f = TPoly.from_poly(_random_poly(rng, line.ring, 2), line.coefficient_order(p))
-        g = TPoly.from_poly(_random_poly(rng, line.ring, 2), line.coefficient_order(q))
-        got = line.tot_bracket(line.tot_term(p, f), line.tot_term(q, g))
-        expected = tot_bracket_free_laurent(line, p, f, q, g)
-        for degree, value in expected.items():
-            lhs = got.coefficient(degree)
-            if lhs.order > value.order:
-                lhs = lhs.truncate(value.order)
-            assert lhs == value, (seed, p, q, degree)
+        u, v = (
+            line.tot(
+                {
+                    p: _random_tpoly(rng, line.ring, line.coefficient_order(p))
+                    for p in rng.sample(range(-2, 3), rng.randint(1, 3))
+                }
+            )
+            for _ in range(2)
+        )
+        assert line.tot_bracket(u, v) == tot_bracket_by_term_pairs(line, u, v), seed
 
 
 def test_tot_jacobi_equivalence_documented_failure(plane2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentkit import modelfile
 from momentkit.algebra import Poly, PolyRing, TPoly
 from momentkit.instances import random_instance
 from momentkit.line import LineData, TotElement
@@ -268,6 +269,29 @@ def test_scan_agrees_with_tokenize(text):
         ), text
         return
     assert _scan(text) == expected, text
+
+
+# The model-language example of the README, comments included.
+README_MODEL = """\
+ring x, y;                 # generators (t and s are reserved)
+order 2;                   # truncation order n >= 1
+bracket {x, y} = 1 + t*x;  # one declaration per unordered pair; mate derived
+alpha y = x;               # module datum, t-degree at most n-1
+conformal euler: x -> x y -> y; weight -2;
+point p0 = (x = 1 y = -2/3 s = 1/2 t = 0);
+twist g: y -> y + t*x^2; unit 2 + t*x;
+"""
+
+
+def test_scan_vouches_for_arrows(monkeypatch):
+    # a model with ``->`` declarations is read by the one-regex scan alone
+    def refuse(text):
+        raise AssertionError("the scan fell back to tokenize")
+
+    monkeypatch.setattr(modelfile, "tokenize", refuse)
+    model = parse_model(README_MODEL)
+    assert model.conformal is not None
+    assert str(model.gauge_twist("g").phi["y"]) == "y + t*x^2"
 
 
 def test_parse_polynomial_round_trip():
