@@ -398,16 +398,24 @@ class Poly:
         missing = [g for g, v in zip(self.ring.gens, point) if v is None]
         if missing:
             raise GeneratorMismatch(f"point misses generators {missing}")
-        total = Fraction(0)
-        fields = list(zip(point, self.ring._shifts))
+        if not self.nums:
+            return Fraction(0)
+        # Over one denominator q, x_i = p_i/q and a term of degree d is
+        # n * prod p_i^e_i / q^d: the sum is taken in integers over q^top,
+        # top the degree of the largest key, and reduced once.
+        q = lcm(*(v.denominator for v in point))
+        scaled = [v.numerator * (q // v.denominator) for v in point]
+        fields = list(zip(scaled, self.ring._shifts))
+        degree_shift = W * self.ring.arity
+        top = max(self.nums) >> degree_shift
+        total = 0
         for key, n in self.nums.items():
-            term = n
-            for v, shift in fields:
+            for p, shift in fields:
                 e = (key >> shift) & _FIELD
                 if e:
-                    term *= v**e
-            total += term
-        return total / self.den
+                    n *= p**e
+            total += n * q ** (top - (key >> degree_shift))
+        return Fraction(total, self.den * q**top)
 
     def __str__(self) -> str:
         return render_terms(self.ring, (self,))
@@ -605,11 +613,6 @@ class TPoly:
         return TPoly._trusted(
             self.ring, self.order, (zero,) * (self.order + 1 - len(kept)) + kept
         )
-
-    def constant_value(self) -> Rat | None:
-        if any(not c.is_zero() for c in self.coeffs[1:]):
-            return None
-        return self.coeffs[0].constant_value()
 
     def is_unit(self) -> bool:
         c0 = self.coeffs[0].constant_value()

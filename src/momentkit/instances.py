@@ -192,7 +192,7 @@ def random_line_data(seed: int, corrupt: bool = False) -> LineData:
     for g, bump in attempts:
         perturbed = {h: line.alpha_of(h) for h in gens}
         perturbed[g] = perturbed[g] + bump
-        candidate = LineData(line.base, perturbed, line.degree_bound)
+        candidate = LineData(line.base, perturbed)
         if not candidate.verify_cocycle().passed:
             return candidate
     raise AssertionError(f"could not corrupt the cocycle for seed {seed}")

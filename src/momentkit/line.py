@@ -69,13 +69,13 @@ def default_degree_bound() -> int:
 
 
 class LineData:
-    """Module datum alpha over a base Poisson structure, with alpha(t) = 1."""
+    """Module datum alpha over a base Poisson structure, with alpha(t) = 1; its
+    Laurent degree bound is read from ``MOMENTKIT_DEGREE_BOUND`` when it is built."""
 
     def __init__(
         self,
         base: PoissonStructure,
         alpha: Mapping[str, Union[TPoly, Poly, RatLike]] | None = None,
-        degree_bound: int | None = None,
     ):
         if base.order < 1:
             raise OrderMismatch("module data need base order >= 1")
@@ -83,7 +83,7 @@ class LineData:
         self.ring = base.ring
         self.order = base.order
         self.module_order = base.order - 1
-        self.degree_bound = default_degree_bound() if degree_bound is None else degree_bound
+        self.degree_bound = default_degree_bound()
         self.alpha = Derivation(self.ring, self.module_order, alpha or {})
 
     def alpha_of(self, gen: str) -> TPoly:
@@ -159,7 +159,7 @@ class LineData:
             slots = new_slots(self.module_order)
             fields[a].add_into(slots, alpha[b].coeffs)
             fields[b].add_into(slots, (-alpha[a]).coeffs)
-            self._add_alpha_into(slots, (-self.base.gen_bracket(a, b)).coeffs)
+            self._add_alpha_into(slots, self.base.gen_bracket(b, a).coeffs)
             return TPoly.from_slots(self.ring, slots)
 
         return Check.of(
@@ -181,7 +181,7 @@ class LineData:
         new_alpha = {}
         for g, field in self._generator_fields.items():
             new_alpha[g] = self.alpha.values[g] + u_inv * field.apply(u)
-        return LineData(self.base, new_alpha, self.degree_bound)
+        return LineData(self.base, new_alpha)
 
     # -- the graded total-space algebra ------------------------------------------
 
@@ -209,7 +209,7 @@ class LineData:
         Each pair of terms adds into the slots of its output degree, as in
         ``TotElement.__mul__``.  A pair with p or q nonzero is determined
         only below t^N, so it adds into the first N slots: the zero-padded
-        lift in degree 0, and the whole slot set in every other degree.
+        lift in degree 0, and all that ``from_slots`` keeps in other degrees.
         """
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
@@ -219,14 +219,9 @@ class LineData:
         out: dict[int, Slots] = {}
         for p, f in u.coeffs.items():
             for q, g in v.coeffs.items():
-                degree = p + q
-                if abs(degree) > self.degree_bound:
-                    raise OverflowError(
-                        f"Laurent degree {degree} exceeds bound {self.degree_bound}"
-                    )
-                slots = out.get(degree)
+                slots = out.get(p + q)
                 if slots is None:
-                    slots = out[degree] = new_slots(self.coefficient_order(degree))
+                    slots = out[p + q] = new_slots(n)
                 low = slots[:n] if p or q else slots
                 self.base.add_bracket_into(low, f, g)
                 if q:
@@ -235,7 +230,7 @@ class LineData:
                 if p:
                     alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
                     add_truncated_product(low, f.coeffs, (alpha_g * -p).coeffs)
-        return TotElement(self, {d: TPoly.from_slots(self.ring, s) for d, s in out.items()})
+        return TotElement.from_slots(self, out)
 
     def verify_tot_jacobi(self) -> Check:
         """Jacobiator of the Tot bracket on triples from {x_i, s, s^-1, t}.
@@ -288,6 +283,14 @@ class TotElement:
         self.line = line
         self.coeffs = clean
 
+    @classmethod
+    def from_slots(cls, line: LineData, parts: Mapping[int, Slots]) -> TotElement:
+        """The element whose s^d coefficient is finished from the kernel
+        ``parts[d]`` cut to ``line.coefficient_order(d)``: the one per-degree
+        cut, shared by the graded bracket, the product and the parser."""
+        cut = {d: slots[: line.coefficient_order(d) + 1] for d, slots in parts.items()}
+        return cls(line, {d: TPoly.from_slots(line.ring, s) for d, s in cut.items()})
+
     def coefficient(self, degree: int) -> TPoly:
         got = self.coeffs.get(degree)
         if got is not None:
@@ -330,12 +333,11 @@ class TotElement:
         out: dict[int, Slots] = {}
         for p, f in self.coeffs.items():
             for q, g in other.coeffs.items():
-                degree = p + q
-                slots = out.get(degree)
+                slots = out.get(p + q)
                 if slots is None:
-                    slots = out[degree] = new_slots(line.coefficient_order(degree))
+                    slots = out[p + q] = new_slots(line.order)
                 add_truncated_product(slots, f.coeffs, g.coeffs)
-        return TotElement(line, {d: TPoly.from_slots(line.ring, s) for d, s in out.items()})
+        return TotElement.from_slots(line, out)
 
     __rmul__ = __mul__
 

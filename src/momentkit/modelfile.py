@@ -187,10 +187,9 @@ class ModelFile:
     def ring(self) -> PolyRing:
         return PolyRing(self.generators)
 
-    def build_system(self, degree_bound: int | None = None) -> MomentSystem:
+    def build_system(self) -> MomentSystem:
         structure = PoissonStructure(self.ring, self.order, self.brackets)
-        line = LineData(structure, self.alphas, degree_bound)
-        return MomentSystem(structure, line)
+        return MomentSystem(structure, LineData(structure, self.alphas))
 
     def point(self, name: str) -> Point:
         try:
@@ -789,10 +788,9 @@ class _Sum:
                 out[d] = ks
         return out
 
-    def tpoly(self, ring: PolyRing, order: int, d: int = 0) -> TPoly:
-        """The s^d coefficient at ``order``, higher t-powers dropped."""
-        slots = self.parts.get(d)
-        return TPoly.from_slots(ring, slots[: order + 1] if slots else new_slots(order))
+    def tpoly(self, ring: PolyRing, order: int) -> TPoly:
+        """The s^0 coefficient of an expression parsed at limit ``order``."""
+        return TPoly.from_slots(ring, self.parts.get(0) or new_slots(order))
 
 
 def parse_model(text: str) -> ModelFile:
@@ -819,10 +817,7 @@ def parse_tot_expression(text: str, line: LineData) -> TotElement:
     value = _Parser(text).parse_entry(line.ring, line.order, allow_s=True)
     # A degree with a nonzero term is kept even if the reduction empties it,
     # so the Laurent degree bound applies to it.
-    return TotElement(
-        line,
-        {d: value.tpoly(line.ring, line.coefficient_order(d), d) for d in value.support()},
-    )
+    return TotElement.from_slots(line, {d: value.parts[d] for d in value.support()})
 
 
 def model_from_system(

@@ -174,9 +174,7 @@ class MomentSystem:
         self.n = structure.order
 
     @classmethod
-    def trivial(
-        cls, base: PoissonStructure, n: int, degree_bound: int | None = None
-    ) -> MomentSystem:
+    def trivial(cls, base: PoissonStructure, n: int) -> MomentSystem:
         """Lift a t-free base structure: bracket table unchanged, alpha = 0."""
         base_check = base.verify_jacobi()
         if not base_check.passed:
@@ -186,7 +184,7 @@ class MomentSystem:
             for pair, value in base.table_items()
         }
         structure = PoissonStructure(base.ring, n, table)
-        return cls(structure, LineData(structure, {}, degree_bound))
+        return cls(structure, LineData(structure, {}))
 
     def verify(self) -> Report:
         """Aggregate verification: Jacobi at order n, the cocycle condition,
@@ -226,7 +224,7 @@ class MomentSystem:
         psi_low = {name: v.truncate(self.n - 1) for name, v in psi.items()}
         moved = substitute_all([changed.alpha_apply(g.phi[name]) for name in gens], psi_low)
         alpha = dict(zip(gens, moved))
-        return MomentSystem(structure, LineData(structure, alpha, self.line.degree_bound))
+        return MomentSystem(structure, LineData(structure, alpha))
 
     # -- trivialization ------------------------------------------------------
 
@@ -275,12 +273,13 @@ class MomentSystem:
 
     # -- total-space checks ----------------------------------------------------
 
-    def verify_gm_hamiltonian(self, degree_range: range = range(-3, 4)) -> Check:
-        """The bracket with t acts on degree-p elements as multiplication by p."""
+    def verify_gm_hamiltonian(self) -> Check:
+        """The bracket with t acts on degree-p elements as multiplication by
+        p, checked for -3 <= p <= 3."""
         t_elem = self.line.tot_t()
 
         def defects():
-            for p in degree_range:
+            for p in range(-3, 4):
                 order = self.line.coefficient_order(p)
                 witnesses = [(f"s^{p}", self.line.s_power(p))] + [
                     (f"{g}*s^{p}", self.line.tot_term(p, TPoly.generator(self.ring, g, order)))
@@ -296,11 +295,8 @@ class MomentSystem:
             raise ValueError("total-space rank needs a nonzero s-coordinate")
         gens = self.ring.gens
         k = len(gens)
-        matrix = [[Fraction(0)] * (k + 2) for _ in range(k + 2)]
-        for (i, a), (j, b) in combinations(enumerate(gens), 2):
-            value = self.structure.gen_bracket(a, b).evaluate(pt.values, pt.t)
-            matrix[i][j] = value
-            matrix[j][i] = -value
+        matrix = [row + [Fraction(0)] * 2 for row in self.structure.bivector_matrix(pt)]
+        matrix += [[Fraction(0)] * (k + 2) for _ in range(2)]
         for i, g in enumerate(gens):
             value = self.line.alpha_of(g).evaluate(pt.values, pt.t) * pt.s
             matrix[i][k] = value

@@ -1,12 +1,14 @@
 """Poisson structures on truncated polynomial rings.
 
-A structure stores the brackets {x_i, x_j} between ring generators only; the
-deformation parameter t is central by construction (it never appears as a
-bracket slot) and general brackets are obtained by the biderivation
-extension.  Verification is generator-level: the Jacobiator and the conformal
-defect are multiderivations once the Leibniz rule holds, so vanishing on
-generators is sufficient, and randomized property tests guard that argument
-against implementation bugs.
+A structure stores the brackets B_ij = {x_i, x_j} between ring generators
+only, in both orientations: B_ji = -B_ij is set once, when the table is
+built, and every reader indexes B directly.  The deformation parameter t is
+central by construction (it never appears as a bracket slot) and general
+brackets are obtained by the biderivation extension.  Verification is
+generator-level: the Jacobiator and the conformal defect are
+multiderivations once the Leibniz rule holds, so vanishing on generators is
+sufficient, and randomized property tests guard that argument against
+implementation bugs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .algebra import (
     RatLike,
     Slots,
     TPoly,
+    _diff_nums,
+    _Slot,
     add_truncated_product,
     as_tpoly,
     exact_rank,
@@ -67,28 +71,23 @@ class PoissonStructure:
             if i == j:
                 raise GeneratorMismatch(f"bracket {{{a},{b}}} needs distinct generators")
             entry = as_tpoly(value, ring, order)
-            if i > j:
-                i, j, entry = j, i, -entry
-            if (i, j) in declared:
+            pair = (i, j) if i < j else (j, i)
+            if pair in declared:
                 raise GeneratorMismatch(f"duplicate bracket declaration for ({a},{b})")
-            declared.add((i, j))
+            declared.add(pair)
             if not entry.is_zero():
                 self._table[(i, j)] = entry
+                self._table[(j, i)] = -entry
 
     def gen_bracket(self, a: str, b: str) -> TPoly:
-        """{a, b} for generators a, b."""
-        i, j = self.ring.index(a), self.ring.index(b)
-        if i == j:
-            return TPoly.constant(self.ring, 0, self.order)
-        if i < j:
-            entry = self._table.get((i, j))
-            return entry if entry is not None else TPoly.constant(self.ring, 0, self.order)
-        entry = self._table.get((j, i))
-        return -entry if entry is not None else TPoly.constant(self.ring, 0, self.order)
+        """{a, b} = B_ab for generators a, b (0 off the table): one lookup."""
+        entry = self._table.get((self.ring.index(a), self.ring.index(b)))
+        return entry if entry is not None else TPoly.constant(self.ring, 0, self.order)
 
     def table_items(self) -> list[tuple[tuple[str, str], TPoly]]:
+        """The nonzero B_ij with i < j in ring order: each declared pair once."""
         gens = self.ring.gens
-        return [((gens[i], gens[j]), v) for (i, j), v in sorted(self._table.items())]
+        return [((gens[i], gens[j]), v) for (i, j), v in sorted(self._table.items()) if i < j]
 
     def base_table(self) -> dict[tuple[str, str], Poly]:
         """The order-0 restriction of the table, as plain polynomials."""
@@ -136,27 +135,30 @@ class PoissonStructure:
         return jacobi_sum(self.bracket, f, g, h)
 
     def hamiltonian_field(self, f: Union[TPoly, Poly]) -> Derivation:
-        """The derivation g -> {f, g}, read off the table: its value on a
-        generator x_j is sum_i df/dx_i * {x_i, x_j}, so the field of a
+        """The derivation g -> {f, g}, read off the table by ``_contract``:
+        its value on a generator x_j is sum_i B_ij df/dx_i, so the field of a
         generator is its row of the table."""
         return self._contract(as_tpoly(f, self.ring, self.order), range(self.ring.arity))
 
     def _contract(self, f: TPoly, targets: Iterable[int]) -> Derivation:
-        """The Hamiltonian field of f, at f's own order, on the generators
-        with an index in ``targets``, and 0 on the others."""
-        gens = self.ring.gens
-        df = [f.diff(a) for a in gens]
+        """The Hamiltonian field H_f(x_j) = sum_i B_ij df/dx_i of f, at f's
+        own order, on the generators with an index in ``targets``, and 0 on
+        the others.  As in ``Derivation.add_into``, df/dx_i is an unreduced
+        kernel operand; the generators f does not involve are skipped."""
+        ring = self.ring
+        partials = {
+            i: [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in f.coeffs]
+            for i in f.support()
+        }
         wanted = set(targets)
-        values = [new_slots(f.order) for _ in gens]
+        values = [new_slots(f.order) for _ in ring.gens]
         for (i, j), entry in self._table.items():
-            if j in wanted and not df[i].is_zero():
-                add_truncated_product(values[j], entry.coeffs, df[i].coeffs)
-            if i in wanted and not df[j].is_zero():
-                add_truncated_product(values[i], entry.coeffs, (-df[j]).coeffs)
+            if j in wanted and i in partials:
+                add_truncated_product(values[j], entry.coeffs, partials[i])
         return Derivation._trusted(
-            self.ring,
+            ring,
             f.order,
-            {g: TPoly.from_slots(self.ring, v) for g, v in zip(gens, values)},
+            {g: TPoly.from_slots(ring, v) for g, v in zip(ring.gens, values)},
         )
 
     # -- verification --------------------------------------------------------
@@ -195,9 +197,7 @@ class PoissonStructure:
         gens = self.ring.gens
         matrix = [[Fraction(0)] * len(gens) for _ in gens]
         for (i, j), entry in self._table.items():
-            value = entry.evaluate(pt.values, pt.t)
-            matrix[i][j] = value
-            matrix[j][i] = -value
+            matrix[i][j] = entry.evaluate(pt.values, pt.t)
         return matrix
 
     def bivector_rank(self, pt: Point) -> int:

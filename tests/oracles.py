@@ -2,17 +2,19 @@
 
 Everything here recomputes results along a different path than the library:
 rank via minor enumeration and the Pfaffian, brackets via full ordered-pair
-summation, the graded bracket via a free Laurent expansion that keeps the
-separate multiplication by s, term pair by term pair, the module bracket
-via the whole Hamiltonian field, flat lifts by a sweep that recomputes the
-whole residual from the derivation formula at every order, the t-linear
-conformal extension slot by slot from partial derivatives, truncated
-products by plain ``Fraction`` accumulation, the inverse of a generator
-map by error correction, the cocycle defect as three subtracted parts, the
-composite and inverse of gauge twists by term-by-term substitution,
-model-file expressions by a flat ``Fraction`` term map, and the canonical
-text by sorting ``Fraction`` terms.  Keep these independent of the code
-under test.
+summation over a table mirrored here from the declared pairs, the graded
+bracket via a free Laurent expansion that keeps the separate multiplication
+by s, term pair by term pair, the module bracket via the whole Hamiltonian
+field, the total-space matrix entry by entry from the declared items, the
+value of a polynomial at a point by summing ``Fraction`` terms, flat
+lifts by a sweep that recomputes the whole residual from the derivation
+formula at every order, the t-linear conformal extension slot by slot from
+partial derivatives, truncated products by plain ``Fraction`` accumulation,
+the inverse of a generator map by error correction, the cocycle defect as
+three subtracted parts, the composite and inverse of gauge twists by
+term-by-term substitution, model-file expressions by a flat ``Fraction``
+term map, and the canonical text by sorting ``Fraction`` terms.  Keep these
+independent of the code under test.
 """
 
 from fractions import Fraction
@@ -74,30 +76,27 @@ def pfaffian(rows):
     return total
 
 
+def mirrored_table(structure):
+    """{(a, b): {a, b}} for every ordered pair with a nonzero entry, built
+    from the declared pairs of ``table_items()`` by setting {b, a} = -{a, b}
+    here, not read from the library's stored orientations."""
+    table = {}
+    for (a, b), entry in structure.table_items():
+        table[(a, b)] = entry
+        table[(b, a)] = -entry
+    return table
+
+
 def bracket_by_pairs(structure, f, g):
     """{f,g} summed over all ordered generator pairs (i != j).
 
-    The production code sums antisymmetrized terms over i < j; this variant
-    uses the full table and single products.
+    The production code contracts the table with the derivatives of g only;
+    this variant sums single products over the whole mirrored table.
     """
-    gens = structure.ring.gens
     result = TPoly.constant(structure.ring, 0, structure.order)
-    for a in gens:
-        for b in gens:
-            if a == b:
-                continue
-            entry = structure.gen_bracket(a, b)
-            if entry.is_zero():
-                continue
-            result = result + entry * f.diff(a) * g.diff(b)
+    for (a, b), entry in mirrored_table(structure).items():
+        result = result + entry * f.diff(a) * g.diff(b)
     return result
-
-
-def laurent_add(a, b):
-    out = dict(a)
-    for d, v in b.items():
-        out[d] = out.get(d, 0) + v if d in out else v
-    return {d: v for d, v in out.items() if not v.is_zero()}
 
 
 def tot_bracket_free_laurent(line, p, f, q, g):
@@ -199,11 +198,47 @@ def cocycle_defect_by_parts(line, a, b):
     def hamiltonian(g, m):
         return bracket_by_pairs(low, TPoly.generator(line.ring, g, low.order), m)
 
+    entry = mirrored_table(line.base).get((a, b), TPoly.constant(line.ring, 0, line.order))
     return (
         hamiltonian(a, line.alpha_of(b))
         - hamiltonian(b, line.alpha_of(a))
-        - alpha_by_derivation(line, line.base.gen_bracket(a, b))
+        - alpha_by_derivation(line, entry)
     )
+
+
+def evaluate_by_terms(tp, values, t_value):
+    """The value of a TPoly at a point, summed as ``Fraction`` terms of the
+    public ``terms`` view of each t-slot."""
+    total = Fraction(0)
+    for k, c in enumerate(tp.coeffs):
+        for expo, coeff in c.terms.items():
+            term = coeff * Fraction(t_value) ** k
+            for g, e in zip(tp.ring.gens, expo):
+                term *= Fraction(values[g]) ** e
+            total += term
+    return total
+
+
+def tot_matrix_by_items(system, pt):
+    """The bracket matrix in the coordinates (x_1..x_k, s, t), written entry
+    by entry from the declared pairs of ``table_items()`` and from
+    ``alpha_items()``: {x_i, x_j} = B_ij, {x_i, s} = alpha(x_i)*s and
+    {t, s} = s, each mirrored here with the opposite sign."""
+    gens = system.ring.gens
+    k = len(gens)
+    at = {g: i for i, g in enumerate(gens)}
+    matrix = [[Fraction(0)] * (k + 2) for _ in range(k + 2)]
+
+    def put(i, j, value):
+        matrix[i][j] = value
+        matrix[j][i] = -value
+
+    for (a, b), entry in system.structure.table_items():
+        put(at[a], at[b], evaluate_by_terms(entry, pt.values, pt.t))
+    for g, value in system.line.alpha_items():
+        put(at[g], k, evaluate_by_terms(value, pt.values, pt.t) * pt.s)
+    put(k + 1, k, pt.s)
+    return matrix
 
 
 def tot_field_t_linear(line, xi, mu, w):

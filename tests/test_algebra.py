@@ -29,6 +29,7 @@ from momentkit import algebra
 
 from oracles import (
     accumulate_product,
+    evaluate_by_terms,
     rank_by_minors,
     render_terms_by_fractions,
     substitute_by_terms,
@@ -210,6 +211,14 @@ def test_evaluate():
     tp = TPoly.build(RING, 1, {0: X * Y, 1: RING.one()})
     value = tp.evaluate({"x": Fraction(2), "y": Fraction(3, 2)}, Fraction(1, 3))
     assert value == Fraction(3) + Fraction(1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tpolys(), small_rats, small_rats, small_rats)
+def test_evaluate_matches_fraction_terms(tp, x, y, t):
+    # the library sums integers over one denominator and reduces once
+    values = {"x": x, "y": y}
+    assert tp.evaluate(values, t) == evaluate_by_terms(tp, values, t)
 
 
 # -- properties ----------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from momentkit.algebra import GeneratorMismatch, OrderMismatch, Poly, PolyRing, TPoly, invert_unit
+from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly, invert_unit
 from momentkit.line import LineData, TotElement
 from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
@@ -351,7 +351,8 @@ def test_tot_product_matches_truncate_and_lift_oracle():
 
 
 def test_degree_bound_enforced(plane, monkeypatch):
-    system = MomentSystem.trivial(plane, 1, degree_bound=4)
+    monkeypatch.setenv("MOMENTKIT_DEGREE_BOUND", "4")
+    system = MomentSystem.trivial(plane, 1)
     line = system.line
     with pytest.raises(OverflowError):
         line.s_power(5)

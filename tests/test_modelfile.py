@@ -1,5 +1,7 @@
+import os
 import string
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from momentkit import modelfile
 from momentkit.algebra import Poly, PolyRing, TPoly
 from momentkit.instances import random_instance
-from momentkit.line import LineData, TotElement
+from momentkit.line import DEGREE_BOUND_ENV, LineData, TotElement
 from momentkit.modelfile import (
     KEYWORDS,
     MAX_NESTING,
@@ -583,8 +585,10 @@ def _evaluate(tree, line, order):
 
 
 def _fuzz_line(order):
-    # s-powers of the drawn trees can exceed the default Laurent degree bound
-    return LineData(PoissonStructure(FUZZ_RING, order, {}), {}, degree_bound=1000)
+    # s-powers of the drawn trees can exceed the default Laurent degree bound,
+    # which a LineData reads from the environment when it is built
+    with mock.patch.dict(os.environ, {DEGREE_BOUND_ENV: "1000"}):
+        return LineData(PoissonStructure(FUZZ_RING, order, {}), {})
 
 
 def _exact_line(tree, order):

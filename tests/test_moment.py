@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly
-from momentkit.instances import CATALOG, random_gauge_twist, random_instance, random_point
+from momentkit.instances import (
+    CATALOG,
+    catalog_structure,
+    random_gauge_twist,
+    random_instance,
+    random_point,
+)
 from momentkit.line import LineData
 from momentkit.moment import GaugeTwist, MomentSystem, NotConformal, invert_generator_map
 from momentkit.poisson import Point, PoissonStructure, conformal_defect
@@ -20,6 +26,7 @@ from oracles import (
     rank_by_minors,
     substitute_by_terms,
     tot_field_t_linear,
+    tot_matrix_by_items,
     trivialize_by_full_recompute,
 )
 
@@ -197,6 +204,19 @@ def test_twists_compose(case):
     g1, g2 = (random_gauge_twist(rng, system.ring, system.n) for _ in range(2))
     composite = compose_twists(g1, g2, system.n)
     assert _same_system(system.twist(g1).twist(g2), system.twist(composite))
+
+
+@settings(max_examples=25, deadline=None)
+@given(twisted_systems())
+def test_twisting_by_the_flat_lifts_gives_the_trivial_system(case):
+    # the flat lifts x' as phi, with unit 1, undo the twist: the table comes
+    # back to the t-free base entries and alpha to 0
+    system, _ = case
+    lifts = system.trivialize().lifts
+    flat = system.twist(GaugeTwist(lifts, TPoly.constant(system.ring, 1, system.n - 1)))
+    trivial = MomentSystem.trivial(system.structure.restrict(0), system.n)
+    assert flat.structure.table_items() == trivial.structure.table_items()
+    assert flat.line.alpha_items() == []
 
 
 def test_inversion_needs_the_identity_mod_t(plane_ring):
@@ -430,6 +450,19 @@ def test_tot_rank_requires_s(plane):
     system = MomentSystem.trivial(plane, 1)
     with pytest.raises(ValueError):
         system.tot_rank(Point({"x": Fraction(1), "y": Fraction(1)}))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["symplectic-plane", "so3"])
+def test_tot_matrix_pins_every_entry(index):
+    # ranks cannot tell a block from its transpose; this pins each entry
+    base = catalog_structure(index)
+    rng = random.Random(index)
+    for n in (2, 3, 4):
+        system = MomentSystem.trivial(base, n).twist(random_gauge_twist(rng, base.ring, n))
+        assert system.structure.table_items() and system.line.alpha_items()
+        for _ in range(3):
+            pt = random_point(rng, system.ring)
+            assert system.tot_matrix(pt) == tot_matrix_by_items(system, pt), (n, pt)
 
 
 def test_tot_rank_relation_and_evenness():

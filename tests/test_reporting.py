@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -55,3 +56,32 @@ def test_findings_are_built_only_in_reporting():
         if path.name != "reporting.py" and re.search(r"\bFinding\(", path.read_text())
     ]
     assert offenders == []
+
+
+def _named_nodes(tree):
+    """(dotted name of the enclosing classes and functions, node) for every
+    node under ``tree``."""
+    stack = [("", tree)]
+    while stack:
+        name, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            yield inner, child
+            stack.append((inner, child))
+
+
+def test_the_laurent_degree_bound_has_one_home():
+    # TotElement.__init__ is the one place that raises the bound error, and
+    # the bound is read from MOMENTKIT_DEGREE_BOUND, never passed in
+    raisers, parameters = set(), set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, node in _named_nodes(ast.parse(path.read_text())):
+            where = f"{path.name}:{name}"
+            if isinstance(node, ast.Constant) and "exceeds bound" in str(node.value):
+                raisers.add(where)
+            if isinstance(node, ast.arg) and node.arg == "degree_bound":
+                parameters.add(where)
+    assert raisers == {"line.py:TotElement.__init__"}
+    assert parameters == set()
