@@ -9,7 +9,7 @@ The package is organized bottom-up:
 * :mod:`momentkit.line` -- rank-1 module data in a trivialization, the graded
   total-space bracket, trivialization changes;
 * :mod:`momentkit.moment` -- order-n moment systems, gauge twists, the
-  trivialization algorithm, grading/rank checks, conformal extension;
+  trivialization algorithm, total-space rank, conformal extension;
 * :mod:`momentkit.modelfile` -- the model-file language;
 * :mod:`momentkit.instances` -- seeded instance generation;
 * :mod:`momentkit.cli` -- the command-line interface.

@@ -15,7 +15,8 @@ feeds the top retained slot of the module.
 section s.  The degree-0 coefficient keeps the full base order N; nonzero
 degrees carry module coefficients at order N-1.  Brackets into degree 0 from
 nonzero degrees are only determined below t^N and are re-included by the
-canonical (zero-padded) lift.
+canonical (zero-padded) lift.  The graded bracket satisfies the Jacobi
+identity exactly when alpha is a cocycle, which ``verify_cocycle`` checks.
 
 Inside the graded bracket, alpha is extended two ways and the distinction
 matters: degree-0 arguments are honest functions at order N, where the full
@@ -48,7 +49,7 @@ from .algebra import (
     invert_unit,
     new_slots,
 )
-from .poisson import PoissonStructure, jacobi_sum
+from .poisson import PoissonStructure
 from .reporting import Check
 
 DEFAULT_DEGREE_BOUND = 16
@@ -126,13 +127,6 @@ class LineData:
         """
         return self.alpha.apply(f)
 
-    def module_bracket(self, a: TPoly, m: Union[TPoly, Poly, RatLike]) -> TPoly:
-        """Coefficient of e in {a, m*e}: the degree-1 part of {a, m s}.
-
-        a lives at base order N, the section coefficient m at order N-1.
-        """
-        return self.tot_bracket(self.tot_term(0, a), self.tot_term(1, m)).coefficient(1)
-
     @cached_property
     def _generator_fields(self) -> dict[str, Derivation]:
         """The Hamiltonian field h -> {g, h} of each generator g at the module
@@ -188,14 +182,8 @@ class LineData:
     def coefficient_order(self, degree: int) -> int:
         return self.order if degree == 0 else self.module_order
 
-    def tot(self, coeffs: Mapping[int, Union[TPoly, Poly, RatLike]]) -> TotElement:
-        return TotElement(self, coeffs)
-
     def tot_term(self, degree: int, coeff: Union[TPoly, Poly, RatLike]) -> TotElement:
         return TotElement(self, {degree: coeff})
-
-    def tot_zero(self) -> TotElement:
-        return TotElement(self, {})
 
     def s_power(self, degree: int) -> TotElement:
         return self.tot_term(degree, 1)
@@ -231,27 +219,6 @@ class LineData:
                     alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
                     add_truncated_product(low, f.coeffs, (alpha_g * -p).coeffs)
         return TotElement.from_slots(self, out)
-
-    def verify_tot_jacobi(self) -> Check:
-        """Jacobiator of the Tot bracket on triples from {x_i, s, s^-1, t}.
-
-        Equivalent to the cocycle condition; a failing triple is reported with
-        its residual element.
-        """
-        elements: list[tuple[str, TotElement]] = [
-            (g, self.tot_term(0, TPoly.generator(self.ring, g, self.order)))
-            for g in self.ring.gens
-        ]
-        elements.append(("s", self.s_power(1)))
-        elements.append(("s^-1", self.s_power(-1)))
-        elements.append(("t", self.tot_t()))
-        return Check.of(
-            "tot-jacobi",
-            (
-                ((na, nb, nc), jacobi_sum(self.tot_bracket, a, b, c))
-                for (na, a), (nb, b), (nc, c) in combinations(elements, 3)
-            ),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LineData):

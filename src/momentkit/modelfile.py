@@ -24,13 +24,12 @@ conformal field, point or twist, point coordinate (``s`` and ``t`` included)
 and generator of one ``gen -> expr`` list; a repeat is an error at the
 repeated name.
 
-The parser reads the texts of the tokens, found by one ``re.findall`` over
-the text with its comments removed, and refers to a token by its index into
-that list; ``""`` is the end of input.  Text the scan cannot vouch for (a
-character outside ASCII, or one that no token may hold) is read by
-``tokenize``, which raises at the first character it rejects.  Line and
-column are computed only when an error is raised, as
-``tokenize(text)[index]``: ``tokenize`` is the one source of positions.
+One token pattern is the lexer.  The parser reads the texts of the tokens,
+found by one ``re.findall`` of it over the text with its comments removed,
+and refers to a token by its index into that list; ``""`` is the end of
+input.  A character that no token may hold is an error at that character.
+Line and column are computed only when an error is raised, from the
+``index``-th match of a ``re.finditer`` of the same pattern.
 
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
 accumulators of its t^0 .. t^order coefficients.  A product of atoms folds
@@ -59,7 +58,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .algebra import MAX_TOTAL_DEGREE, Poly, PolyRing, Rat, Slots, TPoly
 from .algebra import _Slot, add_truncated_product, new_slots
@@ -95,70 +94,39 @@ class ModelError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
-
-
-# The token classes.  Integers are ASCII digits.  An identifier continues
-# with ``\w`` (that is, ``str.isalnum`` or ``_``) and starts with
-# ``str.isalpha`` or ``_``, which tokenize checks: ``[^\W\d]`` also admits
-# characters such as ``²``.
-_INT = r"[0-9]+"
-_IDENT = r"[^\W\d]\w*"
-_PUNCT = r"->|[;,{}()=+\-*^/:]"
-
-# A match consumes the blanks before its token.  The last group catches any
-# other character but blanks.
-_TOKEN = re.compile(rf"[ \t\r]*(?:({_INT})|({_IDENT})|({_PUNCT})|([^ \t\r]))")
-_KINDS = (None, "int", "ident", "punct")
-
-# The scan finds the same tokens but skips, rather than reports, a character
-# that starts none.  It vouches only for text whose characters are blanks,
-# newlines and one-character tokens, plus each ``>`` that closes a ``->``:
-# _UNVOUCHED finds any other character, such as ``@``, a lone ``>`` or
-# anything outside ASCII.  Its class admits ``>``, so that only the second
-# alternative judges a ``>``, by the character before it.
-_SCAN = re.compile(f"{_INT}|{_IDENT}|{_PUNCT}")
-_VOUCHED = " \t\r\n" + "".join(c for c in map(chr, range(128)) if _SCAN.fullmatch(c))
-_UNVOUCHED = re.compile(f"[^{re.escape(_VOUCHED + '>')}]|(?<!-)>")
+# One pattern finds every token.  Integers are ASCII digits; an identifier
+# starts with ``str.isalpha`` or ``_`` and continues with ``\w`` (that is,
+# ``str.isalnum`` or ``_``).  ``[^\W\d]`` also admits a start such as ``²``,
+# which ``_lex`` rejects.  The last alternative, outside the group, is any
+# other character but blanks: ``findall`` reads its match as ``""``.
+_TOKEN = re.compile(r"([0-9]+|[^\W\d]\w*|->|[;,{}()=+\-*^/:])|[^ \t\r\n]")
 _COMMENT = re.compile("#[^\n]*")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    for line, code in enumerate(text.split("\n"), 1):
-        code = code.partition("#")[0]
-        # without trailing blanks no match attempt fails
-        for m in _TOKEN.finditer(code.rstrip(" \t\r")):
-            kind = m.lastindex
-            value = m[kind]
-            col = m.start(kind) + 1
-            if kind == 4 or (kind == 2 and not (value[0].isalpha() or value[0] == "_")):
-                raise ModelError(f"unexpected character {value[0]!r}", line, col)
-            # tuple.__new__ skips the Python-level Token.__new__
-            tokens.append(tuple.__new__(Token, (_KINDS[kind], value, line, col)))
-    tokens.append(Token("eof", "", line, len(code) + 1))
-    return tokens
-
-
-def _scan(text: str) -> list[str]:
-    """``[tok.text for tok in tokenize(text)]``, by one ``re.findall`` where
-    the text lets the scan vouch for it; otherwise by ``tokenize``, which
-    raises where the text has a character no token may hold."""
+def _lex(text: str) -> tuple[str, list[str]]:
+    """The text with its comments removed, and the texts of its tokens
+    followed by ``""`` for the end of input.  Raises at the first character
+    that no token may hold; only then, or for non-ASCII text, are the
+    matches walked one by one."""
     code = _COMMENT.sub("", text) if "#" in text else text
-    if _UNVOUCHED.search(code):
-        return [tok.text for tok in tokenize(text)]
-    texts = _SCAN.findall(code)
+    texts = _TOKEN.findall(code)
+    if "" in texts or not code.isascii():
+        for m in _TOKEN.finditer(code):
+            first = m[0][0]
+            if not m[1] or not (first.isascii() or first.isalpha()):
+                raise ModelError(f"unexpected character {first!r}", *_line_col(code, m.start()))
     texts.append("")
-    return texts
+    return code, texts
+
+
+def _line_col(code: str, start: int) -> tuple[int, int]:
+    """The line and column of offset ``start`` of ``code``."""
+    return code.count("\n", 0, start) + 1, start - code.rfind("\n", 0, start)
 
 
 def _kind(text: str) -> str:
-    """The kind of a token text, as ``Token.kind``: only an int token is all
-    digits, and only the end of input is ``""``."""
+    """The kind of a token text, "int", "ident", "punct" or "eof": only an
+    int token is all digits, and only the end of input is ``""``."""
     if text.isdigit():
         return "int"
     if not text:
@@ -237,16 +205,16 @@ class ModelFile:
 
 
 class _Parser:
-    """A recursive-descent parser over the token texts of ``_scan``.
+    """A recursive-descent parser over the token texts of ``_lex``.
 
     A token is its index into ``texts``; the end of input is ``""`` and the
     cursor never moves past it.  ``error`` finds the line and column of a
-    token by ``tokenize``, so positions are computed only for an error.
+    token by matching the token pattern again, so positions are computed
+    only for an error.
     """
 
     def __init__(self, text: str):
-        self.text = text
-        self.texts = _scan(text)
+        self.code, self.texts = _lex(text)
         self.pos = 0
         self.max_digits = sys.get_int_max_str_digits()
         self.ring: PolyRing | None = None
@@ -265,8 +233,10 @@ class _Parser:
 
     def error(self, message: str, at: int | None = None) -> ModelError:
         """``message`` at token ``at``, by default the current one."""
-        tok = tokenize(self.text)[self.pos if at is None else at]
-        return ModelError(message, tok.line, tok.col)
+        index = self.pos if at is None else at
+        match = next(islice(_TOKEN.finditer(self.code), index, None), None)
+        start = len(self.code) if match is None else match.start()
+        return ModelError(message, *_line_col(self.code, start))
 
     def expect_punct(self, text: str) -> None:
         # No other kind of token has a punctuation mark as its text.

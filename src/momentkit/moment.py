@@ -1,6 +1,9 @@
 """Order-n moment systems: construction, verification, gauge twisting, the
-trivialization algorithm with its uniqueness guarantees, grading and rank
-checks on the total space, and conformal vector-field extension.
+trivialization algorithm with its uniqueness guarantees, the bracket matrix
+and rank on the total space, and conformal vector-field extension.  That t
+is the moment map of the G_m-action on the total space ({t, g s^p} = p g s^p)
+holds by construction, since alpha(t) = 1 and t is central; the tests check
+the graded bracket formula that gives it.
 
 The trivialization algorithm computes, for each generator x, the unique lift
 x' = x mod t whose module bracket with the trivializing section vanishes.  It
@@ -272,23 +275,6 @@ class MomentSystem:
         return TrivializationResult(lifts, (flat, relations))
 
     # -- total-space checks ----------------------------------------------------
-
-    def verify_gm_hamiltonian(self) -> Check:
-        """The bracket with t acts on degree-p elements as multiplication by
-        p, checked for -3 <= p <= 3."""
-        t_elem = self.line.tot_t()
-
-        def defects():
-            for p in range(-3, 4):
-                order = self.line.coefficient_order(p)
-                witnesses = [(f"s^{p}", self.line.s_power(p))] + [
-                    (f"{g}*s^{p}", self.line.tot_term(p, TPoly.generator(self.ring, g, order)))
-                    for g in self.ring.gens
-                ]
-                for label, w in witnesses:
-                    yield ("t", label), self.line.tot_bracket(t_elem, w) - w * Fraction(p)
-
-        return Check.of("gm-hamiltonian", defects())
 
     def tot_matrix(self, pt: Point) -> list[list[Rat]]:
         if pt.s is None:

@@ -197,7 +197,9 @@ class PoissonStructure:
         gens = self.ring.gens
         matrix = [[Fraction(0)] * len(gens) for _ in gens]
         for (i, j), entry in self._table.items():
-            matrix[i][j] = entry.evaluate(pt.values, pt.t)
+            if i < j:
+                matrix[i][j] = value = entry.evaluate(pt.values, pt.t)
+                matrix[j][i] = -value
         return matrix
 
     def bivector_rank(self, pt: Point) -> int:

@@ -13,17 +13,25 @@ partial derivatives, truncated products by plain ``Fraction`` accumulation,
 the inverse of a generator map by error correction, the cocycle defect as
 three subtracted parts, the composite and inverse of gauge twists by
 term-by-term substitution, model-file expressions by a flat ``Fraction``
-term map, and the canonical text by sorting ``Fraction`` terms.  Keep these
-independent of the code under test.
+term map, the canonical text by sorting ``Fraction`` terms, and model-file
+tokens one character at a time.  Keep these independent of the code under
+test.
+
+Two checks of identities that hold by construction live here too, because
+only tests call them: the Jacobiator of the graded bracket, equivalent to
+the cocycle condition, and the grading action of t on the total space.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 
 from momentkit.algebra import Poly, TPoly, invert_unit
 from momentkit.line import TotElement
 from momentkit.moment import GaugeTwist
-from momentkit.modelfile import MAX_NESTING, _kind, _Parser
+from momentkit.modelfile import MAX_NESTING, ModelError, _kind, _Parser
+from momentkit.poisson import jacobi_sum
+from momentkit.reporting import Check
 
 
 def det(rows):
@@ -137,7 +145,7 @@ def tot_bracket_by_term_pairs(line, u, v):
             for d, value in tot_bracket_free_laurent(line, p, f, q, g).items():
                 value = value.lift(line.coefficient_order(d))
                 out[d] = out[d] + value if d in out else value
-    return line.tot(out)
+    return TotElement(line, out)
 
 
 def module_bracket_by_field(line, a, m):
@@ -160,7 +168,7 @@ def tot_product_by_truncate_and_lift(u, v):
             g_at = g.truncate(order) if g.order >= order else g.lift(order)
             prev = out.get(p + q)
             out[p + q] = f_at * g_at if prev is None else prev + f_at * g_at
-    return line.tot(out)
+    return TotElement(line, out)
 
 
 def alpha_by_derivation(line, f):
@@ -255,7 +263,7 @@ def tot_field_t_linear(line, xi, mu, w):
                 term = term + c.diff(g) * xi[g]
             slots.append(term)
         out[p] = TPoly(line.ring, coeff.order, slots)
-    return line.tot(out)
+    return TotElement(line, out)
 
 
 def trivialize_by_full_recompute(system):
@@ -562,3 +570,92 @@ def render_terms_by_fractions(ring, triples):
         else:
             chunks.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(chunks)
+
+
+# -- checks of identities that hold by construction ---------------------------------
+
+
+def verify_tot_jacobi(line):
+    """Jacobiator of the graded bracket on triples from {x_i, s, s^-1, t}.
+
+    Equivalent to the cocycle condition; a failing triple is reported with
+    its residual element.
+    """
+    elements = [
+        (g, line.tot_term(0, TPoly.generator(line.ring, g, line.order)))
+        for g in line.ring.gens
+    ]
+    elements.append(("s", line.s_power(1)))
+    elements.append(("s^-1", line.s_power(-1)))
+    elements.append(("t", line.tot_t()))
+    return Check.of(
+        "tot-jacobi",
+        (
+            ((na, nb, nc), jacobi_sum(line.tot_bracket, a, b, c))
+            for (na, a), (nb, b), (nc, c) in combinations(elements, 3)
+        ),
+    )
+
+
+def verify_gm_hamiltonian(system):
+    """The bracket with t acts on degree-p elements as multiplication by
+    p, checked for -3 <= p <= 3: t is the moment map of the G_m-action."""
+    line = system.line
+    t_elem = line.tot_t()
+
+    def defects():
+        for p in range(-3, 4):
+            order = line.coefficient_order(p)
+            witnesses = [(f"s^{p}", line.s_power(p))] + [
+                (f"{g}*s^{p}", line.tot_term(p, TPoly.generator(system.ring, g, order)))
+                for g in system.ring.gens
+            ]
+            for label, w in witnesses:
+                yield ("t", label), line.tot_bracket(t_elem, w) - w * Fraction(p)
+
+    return Check.of("gm-hamiltonian", defects())
+
+
+# -- model-file tokens ------------------------------------------------------------
+
+_DIGITS = "0123456789"
+_PUNCTUATION = ";,{}()=+-*^/:"
+
+
+def lex_by_characters(text):
+    """``(text, line, col)`` of every token of a model file, then
+    ``("", line, col)`` for the end of input, read one character at a time:
+    blanks are space, tab, carriage return and newline, ``#`` starts a
+    comment up to the newline, an integer is a run of ASCII digits, an
+    identifier starts with a letter (``str.isalpha``) or ``_`` and continues
+    with ``str.isalnum`` or ``_``, and ``->`` and each of ``;,{}()=+-*^/:``
+    are punctuation.  Any other character is a ``ModelError`` there."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if c in " \t\r":
+            col, i = col + 1, i + 1
+            continue
+        if c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        j = i + 1
+        if c in _DIGITS:
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+        elif c.isalpha() or c == "_":
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif text.startswith("->", i):
+            j = i + 2
+        elif c not in _PUNCTUATION:
+            raise ModelError(f"unexpected character {c!r}", line, col)
+        tokens.append((text[i:j], line, col))
+        col, i = col + j - i, j
+    tokens.append(("", line, col))
+    return tokens

@@ -26,7 +26,7 @@ from momentkit.modelfile import parse_model
 from momentkit.moment import MomentSystem
 from momentkit.poisson import Point, PoissonStructure
 
-from oracles import pfaffian
+from oracles import pfaffian, verify_gm_hamiltonian, verify_tot_jacobi
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def test_criterion_2_cocycle_tot_jacobi_equivalence():
         for seed in range(50):
             line = random_line_data(seed, corrupt=(seed % 3 == 0))
             cocycle = line.verify_cocycle().passed
-            tot = line.verify_tot_jacobi().passed
+            tot = verify_tot_jacobi(line).passed
             assert cocycle == tot, f"disagreement at seed {seed}"
             outcomes.add(cocycle)
         assert outcomes == {True, False}, "suite must mix valid and corrupted cases"
@@ -107,7 +107,7 @@ def test_criterion_5_gm_hamiltonian():
             if seed % 2:
                 system = system.twist(gauge)
             assert system.verify().passed, seed
-            assert system.verify_gm_hamiltonian().passed, seed
+            assert verify_gm_hamiltonian(system).passed, seed
             line = system.line
             t_elem = line.tot_t()
             for p in range(-3, 4):

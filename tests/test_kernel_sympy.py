@@ -13,7 +13,10 @@ same expression, truncated in t, on hypothesis-drawn inputs:
 * ``Derivation.apply``: ``sum_g D(g) * df/dg``,
 * ``invert_unit``: sympy's series of ``1/u`` in t, and ``u * u^-1 = 1``,
 * ``invert_generator_map``: ``psi o phi = id`` and ``phi o psi = id`` mod
-  ``t^(n+1)``, with the compositions expanded by sympy as for ``substitute``.
+  ``t^(n+1)``, with the compositions expanded by sympy as for ``substitute``,
+* ``trivialize``: each lift x' is flat, ``{x', e} = 0``, that is
+  ``dx'/dt + sum_g alpha(g) * dx'/dg = 0`` below ``t^n``, on seeded twisted
+  systems.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit.algebra import Derivation, Poly, PolyRing, TPoly, invert_unit
+from momentkit.instances import random_instance
 from momentkit.line import LineData
 from momentkit.moment import invert_generator_map
 from momentkit.poisson import PoissonStructure
@@ -231,3 +235,23 @@ def test_invert_generator_map_composes_to_identity(data):
         identity = terms_of(TPoly.generator(ring, g, order))
         assert substituted_terms(psi[g], phi) == identity
         assert substituted_terms(phi[g], psi) == identity
+
+
+def test_trivialize_lifts_are_flat():
+    # seeded twisted systems at orders 1-4 over the plane and so3; a lift
+    # moved by t^n * x must fail, so the expansion sees the top module slot
+    alphas, orders = 0, set()
+    for seed in range(1, 16):
+        model, gauge = random_instance(seed)
+        system = model.build_system().twist(gauge)
+        line, n = system.line, system.n
+        alphas += bool(line.alpha_items())
+        orders.add(n)
+        for g, lift in system.trivialize().lifts.items():
+            expr = to_sympy(lift)
+            flatness = sympy.diff(expr, T) + alpha_part(line, expr)
+            assert truncated_terms(flatness, system.ring, n - 1) == {}, (seed, g)
+        moved = to_sympy(lift) + T**n * SYMBOLS[system.ring.index(g)]
+        flatness = sympy.diff(moved, T) + alpha_part(line, moved)
+        assert truncated_terms(flatness, system.ring, n - 1) != {}, seed
+    assert alphas >= 12 and orders == {1, 2, 3, 4}

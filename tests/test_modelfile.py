@@ -18,13 +18,12 @@ from momentkit.modelfile import (
     model_from_system,
     parse_model,
     parse_polynomial,
-    _scan,
+    _lex,
     parse_tot_expression,
-    tokenize,
 )
 from momentkit.poisson import PoissonStructure
 
-from oracles import evaluate_by_term_map
+from oracles import evaluate_by_term_map, lex_by_characters
 
 TRIVIAL_PLANE = """\
 ring x, y;
@@ -246,7 +245,7 @@ def test_comments_and_whitespace():
     assert model.generators == ("x", "y")
 
 
-# characters the scan must not vouch for, next to the ones it reads
+# characters no token may hold, next to the ones the tokens are made of
 _SCAN_PIECES = st.one_of(
     st.sampled_from(["->", "-->", "->>", ">", "@", ".", "#", " ", "\r", "\t", "\n"]),
     st.sampled_from(["\N{LATIN SMALL LETTER E WITH ACUTE}", "\N{SUPERSCRIPT TWO}"]),
@@ -258,19 +257,19 @@ _SCAN_PIECES = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_SCAN_PIECES, max_size=30).map("".join))
-def test_scan_agrees_with_tokenize(text):
+def test_lexer_agrees_with_character_oracle(text):
     try:
-        expected = [tok.text for tok in tokenize(text)]
+        expected = [token for token, _, _ in lex_by_characters(text)]
     except ModelError as err:
         with pytest.raises(ModelError) as got:
-            _scan(text)
+            _lex(text)
         assert (got.value.message, got.value.line, got.value.col) == (
             err.message,
             err.line,
             err.col,
         ), text
         return
-    assert _scan(text) == expected, text
+    assert _lex(text)[1] == expected, text
 
 
 # The model-language example of the README, comments included.
@@ -285,12 +284,13 @@ twist g: y -> y + t*x^2; unit 2 + t*x;
 """
 
 
-def test_scan_vouches_for_arrows(monkeypatch):
-    # a model with ``->`` declarations is read by the one-regex scan alone
-    def refuse(text):
-        raise AssertionError("the scan fell back to tokenize")
+def test_readme_model_parses_without_positions(monkeypatch):
+    # a model with ``->`` declarations and comments is read by ``findall``
+    # alone: the position path runs only for an error
+    def refuse(code, start):
+        raise AssertionError("a position was computed for a valid model")
 
-    monkeypatch.setattr(modelfile, "tokenize", refuse)
+    monkeypatch.setattr(modelfile, "_line_col", refuse)
     model = parse_model(README_MODEL)
     assert model.conformal is not None
     assert str(model.gauge_twist("g").phi["y"]) == "y + t*x^2"
@@ -669,7 +669,7 @@ def test_parse_inverts_render(p):
 
 # -- statement-level fuzzing -------------------------------------------------------
 
-_FULL_TOKENS = [(tok.line, tok.text) for tok in tokenize(FULL)[:-1]]
+_FULL_TOKENS = [(line, text) for text, line, _ in lex_by_characters(FULL)[:-1]]
 # the model's own tokens, keywords and 1-2 digit literals, so order stays small
 _VOCABULARY = st.one_of(
     st.sampled_from(sorted({text for _, text in _FULL_TOKENS} | KEYWORDS)),
@@ -704,6 +704,7 @@ def test_mutated_models_round_trip_or_fail_with_a_location(text):
         model = parse_model(text)
     except ModelError as err:
         # the location of a token, or of the end of input
-        assert (err.line, err.col) in {(tok.line, tok.col) for tok in tokenize(text)}, text
+        positions = {(line, col) for _, line, col in lex_by_characters(text)}
+        assert (err.line, err.col) in positions, text
         return
     assert parse_model(model.render()) == model, text

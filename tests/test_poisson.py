@@ -178,6 +178,27 @@ def test_rank_so3_at_pole(so3):
     assert so3.bivector_rank(pt) == 2
 
 
+def test_bivector_matrix_evaluates_each_declared_pair_once(so3, monkeypatch):
+    # the table holds both orientations; B_ji is written as -B_ij, not
+    # evaluated again
+    calls = []
+    evaluate = TPoly.evaluate
+
+    def counted(self, values, t_value=0):
+        calls.append(self)
+        return evaluate(self, values, t_value)
+
+    monkeypatch.setattr(TPoly, "evaluate", counted)
+    pt = Point({"x": Fraction(2), "y": Fraction(-1, 3), "z": Fraction(5)})
+    matrix = so3.bivector_matrix(pt)
+    assert len(calls) == 3
+    assert matrix == [
+        [0, 5, Fraction(1, 3)],
+        [-5, 0, 2],
+        [Fraction(-1, 3), -2, 0],
+    ]
+
+
 def test_point_rejects_zero_s():
     with pytest.raises(ValueError):
         Point({"x": Fraction(1)}, s=Fraction(0))
