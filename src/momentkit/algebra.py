@@ -38,11 +38,13 @@ Representation notes:
   skipping slot pairs past the last slot.  A slot holds integer numerators
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
-  not divide the slot's.  ``Poly``, ``TPoly`` and ``TotElement`` products,
+  not divide the slot's.  ``Poly`` and ``TPoly`` products,
   ``substitute_all``, the contraction of the bracket table into Hamiltonian
-  fields, the model-file evaluator and ``Derivation.add_into``, the slot
+  fields, the model-file evaluator, ``Derivation.add_into``, the slot
   primitive that applies every vector field (alpha, Hamiltonian and
-  conformal fields), all accumulate this way instead of building a whole
+  conformal fields), and ``_add_t_term_into``, which adds the t-term of a
+  field that moves t (alpha(t) = 1, and xi(t) = mu*t in the conformal
+  extension), all accumulate this way instead of building a whole
   ``TPoly`` per partial product.  So do ``LineData.verify_cocycle``,
   ``PoissonStructure.add_bracket_into`` (the one slot-level bracket, behind
   ``bracket``) and ``LineData.tot_bracket``: each adds its terms into one
@@ -216,9 +218,6 @@ class PolyRing:
     def var(self, gen: str) -> Poly:
         return Poly._trusted(self, 1, {self.units[self.index(gen)]: 1})
 
-    def poly(self, terms: Mapping[tuple[int, ...], RatLike]) -> Poly:
-        return Poly(self, terms)
-
 
 class Poly:
     """Sparse exact-rational polynomial ``sum nums[key] * x^key / den``; immutable.
@@ -386,11 +385,6 @@ class Poly:
             return Fraction(self.nums[0], self.den)
         return None
 
-    def diff(self, gen: str) -> Poly:
-        return Poly._reduced(
-            self.ring, self.den, _diff_nums(self.ring, self.nums, self.ring.index(gen))
-        )
-
     def evaluate(self, values: Mapping[str, RatLike]) -> Rat:
         point = [
             _as_rat(values[g]) if g in values else None for g in self.ring.gens
@@ -497,15 +491,6 @@ class TPoly:
         finished accumulator ``slots[k]`` (see ``add_truncated_product``)."""
         return cls._trusted(ring, len(slots) - 1, tuple(finish_slot(ring, s) for s in slots))
 
-    @classmethod
-    def build(cls, ring: PolyRing, order: int, coeffs: Mapping[int, Poly]) -> TPoly:
-        slots = [ring.zero()] * (order + 1)
-        for k, p in coeffs.items():
-            if not 0 <= k <= order:
-                raise OrderMismatch(f"t^{k} slot outside order {order}")
-            slots[k] = p
-        return cls(ring, order, slots)
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Union[TPoly, Poly, RatLike]) -> TPoly:
@@ -576,13 +561,6 @@ class TPoly:
         # where some key has one
         return [i for i, e in enumerate(self.ring.unpack(seen)) if e]
 
-    def t_order(self) -> int | None:
-        """Lowest k with a nonzero t^k coefficient, or None for 0."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return None
-
     def t_degree(self) -> int:
         """Highest k with a nonzero t^k coefficient (0 for the zero element)."""
         for k in range(self.order, -1, -1):
@@ -617,9 +595,6 @@ class TPoly:
     def is_unit(self) -> bool:
         c0 = self.coeffs[0].constant_value()
         return c0 is not None and c0 != 0
-
-    def diff(self, gen: str) -> TPoly:
-        return TPoly._trusted(self.ring, self.order, tuple(c.diff(gen) for c in self.coeffs))
 
     def evaluate(self, values: Mapping[str, RatLike], t_value: RatLike = 0) -> Rat:
         tv = _as_rat(t_value)
@@ -901,9 +876,6 @@ class Derivation:
             self.ring, order, {g: v.truncate(order) for g, v in self.values.items()}
         )
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
@@ -916,6 +888,16 @@ class Derivation:
     def __repr__(self) -> str:
         inner = ", ".join(f"{g} -> {v}" for g, v in self.values.items())
         return f"<Derivation {inner}>"
+
+
+def _add_t_term_into(slots: Slots, coeffs: Sequence[Poly], dt: Sequence[Poly]) -> None:
+    """Add the t-term of a vector field D with D(t) = ``dt`` into ``slots``:
+    D(t^k c) - t^k D(c) = k t^(k-1) D(t) c for each t-slot c = ``coeffs[k]``.
+    ``dt`` is a t-slot sequence, and ``Derivation.add_into`` adds the rest of
+    D(f), the t^k D(c)."""
+    for k, c in enumerate(coeffs):
+        if k and c.nums:
+            add_truncated_product(slots, (c,), [p * k for p in dt], k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .modelfile import ModelFile, model_from_system
 from .moment import GaugeTwist, MomentSystem
 from .poisson import Point, PoissonStructure
 
-MAX_GENERATORS = 3
 MAX_ORDER = 4
 MAX_DEGREE = 2
 
@@ -82,17 +81,15 @@ def _random_t_tail(rng: random.Random, ring: PolyRing, order: int, max_degree: i
     return tail
 
 
-def random_gauge_twist(
-    rng: random.Random, ring: PolyRing, n: int, max_degree: int = MAX_DEGREE
-) -> GaugeTwist:
+def random_gauge_twist(rng: random.Random, ring: PolyRing, n: int) -> GaugeTwist:
     phi = {
-        g: TPoly.generator(ring, g, n) + _random_t_tail(rng, ring, n, max_degree)
+        g: TPoly.generator(ring, g, n) + _random_t_tail(rng, ring, n, MAX_DEGREE)
         for g in ring.gens
     }
     constant = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
     unit = TPoly.constant(ring, constant, n - 1)
     if n >= 2:
-        unit = unit + _random_t_tail(rng, ring, n - 1, max_degree) * constant
+        unit = unit + _random_t_tail(rng, ring, n - 1, MAX_DEGREE) * constant
     return GaugeTwist(phi, unit)
 
 
@@ -103,9 +100,7 @@ def identity_twist(ring: PolyRing, n: int) -> GaugeTwist:
     )
 
 
-def _random_alpha(
-    rng: random.Random, system: MomentSystem, max_degree: int
-) -> dict[str, TPoly]:
+def _random_alpha(rng: random.Random, system: MomentSystem) -> dict[str, TPoly]:
     """Module data valid over the (t-free) trivial system: zero, inner, or
     arbitrary when the bracket vanishes."""
     ring = system.ring
@@ -114,31 +109,20 @@ def _random_alpha(
     if mode == 0:
         return {}
     if mode == 1 or system.structure.table_items():
-        h = TPoly.from_poly(_random_poly(rng, ring, max_degree), system.n)
+        h = TPoly.from_poly(_random_poly(rng, ring, MAX_DEGREE), system.n)
         if system.n >= 2 and rng.random() < 0.5:
-            h = h + _random_t_tail(rng, ring, system.n, max_degree)
+            h = h + _random_t_tail(rng, ring, system.n, MAX_DEGREE)
         field = system.structure.hamiltonian_field(h)
         return {g: field.value(g).truncate(low) for g in ring.gens}
-    return {g: TPoly.from_poly(_random_poly(rng, ring, max_degree), low) for g in ring.gens}
+    return {g: TPoly.from_poly(_random_poly(rng, ring, MAX_DEGREE), low) for g in ring.gens}
 
 
-def random_instance(
-    seed: int,
-    max_generators: int = MAX_GENERATORS,
-    max_order: int = MAX_ORDER,
-    max_degree: int = MAX_DEGREE,
-) -> tuple[ModelFile, GaugeTwist]:
+def random_instance(seed: int) -> tuple[ModelFile, GaugeTwist]:
     """A seeded model (catalog base, valid alpha) plus a gauge twist.
 
     Seed 0 is the fixed anchor: the symplectic plane with the identity twist.
     The emitted model always passes system verification.
     """
-    if not 1 <= max_generators <= MAX_GENERATORS:
-        raise ValueError(f"max_generators must be in 1..{MAX_GENERATORS}")
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must be in 1..{MAX_ORDER}")
-    if not 0 <= max_degree <= MAX_DEGREE:
-        raise ValueError(f"max_degree must be in 0..{MAX_DEGREE}")
     if seed == 0:
         base = catalog_structure(0)
         system = MomentSystem.trivial(base, 2)
@@ -146,64 +130,21 @@ def random_instance(
         model = model_from_system(system, twists={"g": twist})
         return model, twist
     rng = random.Random(seed)
-    choices = [i for i in range(len(CATALOG)) if catalog_structure(i).ring.arity <= max_generators]
-    base = catalog_structure(rng.choice(choices))
-    n = rng.randint(1, max_order)
+    base = catalog_structure(rng.randrange(len(CATALOG)))
+    n = rng.randint(1, MAX_ORDER)
     system = MomentSystem.trivial(base, n)
-    alpha = _random_alpha(rng, system, max_degree)
+    alpha = _random_alpha(rng, system)
     line = LineData(system.structure, alpha)
     system = MomentSystem(system.structure, line)
-    twist = random_gauge_twist(rng, base.ring, n, max_degree)
+    twist = random_gauge_twist(rng, base.ring, n)
     model = model_from_system(system, twists={"g": twist})
     return model, twist
 
 
-def random_line_data(seed: int, corrupt: bool = False) -> LineData:
-    """A seeded LineData over a (possibly twisted, hence t-dependent) base.
-
-    With ``corrupt`` the module datum is perturbed until the cocycle condition
-    actually breaks; the base table keeps satisfying the Jacobi identity
-    either way.  Corruption needs a base with at least one nonzero bracket
-    (over the zero bracket every datum satisfies the cocycle), so the zero
-    catalog entry is skipped in that mode.
-    """
-    rng = random.Random(seed)
-    index = rng.randrange(2) if corrupt else rng.randrange(len(CATALOG))
-    base = catalog_structure(index)
-    n = rng.randint(1, MAX_ORDER)
-    system = MomentSystem.trivial(base, n)
-    alpha = _random_alpha(rng, system, MAX_DEGREE)
-    system = MomentSystem(system.structure, LineData(system.structure, alpha))
-    if rng.random() < 0.6:
-        system = system.twist(random_gauge_twist(rng, base.ring, n))
-    line = system.line
-    if not corrupt:
-        return line
-    gens = line.ring.gens
-    attempts: list[tuple[str, TPoly]] = [
-        (rng.choice(gens), TPoly.from_poly(_random_poly(rng, line.ring, 1), line.module_order))
-        for _ in range(8)
-    ]
-    # Exhaustive generator bumps guarantee a break when no generator is
-    # central: adding x_l to alpha(x_j) moves the (i,j) defect by {x_i, x_l}.
-    attempts.extend(
-        (g, TPoly.generator(line.ring, b, line.module_order)) for g in gens for b in gens
-    )
-    for g, bump in attempts:
-        perturbed = {h: line.alpha_of(h) for h in gens}
-        perturbed[g] = perturbed[g] + bump
-        candidate = LineData(line.base, perturbed)
-        if not candidate.verify_cocycle().passed:
-            return candidate
-    raise AssertionError(f"could not corrupt the cocycle for seed {seed}")
-
-
-def random_point(rng: random.Random, ring: PolyRing, with_s: bool = True) -> Point:
+def random_point(rng: random.Random, ring: PolyRing) -> Point:
     values = {
         g: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for g in ring.gens
     }
-    s_value = None
-    if with_s:
-        s_value = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+    s_value = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
     t_value = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
     return Point(values, s_value, t_value)

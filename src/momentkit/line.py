@@ -20,12 +20,12 @@ identity exactly when alpha is a cocycle, which ``verify_cocycle`` checks.
 
 Inside the graded bracket, alpha is extended two ways and the distinction
 matters: degree-0 arguments are honest functions at order N, where the full
-extension (with the t-power bump above) is intrinsic; coefficients of nonzero
-degree exist only at order N-1, where the bump would depend on a choice of
-lift, so they get the t-linear extension (no bump).  The t-linear choice is
-the one under which a change of trivialization intertwines the brackets
-exactly; the bump on such coefficients would be determined one order lower
-only.
+extension ``alpha_apply`` (with the t-power bump above) is intrinsic;
+coefficients of nonzero degree exist only at order N-1, where the bump of the
+top slot would depend on a choice of lift, so they get ``partial_alpha``, the
+t-linear extension (no bump).  So ``alpha_apply`` takes base-order arguments
+only.  The t-linear choice is the one under which a change of trivialization
+intertwines the brackets exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .algebra import (
     RatLike,
     Slots,
     TPoly,
+    _add_t_term_into,
     add_truncated_product,
     as_tpoly,
     invert_unit,
@@ -98,26 +99,21 @@ class LineData:
     def alpha_apply(self, f: TPoly) -> TPoly:
         """Extend alpha over t-powers: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
 
-        Accepts arguments at base order N (exact) or at module order N-1
-        (via the canonical zero-padded lift); the value lives at order N-1.
+        The argument lives at the base order N, where this extension is
+        intrinsic; the value lives at order N-1.  A module-order argument
+        raises ``OrderMismatch``: the top slot of its value would depend on
+        how it is lifted to order N.
         """
-        if f.ring != self.ring:
-            raise GeneratorMismatch("argument from a different ring")
-        if f.order not in (self.order, self.module_order):
-            raise OrderMismatch(
-                f"argument at order {f.order}, expected {self.order} or {self.module_order}"
-            )
+        f = as_tpoly(f, self.ring, self.order)
         slots = new_slots(self.module_order)
         self._add_alpha_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
 
     def _add_alpha_into(self, slots: Slots, coeffs: Sequence[Poly]) -> None:
         """Add alpha(f) with the t-power bump into module-order ``slots``;
-        ``coeffs`` are the t-slots of f at either order."""
+        ``coeffs`` are the t-slots of f at the base order."""
         self.alpha.add_into(slots, coeffs)
-        for k, c in enumerate(coeffs):
-            if k and c.nums:
-                add_truncated_product(slots, (c,), (self.ring.const(k),), k - 1)
+        _add_t_term_into(slots, coeffs, (self.ring.one(),))
 
     def partial_alpha(self, f: TPoly) -> TPoly:
         """The t-linear extension of alpha (no t-power bump), at order N-1.
@@ -194,10 +190,10 @@ class LineData:
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
         """Bilinear extension of {f s^p, g s^q} = ({f,g} + q g alpha(f) - p f alpha(g)) s^(p+q).
 
-        Each pair of terms adds into the slots of its output degree, as in
-        ``TotElement.__mul__``.  A pair with p or q nonzero is determined
-        only below t^N, so it adds into the first N slots: the zero-padded
-        lift in degree 0, and all that ``from_slots`` keeps in other degrees.
+        Each pair of terms adds into the slots of its output degree.  A pair
+        with p or q nonzero is determined only below t^N, so it adds into the
+        first N slots: the zero-padded lift in degree 0, and all that
+        ``from_slots`` keeps in other degrees.
         """
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
@@ -254,18 +250,9 @@ class TotElement:
     def from_slots(cls, line: LineData, parts: Mapping[int, Slots]) -> TotElement:
         """The element whose s^d coefficient is finished from the kernel
         ``parts[d]`` cut to ``line.coefficient_order(d)``: the one per-degree
-        cut, shared by the graded bracket, the product and the parser."""
+        cut, shared by the graded bracket and the parser."""
         cut = {d: slots[: line.coefficient_order(d) + 1] for d, slots in parts.items()}
         return cls(line, {d: TPoly.from_slots(line.ring, s) for d, s in cut.items()})
-
-    def coefficient(self, degree: int) -> TPoly:
-        got = self.coeffs.get(degree)
-        if got is not None:
-            return got
-        return TPoly.constant(self.line.ring, 0, self.line.coefficient_order(degree))
-
-    def degrees(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -288,23 +275,12 @@ class TotElement:
     def __sub__(self, other: TotElement) -> TotElement:
         return self + (-other)
 
-    def __mul__(self, other: Union[TotElement, RatLike]) -> TotElement:
-        """Product of already reduced factors: one kernel product per degree
-        pair into the slots of degree p + q (zero-padded into degree 0); it is
-        not well defined on the quotient.  A parsed expression is reduced once:
-        at order 2 ``(s*t^2)*s^-1`` is ``t^2``, but ``s*t^2`` (0) * ``s^-1`` is 0."""
-        if isinstance(other, (int, Fraction)):
-            return TotElement(self.line, {d: v * other for d, v in self.coeffs.items()})
-        self._check(other)
-        line = self.line
-        out: dict[int, Slots] = {}
-        for p, f in self.coeffs.items():
-            for q, g in other.coeffs.items():
-                slots = out.get(p + q)
-                if slots is None:
-                    slots = out[p + q] = new_slots(line.order)
-                add_truncated_product(slots, f.coeffs, g.coeffs)
-        return TotElement.from_slots(line, out)
+    def __mul__(self, other: RatLike) -> TotElement:
+        """The multiple by a rational.  There is no product of two elements:
+        it would not be well defined on the quotient."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return TotElement(self.line, {d: v * other for d, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 

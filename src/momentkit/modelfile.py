@@ -238,8 +238,9 @@ class _Parser:
         start = len(self.code) if match is None else match.start()
         return ModelError(message, *_line_col(self.code, start))
 
-    def expect_punct(self, text: str) -> None:
-        # No other kind of token has a punctuation mark as its text.
+    def expect(self, text: str) -> None:
+        """Step over the punctuation mark or keyword ``text``; a token has
+        one kind per text, so comparing texts compares kinds too."""
         got = self.texts[self.pos]
         if got != text:
             raise self.error(f"expected {text!r}, got {got!r}")
@@ -313,13 +314,6 @@ class _Parser:
             raise self.error(f"undeclared generator {name!r}", at)
         return name
 
-    def _expect_keyword(self, word: str) -> None:
-        # Only an identifier token can have a keyword as its text.
-        text = self.texts[self.pos]
-        if text != word:
-            raise self.error(f"expected {word!r}, got {text!r}")
-        self.pos += 1
-
     def _parse_pairs(self) -> Iterator[tuple[str, TPoly, int, int]]:
         """The ``gen -> expr`` pairs up to ``;``: the generator, its value,
         and the tokens where each starts.  The caller checks each value
@@ -328,12 +322,12 @@ class _Parser:
         while _kind(self.peek()) == "ident":
             gen_at = self.pos
             g = self._generator()
-            self.expect_punct("->")
+            self.expect("->")
             expr_at = self.pos
             value = self._parse_tpoly()
             self._claim(mapped, g, f"generator {g!r} assigned twice", gen_at)
             yield g, value, gen_at, expr_at
-        self.expect_punct(";")
+        self.expect(";")
 
     def _parse_truncated(self, message: str) -> tuple[TPoly, int]:
         """An expression of t-degree at most n-1 and its ``;``, truncated to
@@ -341,7 +335,7 @@ class _Parser:
         formatted with ``degree``, ``n`` and ``top`` = n-1."""
         at = self.pos
         value = self._parse_tpoly()
-        self.expect_punct(";")
+        self.expect(";")
         n = self.order
         assert n is not None
         if value.t_degree() > n - 1:
@@ -362,7 +356,7 @@ class _Parser:
             if not self.at_punct(","):
                 break
             self.pos += 1
-        self.expect_punct(";")
+        self.expect(";")
         self.ring = PolyRing(names)
         model.generators = self.ring.gens
 
@@ -371,22 +365,22 @@ class _Parser:
         if value < 1:
             raise self.error("order must be >= 1", keyword)
         self.order = model.order = value
-        self.expect_punct(";")
+        self.expect(";")
 
     def _parse_bracket(self, model: ModelFile, keyword: int) -> None:
-        self.expect_punct("{")
+        self.expect("{")
         first = self.pos
         a = self._generator()
-        self.expect_punct(",")
+        self.expect(",")
         b = self._generator()
-        self.expect_punct("}")
+        self.expect("}")
         if a == b:
             raise self.error("bracket needs two distinct generators", first)
         pair = frozenset((a, b))
         self._claim(self.declared, pair, f"bracket {{{a},{b}}} already declared", first)
-        self.expect_punct("=")
+        self.expect("=")
         value = self._parse_tpoly()
-        self.expect_punct(";")
+        self.expect(";")
         if not value.is_zero():
             model.brackets[(a, b)] = value
 
@@ -394,14 +388,14 @@ class _Parser:
         at = self.pos
         g = self._generator()
         self._claim(self.declared, ("alpha", g), f"alpha {g} already declared", at)
-        self.expect_punct("=")
+        self.expect("=")
         entry, _ = self._parse_truncated("alpha order exceeds n-1: t-degree {degree} at order {n}")
         if not entry.is_zero():
             model.alphas[g] = entry
 
     def _parse_conformal(self, model: ModelFile, keyword: int) -> None:
         name = self._declared_name("conformal field")
-        self.expect_punct(":")
+        self.expect(":")
         if _kind(self.peek()) != "ident":
             raise self.error("conformal declaration needs at least one 'gen -> expr' pair")
         ring = self._ring()
@@ -410,23 +404,23 @@ class _Parser:
             if value.t_degree() > 0:
                 raise self.error("conformal field values must not involve t", expr_at)
             values[g] = value.coefficient(0)
-        self._expect_keyword("weight")
+        self.expect("weight")
         weight = self._parse_signed_rational()
-        self.expect_punct(";")
+        self.expect(";")
         model.conformal = ConformalDecl(name, values, weight)
 
     def _parse_point(self, model: ModelFile, keyword: int) -> None:
         name_at = self.pos
         name = self._declared_name("point")
-        self.expect_punct("=")
-        self.expect_punct("(")
+        self.expect("=")
+        self.expect("(")
         gens = self._ring().gens
         coords: dict[str, Rat] = {}
         assigned: set[str] = set()
         while _kind(coord := self.peek()) == "ident":
             at = self.pos
             self.pos += 1
-            self.expect_punct("=")
+            self.expect("=")
             value = self._parse_signed_rational()
             if coord not in gens and coord not in ("s", "t"):
                 raise self.error(f"undeclared generator {coord!r}", at)
@@ -434,8 +428,8 @@ class _Parser:
                 raise self.error("the s-coordinate must be nonzero", at)
             self._claim(assigned, coord, f"coordinate {coord!r} assigned twice", at)
             coords[coord] = value
-        self.expect_punct(")")
-        self.expect_punct(";")
+        self.expect(")")
+        self.expect(";")
         s, t = coords.pop("s", None), coords.pop("t", Fraction(0))
         missing = [g for g in gens if g not in coords]
         if missing:
@@ -444,7 +438,7 @@ class _Parser:
 
     def _parse_twist(self, model: ModelFile, keyword: int) -> None:
         name = self._declared_name("twist")
-        self.expect_punct(":")
+        self.expect(":")
         ring, n = self._ring(), self.order
         phi = {g: TPoly.generator(ring, g, n) for g in ring.gens}
         for g, value, gen_at, _ in self._parse_pairs():
@@ -453,7 +447,7 @@ class _Parser:
                     f"twist must be the identity mod t; phi({g}) = {value}", gen_at
                 )
             phi[g] = value
-        self._expect_keyword("unit")
+        self.expect("unit")
         unit, at = self._parse_truncated("twist unit has t-degree {degree}, exceeding order {top}")
         if not unit.is_unit():
             raise self.error(f"twist unit {unit} is not invertible", at)
@@ -641,7 +635,7 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", start)
         value = self._parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         self.depth -= 1
         if self.at_punct("^"):
             value = self._power(value, self._parse_exponent(False), start)

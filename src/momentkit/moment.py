@@ -49,7 +49,7 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
-    add_truncated_product,
+    _add_t_term_into,
     as_tpoly,
     exact_rank,
     finish_slot,
@@ -99,9 +99,6 @@ def _check_twist_part(value: object, ring: PolyRing, order: int, what: str) -> N
 class TrivializationResult:
     lifts: Mapping[str, TPoly]
     checks: tuple[Check, ...]
-
-    def lift(self, gen: str) -> TPoly:
-        return self.lifts[gen]
 
 
 @dataclass(frozen=True)
@@ -322,15 +319,14 @@ class MomentSystem:
         if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
         mu = -weight
+        xi_t = (self.ring.zero(), self.ring.const(mu))
 
         def extended(tp: TPoly) -> TPoly:
             # t-linear extension with xi(t) = mu*t: on c*t^k the field gives
             # (xi(c) + k*mu*c) * t^k.
             slots = new_slots(tp.order)
             xi0.add_into(slots, tp.coeffs)
-            for k, c in enumerate(tp.coeffs):
-                if k and c.nums:
-                    add_truncated_product(slots, (c,), (self.ring.const(mu * k),), k)
+            _add_t_term_into(slots, tp.coeffs, xi_t)
             return TPoly.from_slots(self.ring, slots)
 
         def tot_apply(w: TotElement) -> TotElement:

@@ -63,9 +63,3 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)

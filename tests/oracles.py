@@ -13,22 +13,32 @@ partial derivatives, truncated products by plain ``Fraction`` accumulation,
 the inverse of a generator map by error correction, the cocycle defect as
 three subtracted parts, the composite and inverse of gauge twists by
 term-by-term substitution, model-file expressions by a flat ``Fraction``
-term map, the canonical text by sorting ``Fraction`` terms, and model-file
-tokens one character at a time.  Keep these independent of the code under
-test.
+term map, the canonical text by sorting ``Fraction`` terms, model-file
+tokens one character at a time, and partial derivatives term by term from
+the public ``terms`` view.  Keep these independent of the code under test.
 
 Two checks of identities that hold by construction live here too, because
 only tests call them: the Jacobiator of the graded bracket, equivalent to
-the cocycle condition, and the grading action of t on the total space.
+the cocycle condition, and the grading action of t on the total space.  So
+does ``random_line_data``, seeded module data that only tests draw.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 
 from momentkit.algebra import Poly, TPoly, invert_unit
-from momentkit.line import TotElement
-from momentkit.moment import GaugeTwist
+from momentkit.instances import (
+    CATALOG,
+    MAX_ORDER,
+    _random_alpha,
+    _random_poly,
+    catalog_structure,
+    random_gauge_twist,
+)
+from momentkit.line import LineData, TotElement
+from momentkit.moment import GaugeTwist, MomentSystem
 from momentkit.modelfile import MAX_NESTING, ModelError, _kind, _Parser
 from momentkit.poisson import jacobi_sum
 from momentkit.reporting import Check
@@ -84,6 +94,19 @@ def pfaffian(rows):
     return total
 
 
+def diff(f, gen):
+    """d/d``gen`` of a ``Poly``, or of a ``TPoly`` slot by slot, term by
+    term from the public ``terms`` view; the library lowers packed keys."""
+    if isinstance(f, TPoly):
+        return TPoly(f.ring, f.order, [diff(c, gen) for c in f.coeffs])
+    i = f.ring.index(gen)
+    out = {}
+    for expo, c in f.terms.items():
+        if expo[i]:
+            out[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]] = c * expo[i]
+    return Poly(f.ring, out)
+
+
 def mirrored_table(structure):
     """{(a, b): {a, b}} for every ordered pair with a nonzero entry, built
     from the declared pairs of ``table_items()`` by setting {b, a} = -{a, b}
@@ -103,7 +126,7 @@ def bracket_by_pairs(structure, f, g):
     """
     result = TPoly.constant(structure.ring, 0, structure.order)
     for (a, b), entry in mirrored_table(structure).items():
-        result = result + entry * f.diff(a) * g.diff(b)
+        result = result + entry * diff(f, a) * diff(g, b)
     return result
 
 
@@ -158,7 +181,9 @@ def module_bracket_by_field(line, a, m):
 def tot_product_by_truncate_and_lift(u, v):
     """Product of two TotElements with every factor first brought to the
     coefficient order of the product's degree (truncated or zero-padded),
-    then multiplied as whole TPolys."""
+    then multiplied as whole TPolys.  The library has no such product: it
+    depends on the zero padding, so it is not well defined on the quotient;
+    tests use it where the padding does not matter."""
     line = u.line
     out = {}
     for p, f in u.coeffs.items():
@@ -176,14 +201,12 @@ def alpha_by_derivation(line, f):
 
     alpha(t) = 1 makes the extension a derivation in t as well; the library
     instead bumps slot by slot with alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
-    An argument at the module order enters through its zero-padded lift.
+    The argument lives at the base order.
     """
     low = line.module_order
-    if f.order == low:
-        f = f.lift(line.order)
     total = TPoly(line.ring, low, [f.coefficient(k + 1) * (k + 1) for k in range(low + 1)])
     for g in line.ring.gens:
-        total = total + line.alpha_of(g) * f.diff(g).truncate(low)
+        total = total + line.alpha_of(g) * diff(f, g).truncate(low)
     return total
 
 
@@ -192,7 +215,7 @@ def alpha_t_linear(line, f):
     bump) to a module-order f."""
     total = TPoly.constant(line.ring, 0, line.module_order)
     for g in line.ring.gens:
-        total = total + line.alpha_of(g) * f.diff(g)
+        total = total + line.alpha_of(g) * diff(f, g)
     return total
 
 
@@ -260,7 +283,7 @@ def tot_field_t_linear(line, xi, mu, w):
         for k, c in enumerate(coeff.coeffs):
             term = c * (mu * k)
             for g in line.ring.gens:
-                term = term + c.diff(g) * xi[g]
+                term = term + diff(c, g) * xi[g]
             slots.append(term)
         out[p] = TPoly(line.ring, coeff.order, slots)
     return TotElement(line, out)
@@ -315,6 +338,46 @@ def invert_generator_map_by_error_correction(ring, order, phi):
             return psi
         psi = {g: psi[g] - errors[g] for g in ring.gens}
     raise ValueError("generator map is not invertible (not the identity mod t?)")
+
+
+def random_line_data(seed, corrupt=False):
+    """A seeded LineData over a (possibly twisted, hence t-dependent) base.
+
+    With ``corrupt`` the module datum is perturbed until the cocycle condition
+    actually breaks; the base table keeps satisfying the Jacobi identity
+    either way.  Corruption needs a base with at least one nonzero bracket
+    (over the zero bracket every datum satisfies the cocycle), so the zero
+    catalog entry is skipped in that mode.
+    """
+    rng = random.Random(seed)
+    index = rng.randrange(2) if corrupt else rng.randrange(len(CATALOG))
+    base = catalog_structure(index)
+    n = rng.randint(1, MAX_ORDER)
+    system = MomentSystem.trivial(base, n)
+    alpha = _random_alpha(rng, system)
+    system = MomentSystem(system.structure, LineData(system.structure, alpha))
+    if rng.random() < 0.6:
+        system = system.twist(random_gauge_twist(rng, base.ring, n))
+    line = system.line
+    if not corrupt:
+        return line
+    gens = line.ring.gens
+    attempts = [
+        (rng.choice(gens), TPoly.from_poly(_random_poly(rng, line.ring, 1), line.module_order))
+        for _ in range(8)
+    ]
+    # Exhaustive generator bumps guarantee a break when no generator is
+    # central: adding x_l to alpha(x_j) moves the (i,j) defect by {x_i, x_l}.
+    attempts.extend(
+        (g, TPoly.generator(line.ring, b, line.module_order)) for g in gens for b in gens
+    )
+    for g, bump in attempts:
+        perturbed = {h: line.alpha_of(h) for h in gens}
+        perturbed[g] = perturbed[g] + bump
+        candidate = LineData(line.base, perturbed)
+        if not candidate.verify_cocycle().passed:
+            return candidate
+    raise AssertionError(f"could not corrupt the cocycle for seed {seed}")
 
 
 def compose_twists(g1, g2, n):
@@ -509,7 +572,7 @@ class _TermMapParser(_Parser):
             if self.depth > MAX_NESTING:
                 raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", at)
             value = self._parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             self.depth -= 1
             return value, False
         raise self.error(f"expected an expression, got {text!r}")

@@ -1,12 +1,9 @@
-import pytest
+import hashlib
 
 from momentkit.algebra import TPoly
-from momentkit.instances import (
-    CATALOG,
-    catalog_structure,
-    random_instance,
-    random_line_data,
-)
+from momentkit.instances import CATALOG, catalog_structure, random_instance
+
+from oracles import random_line_data
 
 
 def test_catalog_passes_jacobi():
@@ -39,21 +36,12 @@ def test_generated_instances_pass_verification():
         assert model.build_system().verify().passed, seed
 
 
-def test_parameter_bounds_enforced():
-    with pytest.raises(ValueError):
-        random_instance(1, max_generators=4)
-    with pytest.raises(ValueError):
-        random_instance(1, max_order=5)
-    with pytest.raises(ValueError):
-        random_instance(1, max_degree=3)
-    with pytest.raises(ValueError):
-        random_instance(1, max_order=0)
-
-
-def test_max_generators_respected():
-    for seed in range(1, 20):
-        model, _ = random_instance(seed, max_generators=2)
-        assert len(model.generators) <= 2
+def test_random_instances_render_as_recorded():
+    # The roundtrip workload's inputs: seeds 0-200 render to the texts they
+    # rendered to when this digest was recorded, whatever PYTHONHASHSEED is.
+    text = "".join(random_instance(seed)[0].render() for seed in range(201))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fd4cb28a25f383efc2016038f77c3370c81c6b8a6471d143ed2a6c2d5da6ab66"
 
 
 def test_corrupted_line_data_fails_cocycle():
