@@ -39,16 +39,18 @@ Representation notes:
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
   not divide the slot's.  ``Poly`` and ``TPoly`` products,
-  ``substitute_all``, the contraction of the bracket table into Hamiltonian
-  fields, the model-file evaluator, ``Derivation.add_into``, the slot
-  primitive that applies every vector field (alpha, Hamiltonian and
+  ``substitute_all``, the contraction of the bracket table into the
+  Hamiltonian field of a polynomial (a generator's field is its row of the
+  table, with no product), the model-file evaluator, ``Derivation.add_into``,
+  the slot primitive that applies every vector field (alpha, Hamiltonian and
   conformal fields), and ``_add_t_term_into``, which adds the t-term of a
   field that moves t (alpha(t) = 1, and xi(t) = mu*t in the conformal
   extension), all accumulate this way instead of building a whole
-  ``TPoly`` per partial product.  So do ``LineData.verify_cocycle``,
-  ``PoissonStructure.add_bracket_into`` (the one slot-level bracket, behind
-  ``bracket``) and ``LineData.tot_bracket``: each adds its terms into one
-  slot set per generator pair or output degree,
+  ``TPoly`` per partial product.  So do ``PoissonStructure.verify_jacobi``,
+  ``LineData.verify_cocycle``, ``PoissonStructure.add_bracket_into`` (the one
+  slot-level bracket, behind ``bracket``) and ``LineData.tot_bracket``: each
+  adds its terms into one slot set per generator triple, generator pair or
+  output degree,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel
@@ -870,11 +872,6 @@ class Derivation:
         slots = new_slots(self.order)
         self.add_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
-
-    def truncate(self, order: int) -> Derivation:
-        return Derivation._trusted(
-            self.ring, order, {g: v.truncate(order) for g, v in self.values.items()}
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):

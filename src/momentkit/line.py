@@ -124,15 +124,10 @@ class LineData:
         return self.alpha.apply(f)
 
     @cached_property
-    def _generator_fields(self) -> dict[str, Derivation]:
-        """The Hamiltonian field h -> {g, h} of each generator g at the module
-        order: g's row of the bracket table."""
-        return {
-            g: self.base.hamiltonian_field(
-                TPoly.generator(self.ring, g, self.order)
-            ).truncate(self.module_order)
-            for g in self.ring.gens
-        }
+    def _module_base(self) -> PoissonStructure:
+        """The base structure cut to the module order, where Hamiltonian
+        fields act on the values of alpha."""
+        return self.base.restrict(self.module_order)
 
     def verify_cocycle(self) -> Check:
         """H_a(alpha(b)) - H_b(alpha(a)) = alpha({a,b}) on generator pairs.
@@ -142,7 +137,7 @@ class LineData:
         alpha(t) = 1 and t is central, so they hold by construction and are
         only noted.
         """
-        fields = self._generator_fields
+        fields = self._module_base.generator_fields
         alpha = self.alpha.values
 
         def defect(a: str, b: str) -> TPoly:
@@ -163,15 +158,16 @@ class LineData:
     def change_trivialization(self, u: Union[TPoly, Poly, RatLike]) -> LineData:
         """Replace e by u*e: the datum moves by alpha'(a) = alpha(a) + u^-1 H_a(u).
 
-        u must be a unit of the module-order ring; alpha(t) stays 1 because
-        {t, u} = 0.
+        H_a(u) = {a, u} = -H_u(a), so one Hamiltonian field of u, at the
+        module order, gives every generator's term.  u must be a unit of the
+        module-order ring; alpha(t) stays 1 because {t, u} = 0.
         """
         u = as_tpoly(u, self.ring, self.module_order)
         u_inv = invert_unit(u)
-        new_alpha = {}
-        for g, field in self._generator_fields.items():
-            new_alpha[g] = self.alpha.values[g] + u_inv * field.apply(u)
-        return LineData(self.base, new_alpha)
+        field = self._module_base.hamiltonian_field(u).values
+        return LineData(
+            self.base, {g: v - u_inv * field[g] for g, v in self.alpha.values.items()}
+        )
 
     # -- the graded total-space algebra ------------------------------------------
 

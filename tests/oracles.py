@@ -20,7 +20,10 @@ the public ``terms`` view.  Keep these independent of the code under test.
 Two checks of identities that hold by construction live here too, because
 only tests call them: the Jacobiator of the graded bracket, equivalent to
 the cocycle condition, and the grading action of t on the total space.  So
-does ``random_line_data``, seeded module data that only tests draw.
+does ``random_line_data``, seeded module data that only tests draw.  The
+Jacobiator of either bracket is summed from six nested brackets, the
+reference for ``PoissonStructure.verify_jacobi``, which applies the
+generator fields to the table entries instead.
 """
 
 import random
@@ -28,19 +31,20 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from momentkit.algebra import Poly, TPoly, invert_unit
+from momentkit.algebra import Derivation, Poly, PolyRing, TPoly, invert_unit
 from momentkit.instances import (
     CATALOG,
     MAX_ORDER,
     _random_alpha,
     _random_poly,
+    _random_t_tail,
     catalog_structure,
     random_gauge_twist,
 )
 from momentkit.line import LineData, TotElement
 from momentkit.moment import GaugeTwist, MomentSystem
 from momentkit.modelfile import MAX_NESTING, ModelError, _kind, _Parser
-from momentkit.poisson import jacobi_sum
+from momentkit.poisson import PoissonStructure
 from momentkit.reporting import Check
 
 
@@ -173,9 +177,52 @@ def tot_bracket_by_term_pairs(line, u, v):
 
 def module_bracket_by_field(line, a, m):
     """The coefficient of e in {a, m*e} as H_a(m) + m*alpha(a): the whole
-    Hamiltonian field of a, cut to the module order, applied to m."""
-    field = line.base.hamiltonian_field(a).truncate(line.module_order)
+    Hamiltonian field of a, its values cut to the module order, applied to m."""
+    low = line.module_order
+    values = line.base.hamiltonian_field(a).values
+    field = Derivation(line.ring, low, {g: v.truncate(low) for g, v in values.items()})
     return field.apply(m) + m * alpha_by_derivation(line, a)
+
+
+def jacobi_sum(bracket, a, b, c):
+    """{a,{b,c}} + {b,{c,a}} + {c,{a,b}} for an antisymmetric bracket, summed
+    as {{c,b},a} + ..: {u, a} = -H_a(u) contracts the table with the
+    derivatives of a (a generator in every check), not of the inner result."""
+    return bracket(bracket(c, b), a) + bracket(bracket(a, c), b) + bracket(bracket(b, a), c)
+
+
+def jacobiator(structure, f, g, h):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} of the base bracket, exactly, from
+    six nested ``bracket`` calls."""
+    return jacobi_sum(structure.bracket, f, g, h)
+
+
+def random_table(rng, min_order=0):
+    """A seeded bracket table drawn with no Jacobi constraint, so it almost
+    always breaks the identity: 3-5 generators, order ``min_order``..4, each
+    pair left off the table with probability 1/3, else a random entry of
+    degree <= 2 in each t-slot it keeps."""
+    ring = PolyRing(["v", "w", "x", "y", "z"][: rng.randint(3, 5)])
+    n = rng.randint(min_order, 4)
+    table = {}
+    for a, b in combinations(ring.gens, 2):
+        if rng.random() < 2 / 3:
+            head = TPoly.from_poly(_random_poly(rng, ring, 2), n)
+            table[(a, b)] = head + _random_t_tail(rng, ring, n, 2)
+    return PoissonStructure(ring, n, table)
+
+
+def changed_alpha_by_generators(line, u):
+    """alpha'(x_a) = alpha(x_a) + u^-1 {x_a, u} for each generator, with the
+    bracket summed over ordered pairs of the base cut to the module order."""
+    low = line.module_order
+    base_low = line.base.restrict(low)
+    u_inv = invert_unit(u)
+    return {
+        g: line.alpha_of(g)
+        + u_inv * bracket_by_pairs(base_low, TPoly.generator(line.ring, g, low), u)
+        for g in line.ring.gens
+    }
 
 
 def tot_product_by_truncate_and_lift(u, v):

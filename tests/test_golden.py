@@ -54,6 +54,17 @@ bracket {c, d} = a;
 bracket {a, d} = b*c;
 """
 
+# A bracket that is not Poisson: the Jacobi check fails on three of its four
+# triples, two at t^1 and one at t^2.
+JACOBI_FAILS = """\
+ring w, x, y, z;
+order 2;
+bracket {x, y} = z + t*w^2;
+bracket {y, z} = x + t^2*y^2;
+bracket {z, x} = y;
+bracket {w, x} = t*y;
+"""
+
 # The model-language example of the README; it fails its cocycle check.
 README = """\
 ring x, y;
@@ -108,6 +119,7 @@ CASES = {
     "verify_worked": (WORKED, ["verify", "model.mks"], None),
     "verify_corrupted": (CORRUPTED, ["verify", "model.mks"], None),
     "verify_four_generators": (FOUR_GENERATORS, ["verify", "model.mks"], None),
+    "verify_jacobi_fails": (JACOBI_FAILS, ["verify", "model.mks"], None),
     "verify_readme": (README, ["verify", "model.mks"], None),
     "tot_readme": (README, ["tot", "model.mks", "--left", "x*s^2", "--right", "y*s^-1"], None),
     "conformal_readme": (README, ["conformal", "model.mks"], None),

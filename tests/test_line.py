@@ -17,9 +17,11 @@ from momentkit.instances import (
 
 from oracles import (
     alpha_by_derivation,
+    changed_alpha_by_generators,
     cocycle_defect_by_parts,
     module_bracket_by_field,
     random_line_data,
+    random_table,
     tot_bracket_by_term_pairs,
     tot_product_by_truncate_and_lift,
     verify_tot_jacobi,
@@ -385,6 +387,19 @@ def test_unit_expansion_one_order_deeper(plane):
     u = 1 + TPoly.t(ring, 2) * TPoly.generator(ring, "x", 2)
     changed = system.line.change_trivialization(u)
     assert str(changed.alpha_of("y")) == "-t + t^2*x"
+
+
+def test_change_trivialization_matches_the_per_generator_oracle():
+    # one Hamiltonian field of u against one bracket {x_a, u} per generator
+    rng = random.Random(23)
+    for _ in range(30):
+        base = random_table(rng, min_order=1)
+        ring, low = base.ring, base.order - 1
+        line = LineData(base, {g: _random_tpoly(rng, ring, low) for g in ring.gens})
+        u = TPoly.constant(ring, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2])), low)
+        u = u + _random_tpoly(rng, ring, low).t_shift(1)
+        changed = line.change_trivialization(u)
+        assert changed.alpha.values == changed_alpha_by_generators(line, u)
 
 
 def test_change_round_trip(plane2):
