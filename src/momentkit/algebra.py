@@ -39,7 +39,9 @@ Representation notes:
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
   not divide the slot's.  ``Poly`` and ``TPoly`` products,
-  ``substitute_all``, the contraction of the bracket table into the
+  ``substitute_all``, both twist inverses (``invert_unit`` and
+  ``moment.invert_generator_map``, which add one t-slot at a time from
+  finished slots), the contraction of the bracket table into the
   Hamiltonian field of a polynomial (a generator's field is its row of the
   table, with no product), the model-file evaluator, ``Derivation.add_into``,
   the slot primitive that applies every vector field (alpha, Hamiltonian and
@@ -60,7 +62,10 @@ Representation notes:
   precision is the largest N-k over every poly and slot the monomial occurs
   in.  It is pushed down the chain of lower monomials (the truncation
   discipline of relaxed power series; van der Hoeven, J. Symb. Comput.
-  34(6), 2002),
+  34(6), 2002).  ``monomial_chains`` is the one walk of those chains (the
+  lowest set bit of a key owns its last generator); ``invert_generator_map``
+  walks the tails of its map with it and builds the same monomials of psi
+  one slot per step,
 * one finisher, ``finish_slot``, turns an accumulator into a ``Poly``: it
   drops cancelled terms and divides out one gcd; no caller reads the slot
   layout,
@@ -577,13 +582,6 @@ class TPoly:
             raise ValueError("truncation order must be nonnegative")
         return TPoly._trusted(self.ring, order, self.coeffs[: order + 1])
 
-    def lift(self, order: int) -> TPoly:
-        """Canonical inclusion into a higher order (new t-slots are zero)."""
-        if order < self.order:
-            raise OrderMismatch(f"cannot lift order {self.order} down to {order}")
-        pad = [self.ring.zero()] * (order - self.order)
-        return TPoly(self.ring, order, [*self.coeffs, *pad])
-
     def t_shift(self, k: int) -> TPoly:
         """Multiplication by t^k with truncation; t is not a unit, so k >= 0."""
         if k < 0:
@@ -730,14 +728,48 @@ def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
     return Poly._reduced(ring, slot.den, nums)
 
 
+def monomial_chains(
+    polys: Sequence[TPoly],
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """The monomials a substitution into ``polys`` builds, and to what precision.
+
+    Every monomial is a single kernel product of its prefix, the monomial one
+    degree lower in its last nonzero exponent, and that generator's value.
+    ``prefix`` maps each nonconstant key met to ``(lower key, generator
+    index)``; a generator's lower key is 0.  A term at t^k of a poly of order
+    N needs its monomial only mod t^(N-k+1), so ``precision`` maps each key,
+    0 included, to the largest ``N - k`` over every poly and slot it occurs
+    in.  A key's chain is walked down only while it raises a precision, so
+    every prefix keeps at least the precision of its users.
+    """
+    precision: dict[int, int] = {}
+    prefix: dict[int, tuple[int, int]] = {}
+    for poly in polys:
+        ring = poly.ring
+        arity = ring.arity
+        for k, c in enumerate(poly.coeffs):
+            need = poly.order - k
+            for key in c.nums:
+                while precision.get(key, -1) < need:
+                    precision[key] = need
+                    if not key:
+                        break
+                    # the last generator with a nonzero exponent owns the
+                    # lowest set bit of the key
+                    i = arity - 1 - ((key & -key).bit_length() - 1) // W
+                    lower = key - ring.units[i]
+                    prefix[key] = (lower, i)
+                    key = lower
+    return precision, prefix
+
+
 def substitute_all(polys: Sequence[TPoly], assignment: Mapping[str, TPoly]) -> list[TPoly]:
     """Each of ``polys``, all of one ring and order, under the simultaneous
     substitution generator -> TPoly, truncated; t maps to t.
 
-    One memo of monomials of the assigned values serves every poly.  A term
-    at t^k needs its monomial only mod t^(order-k+1), so a monomial is built
-    once, to the largest precision ``order - k`` over every poly and slot it
-    occurs in, and that precision is pushed down its chain of prefixes.
+    One memo of monomials of the assigned values serves every poly.  Each
+    monomial is built once, by one kernel product of its prefix and a
+    generator value, to the precision ``monomial_chains`` gives it.
     """
     if not polys:
         return []
@@ -751,27 +783,7 @@ def substitute_all(polys: Sequence[TPoly], assignment: Mapping[str, TPoly]) -> l
         if v is None:
             raise GeneratorMismatch(f"assignment misses generator {g!r}")
         values.append(as_tpoly(v, ring, order))
-    # Every monomial is a single kernel product of its prefix, the monomial
-    # one degree lower in its last nonzero exponent, and that generator's
-    # value.  A key's chain is walked down only while it raises a precision,
-    # so every prefix keeps at least the precision of its users.
-    arity = ring.arity
-    precision: dict[int, int] = {}
-    prefix: dict[int, tuple[int, int]] = {}
-    for poly in polys:
-        for k, c in enumerate(poly.coeffs):
-            need = order - k
-            for key in c.nums:
-                while precision.get(key, -1) < need:
-                    precision[key] = need
-                    if not key:
-                        break
-                    # the last generator with a nonzero exponent owns the
-                    # lowest set bit of the key
-                    i = arity - 1 - ((key & -key).bit_length() - 1) // W
-                    lower = key - ring.units[i]
-                    prefix[key] = (lower, i)
-                    key = lower
+    precision, prefix = monomial_chains(polys)
     # A slot sequence shorter than order + 1 is zero above its end.
     monomials: dict[int, Sequence[Poly]] = {0: (ring.one(),)}
     # Keys order by total degree first, so a prefix is built before its users.
@@ -796,26 +808,30 @@ def substitute_all(polys: Sequence[TPoly], assignment: Mapping[str, TPoly]) -> l
 
 
 def invert_unit(u: TPoly) -> TPoly:
-    """Inverse of a unit c*(1 + t*q) by geometric-series recursion on t-order.
+    """Inverse of a unit u = c0 + t*(..) of A[t]/t^(N+1), slot by slot.
 
     Accepts exactly the units of A[t]/t^(N+1) for A a polynomial ring over a
-    field: the t^0 slot must be a nonzero constant.
+    field: the t^0 slot must be a nonzero constant.  The inverse w solves
+    u*w = 1 one t-slot at a time: w_0 = c0^-1 and
+    w_m = -c0^-1 * sum_{k=1..m} u_k * w_(m-k), so each slot of w is one
+    accumulator of finished slots, built once (the relaxed product of van der
+    Hoeven, J. Symb. Comput. 34(6), 2002).
     """
     c0 = u.coeffs[0].constant_value()
     if c0 is None:
         raise NotAUnit(f"leading t^0 coefficient {u.coeffs[0]} is not constant")
     if c0 == 0:
         raise NotAUnit("leading t^0 coefficient is zero")
-    # u = c0 * (1 + v) with v in t*A[t]; inverse is c0^-1 * sum (-v)^j.
-    v = u * (1 / c0) - 1
-    result = TPoly.constant(u.ring, 1, u.order)
-    term = TPoly.constant(u.ring, 1, u.order)
-    for _ in range(u.order):
-        term = term * (-v)
-        if term.is_zero():
-            break
-        result = result + term
-    return result * (1 / c0)
+    ring = u.ring
+    scale = -1 / c0
+    scaled = [c * scale for c in u.coeffs]  # slot k is -c0^-1 * u_k
+    w = [ring.const(1 / c0)]
+    for m in range(1, u.order + 1):
+        acc = new_slots(0)
+        for k in range(1, m + 1):
+            add_truncated_product(acc, (scaled[k],), (w[m - k],))
+        w.append(finish_slot(ring, acc[0]))
+    return TPoly._trusted(ring, u.order, tuple(w))
 
 
 class Derivation:

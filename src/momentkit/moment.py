@@ -50,9 +50,12 @@ from .algebra import (
     RatLike,
     TPoly,
     _add_t_term_into,
+    _Slot,
+    add_truncated_product,
     as_tpoly,
     exact_rank,
     finish_slot,
+    monomial_chains,
     new_slots,
     substitute_all,
 )
@@ -136,14 +139,17 @@ def invert_generator_map(
     """Formal inverse psi of a substitution phi that is id mod t.
 
     With T = phi - id, which lies in t*A[t], psi is the fixed point of
-    psi = x - T(psi).  T(psi) mod t^(m+1) depends on psi only mod t^m, so
-    pass m lifts psi from order m-1 to order m.  Each pass substitutes psi
-    into the small T rather than phi into the growing psi (the fixed-point
-    form of series reversion; Brent & Kung, JACM 25(4), 1978).  In each pass
-    the k tails share ``lifted``, so one ``substitute_all`` memo builds the
-    monomials of psi for all of them.
+    psi = x - T(psi) (the fixed-point form of series reversion; Brent & Kung,
+    JACM 25(4), 1978).  Slot m of T(psi) depends on psi only mod t^m, so psi
+    is solved one t-slot at a time, and each slot is built once (the relaxed
+    method of van der Hoeven, J. Symb. Comput. 34(6), 2002): at step m,
+    every monomial M of psi that T needs gains its slot m-1,
+    M_(m-1) = sum_a P_a * psi_i,(m-1-a) over its prefix P = M / x_i, and then
+    psi_g,m = -sum_{k>=1} T_g,k(psi)_(m-k).  ``monomial_chains`` picks the
+    monomials and their precisions, as for ``substitute_all``; the TPolys
+    are built at the end.
     """
-    tail = {}
+    tails = []
     for g in ring.gens:
         value = phi.get(g)
         if value is None:
@@ -151,13 +157,47 @@ def invert_generator_map(
         value = as_tpoly(value, ring, order)
         if value.coefficient(0) != ring.var(g):
             raise ValueError("generator map is not invertible (not the identity mod t?)")
-        tail[g] = value - TPoly.generator(ring, g, order)
-    psi = {g: TPoly.generator(ring, g, 0) for g in ring.gens}
+        tails.append(TPoly._trusted(ring, order, (ring.zero(), *value.coeffs[1:])))
+    precision, prefix = monomial_chains(tails)
+    # each term of T_g at t^k, by ascending k, as (k, key, -coefficient) with
+    # the coefficient a one-term kernel operand
+    terms = [
+        [
+            (k, key, _Slot(c.den, {0: -n}))
+            for k, c in enumerate(tail.coeffs)
+            for key, n in c.nums.items()
+        ]
+        for tail in tails
+    ]
+    psi = [[ring.var(g)] for g in ring.gens]
+    # Slot lists grow one slot per step; the monomial of a generator is its
+    # psi, and the constant monomial has only its t^0 slot.
+    monomials: dict[int, list[Poly]] = {0: [ring.one()]}
+    for key, (lower, i) in prefix.items():
+        monomials[key] = [] if lower else psi[i]
+    # keys order by total degree first, so a prefix gains each slot first
+    built = sorted(key for key, (lower, _) in prefix.items() if lower)
     for m in range(1, order + 1):
-        lifted = {g: v.lift(m) for g, v in psi.items()}
-        moved = substitute_all([tail[g].truncate(m) for g in ring.gens], lifted)
-        psi = {g: TPoly.generator(ring, g, m) - v for g, v in zip(ring.gens, moved)}
-    return psi
+        j = m - 1
+        for key in built:
+            if precision[key] < j:
+                continue
+            lower, i = prefix[key]
+            low, psi_i = monomials[lower], psi[i]
+            acc = new_slots(0)
+            for a in range(m):
+                add_truncated_product(acc, (low[a],), (psi_i[j - a],))
+            monomials[key].append(finish_slot(ring, acc[0]))
+        for slots, own in zip(psi, terms):
+            acc = new_slots(0)
+            for k, key, coeff in own:
+                if k > m:
+                    break
+                monomial = monomials[key]
+                if m - k < len(monomial):
+                    add_truncated_product(acc, (monomial[m - k],), (coeff,))
+            slots.append(finish_slot(ring, acc[0]))
+    return {g: TPoly._trusted(ring, order, tuple(s)) for g, s in zip(ring.gens, psi)}
 
 
 class MomentSystem:

@@ -10,7 +10,8 @@ value of a polynomial at a point by summing ``Fraction`` terms, flat
 lifts by a sweep that recomputes the whole residual from the derivation
 formula at every order, the t-linear conformal extension slot by slot from
 partial derivatives, truncated products by plain ``Fraction`` accumulation,
-the inverse of a generator map by error correction, the cocycle defect as
+the inverse of a generator map by error correction, the inverse of a unit
+by its geometric series of whole ``TPoly`` products, the cocycle defect as
 three subtracted parts, the composite and inverse of gauge twists by
 term-by-term substitution, model-file expressions by a flat ``Fraction``
 term map, the canonical text by sorting ``Fraction`` terms, model-file
@@ -170,7 +171,7 @@ def tot_bracket_by_term_pairs(line, u, v):
     for p, f in u.coeffs.items():
         for q, g in v.coeffs.items():
             for d, value in tot_bracket_free_laurent(line, p, f, q, g).items():
-                value = value.lift(line.coefficient_order(d))
+                value = zero_padded(value, line.coefficient_order(d))
                 out[d] = out[d] + value if d in out else value
     return TotElement(line, out)
 
@@ -225,6 +226,11 @@ def changed_alpha_by_generators(line, u):
     }
 
 
+def zero_padded(f, order):
+    """``f`` at a truncation order at least its own, the new t-slots zero."""
+    return TPoly(f.ring, order, [*f.coeffs, *[f.ring.zero()] * (order - f.order)])
+
+
 def tot_product_by_truncate_and_lift(u, v):
     """Product of two TotElements with every factor first brought to the
     coefficient order of the product's degree (truncated or zero-padded),
@@ -236,8 +242,8 @@ def tot_product_by_truncate_and_lift(u, v):
     for p, f in u.coeffs.items():
         for q, g in v.coeffs.items():
             order = line.coefficient_order(p + q)
-            f_at = f.truncate(order) if f.order >= order else f.lift(order)
-            g_at = g.truncate(order) if g.order >= order else g.lift(order)
+            f_at = f.truncate(order) if f.order >= order else zero_padded(f, order)
+            g_at = g.truncate(order) if g.order >= order else zero_padded(g, order)
             prev = out.get(p + q)
             out[p + q] = f_at * g_at if prev is None else prev + f_at * g_at
     return TotElement(line, out)
@@ -369,6 +375,23 @@ def substitute_by_terms(f, assignment):
                     term = term * value
             result = result + term.t_shift(k)
     return result
+
+
+def invert_unit_by_geometric_series(u):
+    """Inverse of a unit u = c0*(1 + v), v in t*A[t], as c0^-1 * sum_j (-v)^j
+    of whole ``TPoly`` products; the library solves u*w = 1 slot by slot."""
+    c0 = u.coeffs[0].constant_value()
+    if not c0:
+        raise ValueError(f"{u} is not a unit")
+    v = u * (1 / c0) - 1
+    result = TPoly.constant(u.ring, 1, u.order)
+    term = TPoly.constant(u.ring, 1, u.order)
+    for _ in range(u.order):
+        term = term * (-v)
+        if term.is_zero():
+            break
+        result = result + term
+    return result * (1 / c0)
 
 
 def invert_generator_map_by_error_correction(ring, order, phi):

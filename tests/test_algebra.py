@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -26,10 +27,12 @@ from momentkit.algebra import (
     substitute_all,
 )
 from momentkit import algebra
+from momentkit.instances import _random_t_tail
 
 from oracles import (
     accumulate_product,
     evaluate_by_terms,
+    invert_unit_by_geometric_series,
     rank_by_minors,
     render_terms_by_fractions,
     substitute_by_terms,
@@ -131,6 +134,19 @@ def test_invert_rejects_nonconstant_leading_term():
         invert_unit(TPoly.from_poly(X, 2))
     with pytest.raises(NotAUnit):
         invert_unit(TPoly.t(RING, 2))
+
+
+def test_invert_unit_matches_geometric_series():
+    # seeded units c0 + t*(..) with slots of degree <= 2 and c0 not +-1, at
+    # orders 0-10 over 1-3 generators
+    rng = random.Random("invert_unit")
+    for order in range(11):
+        for arity in (1, 2, 3):
+            ring = PolyRing(["x", "y", "z"][:arity])
+            for _ in range(3):
+                c0 = rng.choice([Fraction(-3, 2), Fraction(2), Fraction(5, 3), Fraction(-1, 4)])
+                u = _random_t_tail(rng, ring, order, 2) + c0
+                assert invert_unit(u) == invert_unit_by_geometric_series(u), (order, arity)
 
 
 def test_partial_derivative():

@@ -163,9 +163,36 @@ def test_generator_map_inversion(so3):
 @pytest.mark.parametrize("name, build", CATALOG, ids=[name for name, _ in CATALOG])
 def test_inversion_matches_error_correction_oracle(name, build):
     ring = build().ring
+    gens = ring.gens
     rng = random.Random(f"invert/{name}")
-    for n in range(1, 9):
-        phi = random_gauge_twist(rng, ring, n).phi  # nonlinear: degree 2
+    maps = [random_gauge_twist(rng, ring, n).phi for n in range(1, 9)]  # nonlinear: degree 2
+    # order 0, where psi = id
+    maps.append({g: TPoly.generator(ring, g, 0) for g in gens})
+    # constant tail terms, the monomial of key 0: x_i + t + t^2*x_(i+1)^2
+    t = TPoly.t(ring, 6)
+    maps.append(
+        {
+            g: TPoly.generator(ring, g, 6) + t + t * t * TPoly.generator(ring, h, 6) ** 2
+            for g, h in zip(gens, gens[1:] + gens[:1])
+        }
+    )
+    # the benchmark ladder's linear shape at order 10: c * x_(i+k) at t^k
+    maps.append(
+        {
+            g: TPoly(
+                ring,
+                10,
+                [ring.var(g)]
+                + [
+                    ring.var(gens[(i + k) % len(gens)]) * rng.choice([Fraction(-3, 2), 2, 5])
+                    for k in range(1, 11)
+                ],
+            )
+            for i, g in enumerate(gens)
+        }
+    )
+    for phi in maps:
+        n = phi[gens[0]].order
         expected = invert_generator_map_by_error_correction(ring, n, phi)
         assert invert_generator_map(ring, n, phi) == expected, n
 
