@@ -360,14 +360,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
@@ -528,14 +520,6 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> TPoly:
-        if n < 0:
-            raise ValueError("negative power; use invert_unit for units")
-        result = TPoly.constant(self.ring, 1, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
             other = as_tpoly(other, self.ring, self.order)
@@ -581,16 +565,6 @@ class TPoly:
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         return TPoly._trusted(self.ring, order, self.coeffs[: order + 1])
-
-    def t_shift(self, k: int) -> TPoly:
-        """Multiplication by t^k with truncation; t is not a unit, so k >= 0."""
-        if k < 0:
-            raise ValueError(f"cannot shift by t^{k}: t is not invertible")
-        zero = self.ring.zero()
-        kept = self.coeffs[: max(self.order + 1 - k, 0)]
-        return TPoly._trusted(
-            self.ring, self.order, (zero,) * (self.order + 1 - len(kept)) + kept
-        )
 
     def is_unit(self) -> bool:
         c0 = self.coeffs[0].constant_value()

@@ -73,12 +73,13 @@ def _random_poly(rng: random.Random, ring: PolyRing, max_degree: int) -> Poly:
 
 
 def _random_t_tail(rng: random.Random, ring: PolyRing, order: int, max_degree: int) -> TPoly:
-    """A random element of t*A[t]/t^(order+1)."""
-    tail = TPoly.constant(ring, 0, order)
-    for k in range(1, order + 1):
-        if rng.random() < 0.7:
-            tail = tail + TPoly.from_poly(_random_poly(rng, ring, max_degree), order).t_shift(k)
-    return tail
+    """A random element of t*A[t]/t^(order+1): each t^k slot, k >= 1, is a
+    random polynomial with probability 0.7."""
+    zero = ring.zero()
+    slots = [zero]
+    for _ in range(order):
+        slots.append(_random_poly(rng, ring, max_degree) if rng.random() < 0.7 else zero)
+    return TPoly(ring, order, slots)
 
 
 def random_gauge_twist(rng: random.Random, ring: PolyRing, n: int) -> GaugeTwist:

@@ -765,8 +765,9 @@ def parse_model(text: str) -> ModelFile:
 def parse_polynomial(text: str, ring: PolyRing, order: int) -> TPoly:
     """Parse a standalone polynomial expression over the given ring.
 
-    This is the inverse of the canonical rendering, used by report
-    round-trips; over-order input is an error.
+    This is the public inverse of the canonical rendering: it reads the
+    text of a ``TPoly``, as a report prints it, back to that ``TPoly`` at
+    ``order``.  Over-order input is an error.
     """
     return _Parser(text).parse_entry(ring, order, allow_s=False).tpoly(ring, order)
 

@@ -72,22 +72,18 @@ class GaugeTwist:
     unit: TPoly
 
     def validate(self, system: MomentSystem) -> None:
-        """Ring and order go through ``as_tpoly`` (``GeneratorMismatch`` /
-        ``OrderMismatch``), and so does a ``phi`` key outside the ring, as in
-        ``Derivation``; a plain ``Poly`` or rational is refused outright,
-        since it carries no order."""
+        """The checks that ``invert_generator_map`` does not make (it refuses
+        a missing generator and a ``phi`` that is not the identity mod t).
+        A ``phi`` key outside the ring is a ``GeneratorMismatch``, as in
+        ``Derivation``; ring and order go through ``as_tpoly``
+        (``GeneratorMismatch`` / ``OrderMismatch``); a plain ``Poly`` or
+        rational is refused outright, since it carries no order; the unit
+        must be invertible."""
         ring = system.ring
-        n = system.n
-        for g in self.phi:
+        for g, value in self.phi.items():
             ring.index(g)
-        for g in ring.gens:
-            value = self.phi.get(g)
-            if value is None:
-                raise GeneratorMismatch(f"twist misses generator {g!r}")
-            _check_twist_part(value, ring, n, f"twist value for {g!r}")
-            if value.coefficient(0) != ring.var(g):
-                raise ValueError(f"twist must be the identity mod t; got phi({g}) = {value}")
-        _check_twist_part(self.unit, ring, n - 1, "twist unit")
+            _check_twist_part(value, ring, system.n, f"twist value for {g!r}")
+        _check_twist_part(self.unit, ring, system.n - 1, "twist unit")
         if not self.unit.is_unit():
             raise ValueError(f"twist unit {self.unit} is not invertible")
 
@@ -148,6 +144,10 @@ def invert_generator_map(
     psi_g,m = -sum_{k>=1} T_g,k(psi)_(m-k).  ``monomial_chains`` picks the
     monomials and their precisions, as for ``substitute_all``; the TPolys
     are built at the end.
+
+    This is the one library home of the check that phi is invertible: a
+    missing generator raises ``GeneratorMismatch``, and a value that is not
+    the identity mod t ``ValueError``.
     """
     tails = []
     for g in ring.gens:
@@ -156,7 +156,9 @@ def invert_generator_map(
             raise GeneratorMismatch(f"generator map misses generator {g!r}")
         value = as_tpoly(value, ring, order)
         if value.coefficient(0) != ring.var(g):
-            raise ValueError("generator map is not invertible (not the identity mod t?)")
+            raise ValueError(
+                f"generator map is not invertible: phi({g}) = {value} is not the identity mod t"
+            )
         tails.append(TPoly._trusted(ring, order, (ring.zero(), *value.coeffs[1:])))
     precision, prefix = monomial_chains(tails)
     # each term of T_g at t^k, by ascending k, as (k, key, -coefficient) with
@@ -206,7 +208,7 @@ class MomentSystem:
     def __init__(self, structure: PoissonStructure, line: LineData):
         if structure.order < 1:
             raise OrderMismatch("moment systems need order n >= 1")
-        if line.base is not structure and line.base != structure:
+        if line.base is not structure:
             raise GeneratorMismatch("module data built over a different structure")
         self.structure = structure
         self.line = line

@@ -231,6 +231,13 @@ def zero_padded(f, order):
     return TPoly(f.ring, order, [*f.coeffs, *[f.ring.zero()] * (order - f.order)])
 
 
+def t_shifted(f, k):
+    """t^k * f for ``k >= 0``, truncated at the order of ``f``: the slots move
+    up by k over zeros."""
+    slots = [*[f.ring.zero()] * k, *f.coeffs]
+    return TPoly(f.ring, f.order, slots[: f.order + 1])
+
+
 def tot_product_by_truncate_and_lift(u, v):
     """Product of two TotElements with every factor first brought to the
     coefficient order of the product's degree (truncated or zero-padded),
@@ -351,7 +358,7 @@ def trivialize_by_full_recompute(system):
         for k in range(1, system.n + 1):
             r = alpha_by_derivation(system.line, lift).coefficient(k - 1)
             if not r.is_zero():
-                lift = lift - TPoly.from_poly(r * Fraction(1, k), system.n).t_shift(k)
+                lift = lift - t_shifted(TPoly.from_poly(r * Fraction(1, k), system.n), k)
         lifts[g] = lift
     return lifts
 
@@ -373,7 +380,7 @@ def substitute_by_terms(f, assignment):
             for value, e in zip(values, expo):
                 for _ in range(e):
                     term = term * value
-            result = result + term.t_shift(k)
+            result = result + t_shifted(term, k)
     return result
 
 

@@ -25,7 +25,13 @@ from momentkit.modelfile import parse_model
 from momentkit.moment import MomentSystem
 from momentkit.poisson import Point, PoissonStructure
 
-from oracles import pfaffian, random_line_data, verify_gm_hamiltonian, verify_tot_jacobi
+from oracles import (
+    pfaffian,
+    random_line_data,
+    t_shifted,
+    verify_gm_hamiltonian,
+    verify_tot_jacobi,
+)
 
 
 @contextmanager
@@ -48,7 +54,7 @@ def test_criterion_1_jacobi_suite():
             assert catalog_structure(index).verify_jacobi().passed
         ring = PolyRing(["x", "y", "z"])
         bad = PoissonStructure(
-            ring, 0, {("x", "y"): ring.var("z"), ("y", "z"): ring.var("y") ** 2}
+            ring, 0, {("x", "y"): ring.var("z"), ("y", "z"): ring.var("y") * ring.var("y")}
         )
         check = bad.verify_jacobi()
         assert not check.passed
@@ -180,7 +186,10 @@ def test_criterion_8_trivialization_covariance():
             u_inv = invert_unit(u)
             out = {}
             for p, f in w.coeffs.items():
-                out[p] = f if p == 0 else f * (u**p if p > 0 else u_inv ** (-p))
+                factor = u if p > 0 else u_inv
+                for _ in range(abs(p)):
+                    f = f * factor
+                out[p] = f
             return TotElement(target, out)
 
         checked = 0
@@ -194,9 +203,8 @@ def test_criterion_8_trivialization_covariance():
             ]
             one_plus = TPoly.constant(line.ring, 1, low)
             if low >= 1:
-                one_plus = one_plus + TPoly.from_poly(
-                    _random_poly(rng, line.ring, 2), low
-                ).t_shift(1)
+                tail = TPoly.from_poly(_random_poly(rng, line.ring, 2), low)
+                one_plus = one_plus + t_shifted(tail, 1)
             units.append(one_plus)
             for u in units:
                 changed = line.change_trivialization(u)

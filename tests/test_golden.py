@@ -1,9 +1,12 @@
-"""Golden corpus: the exact ``--json`` bytes and exit code of CLI runs.
+"""Golden corpus: the exact output and exit code of CLI runs.
 
 Each case runs ``cli.main(argv)`` in-process, in a fresh directory holding
-the case's model as ``model.mks``, and compares stdout and the exit code (and
-an emitted model file, where the case writes one) with the recording in
-``tests/golden/<case>.json``.  A refactor must leave every case unchanged.
+the case's model as ``model.mks``, and compares stdout, the exit code, stderr
+(where the run writes to it) and an emitted model file (where the case writes
+one) with the recording in ``tests/golden/<case>.json``.  Most cases pin the
+``--json`` bytes; the ``text_`` cases pin the human-readable output, with its
+``elapsed:`` line masked, and the ``error_`` cases pin an exit-2 message.  A
+refactor must leave every case unchanged.
 
 Re-record every case, after reviewing why the output changed, with::
 
@@ -16,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -114,20 +118,31 @@ LOOSE_SO3 = (
     "twist g:\tx -> (x + t*(y*(z - 1))) y -> y - (t^2*(x));\tunit (2 + t*(x + 1/3));\r\n"
 )
 
+# A model-file error: the bracket names an undeclared generator.
+BAD_MODEL = """\
+ring x, y;
+order 1;
+bracket {x, z} = 1;
+"""
+
 # case name -> (model text or None, argv, emitted file or None)
 CASES = {
-    "verify_worked": (WORKED, ["verify", "model.mks"], None),
-    "verify_corrupted": (CORRUPTED, ["verify", "model.mks"], None),
-    "verify_four_generators": (FOUR_GENERATORS, ["verify", "model.mks"], None),
-    "verify_jacobi_fails": (JACOBI_FAILS, ["verify", "model.mks"], None),
-    "verify_readme": (README, ["verify", "model.mks"], None),
-    "tot_readme": (README, ["tot", "model.mks", "--left", "x*s^2", "--right", "y*s^-1"], None),
-    "conformal_readme": (README, ["conformal", "model.mks"], None),
-    "trivialize_so3_twisted": (SO3_TWISTED, ["trivialize", "model.mks"], None),
-    "twist_seed": (WORKED, ["twist", "model.mks", "--seed", "11"], None),
+    "verify_worked": (WORKED, ["verify", "model.mks", "--json"], None),
+    "verify_corrupted": (CORRUPTED, ["verify", "model.mks", "--json"], None),
+    "verify_four_generators": (FOUR_GENERATORS, ["verify", "model.mks", "--json"], None),
+    "verify_jacobi_fails": (JACOBI_FAILS, ["verify", "model.mks", "--json"], None),
+    "verify_readme": (README, ["verify", "model.mks", "--json"], None),
+    "tot_readme": (
+        README,
+        ["tot", "model.mks", "--left", "x*s^2", "--right", "y*s^-1", "--json"],
+        None,
+    ),
+    "conformal_readme": (README, ["conformal", "model.mks", "--json"], None),
+    "trivialize_so3_twisted": (SO3_TWISTED, ["trivialize", "model.mks", "--json"], None),
+    "twist_seed": (WORKED, ["twist", "model.mks", "--seed", "11", "--json"], None),
     "twist_name_emit": (
         SO3_WITH_TWIST,
-        ["twist", "model.mks", "--name", "g", "--emit", "twisted.mks"],
+        ["twist", "model.mks", "--name", "g", "--emit", "twisted.mks", "--json"],
         "twisted.mks",
     ),
     "tot_readme_power": (
@@ -139,31 +154,64 @@ CASES = {
             "(x + y + 1)^6*s^-1 - 4/6*x*(y - 2)*s",
             "--right",
             "y*s^-1",
+            "--json",
         ],
         None,
     ),
-    "verify_loose_layout": (LOOSE_SO3, ["verify", "model.mks"], None),
-    "tot_laurent": (WORKED, ["tot", "model.mks", "--left", "x*s^-1", "--right", "y*s^2"], None),
-    "rank_base": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "base"], None),
-    "rank_tot": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "tot"], None),
-    "conformal_worked": (WORKED, ["conformal", "model.mks"], None),
-    "conformal_weight_3": (WORKED_WEIGHT_3, ["conformal", "model.mks"], None),
-    "conformal_so3_twisted": (SO3_TWISTED_CONFORMAL, ["conformal", "model.mks"], None),
-    "roundtrip_seed_0": (None, ["roundtrip", "--cases", "20", "--seed", "0"], None),
-    "roundtrip_seed_100": (None, ["roundtrip", "--cases", "20", "--seed", "100"], None),
+    "verify_loose_layout": (LOOSE_SO3, ["verify", "model.mks", "--json"], None),
+    "tot_laurent": (
+        WORKED,
+        ["tot", "model.mks", "--left", "x*s^-1", "--right", "y*s^2", "--json"],
+        None,
+    ),
+    "rank_base": (
+        WORKED,
+        ["rank", "model.mks", "--point", "p0", "--space", "base", "--json"],
+        None,
+    ),
+    "rank_tot": (WORKED, ["rank", "model.mks", "--point", "p0", "--space", "tot", "--json"], None),
+    "conformal_worked": (WORKED, ["conformal", "model.mks", "--json"], None),
+    "conformal_weight_3": (WORKED_WEIGHT_3, ["conformal", "model.mks", "--json"], None),
+    "conformal_so3_twisted": (SO3_TWISTED_CONFORMAL, ["conformal", "model.mks", "--json"], None),
+    "roundtrip_seed_0": (None, ["roundtrip", "--cases", "20", "--seed", "0", "--json"], None),
+    "roundtrip_seed_100": (None, ["roundtrip", "--cases", "20", "--seed", "100", "--json"], None),
+    # the human-readable output, its elapsed line masked
+    "text_verify_passes": (WORKED, ["verify", "model.mks"], None),
+    "text_verify_findings": (README, ["verify", "model.mks"], None),
+    "text_trivialize": (SO3_TWISTED, ["trivialize", "model.mks"], None),
+    "text_twist_seed": (WORKED, ["twist", "model.mks", "--seed", "11"], None),
+    "text_tot": (README, ["tot", "model.mks", "--left", "x*s^2", "--right", "y*s^-1"], None),
+    "text_rank": (WORKED, ["rank", "model.mks", "--point", "p0"], None),
+    "text_conformal": (WORKED, ["conformal", "model.mks"], None),
+    "text_roundtrip": (None, ["roundtrip", "--cases", "3", "--seed", "1"], None),
+    # exit 2, with the message on stderr
+    "error_model_location": (BAD_MODEL, ["verify", "model.mks"], None),
+    "error_tot_expression": (
+        WORKED,
+        ["tot", "model.mks", "--left", "x*(y", "--right", "y"],
+        None,
+    ),
+    "error_unknown_point": (WORKED, ["rank", "model.mks", "--point", "nowhere"], None),
+    "error_roundtrip_cases": (None, ["roundtrip", "--cases", "0"], None),
 }
+
+# The one line of the human-readable output that varies from run to run.
+_ELAPSED = re.compile(r"^  elapsed: [0-9.]+ ms$", re.MULTILINE)
 
 
 def run_case(name: str, workdir: Path) -> dict:
-    """Run one case with ``workdir`` as the current directory."""
+    """Run one case with ``workdir`` as the current directory.  Stderr is
+    recorded only when the run writes to it."""
     model, argv, emitted = CASES[name]
-    argv = [*argv, "--json"]
     if model is not None:
         (workdir / "model.mks").write_text(model, encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         exit_code = main(argv)
-    record = {"argv": argv, "model": model, "exit_code": exit_code, "stdout": out.getvalue()}
+    stdout = _ELAPSED.sub("  elapsed: <masked>", out.getvalue())
+    record = {"argv": argv, "model": model, "exit_code": exit_code, "stdout": stdout}
+    if err.getvalue():
+        record["stderr"] = err.getvalue()
     if emitted is not None:
         record["emitted"] = (workdir / emitted).read_text(encoding="utf-8")
     return record

@@ -26,6 +26,7 @@ from oracles import (
     pfaffian,
     rank_by_minors,
     substitute_by_terms,
+    t_shifted,
     tot_field_t_linear,
     tot_matrix_by_items,
     trivialize_by_full_recompute,
@@ -64,10 +65,19 @@ def test_make_trivial_rejects_non_jacobi(so3_ring):
     bad = PoissonStructure(
         so3_ring,
         0,
-        {("x", "y"): so3_ring.var("z"), ("y", "z"): so3_ring.var("y") ** 2},
+        {("x", "y"): so3_ring.var("z"), ("y", "z"): so3_ring.var("y") * so3_ring.var("y")},
     )
     with pytest.raises(ValueError):
         MomentSystem.trivial(bad, 1)
+
+
+def test_module_data_over_an_equal_structure_is_a_generator_mismatch(plane):
+    # structures compare by identity: module data built over an equal copy
+    # are not data over the system's own structure
+    structure = PoissonStructure(plane.ring, 1, {("x", "y"): 1})
+    twin = PoissonStructure(plane.ring, 1, {("x", "y"): 1})
+    with pytest.raises(GeneratorMismatch, match="module data built over a different structure"):
+        MomentSystem(structure, LineData(twin, {}))
 
 
 def test_verify_report_is_computed_once(worked):
@@ -108,7 +118,7 @@ def test_inner_twist_produces_inner_datum(plane):
     g = GaugeTwist(
         {
             "x": TPoly.generator(ring, "x", 1),
-            "y": TPoly.generator(ring, "y", 1) + TPoly.from_poly(q, 1).t_shift(1),
+            "y": TPoly.generator(ring, "y", 1) + t_shifted(TPoly.from_poly(q, 1), 1),
         },
         TPoly.constant(ring, 1, 0),
     )
@@ -118,7 +128,7 @@ def test_inner_twist_produces_inner_datum(plane):
     assert twisted.line.alpha_of("y") == TPoly.from_poly(q, 0)
     assert twisted.verify().passed
     result = twisted.trivialize()
-    assert result.lifts["y"] == TPoly.generator(ring, "y", 1) - TPoly.from_poly(q, 1).t_shift(1)
+    assert result.lifts["y"] == TPoly.generator(ring, "y", 1) - t_shifted(TPoly.from_poly(q, 1), 1)
 
 
 def test_unit_twist_matches_trivialization_change(plane):
@@ -170,12 +180,9 @@ def test_inversion_matches_error_correction_oracle(name, build):
     maps.append({g: TPoly.generator(ring, g, 0) for g in gens})
     # constant tail terms, the monomial of key 0: x_i + t + t^2*x_(i+1)^2
     t = TPoly.t(ring, 6)
-    maps.append(
-        {
-            g: TPoly.generator(ring, g, 6) + t + t * t * TPoly.generator(ring, h, 6) ** 2
-            for g, h in zip(gens, gens[1:] + gens[:1])
-        }
-    )
+    var = {g: TPoly.generator(ring, g, 6) for g in gens}
+    nexts = zip(gens, gens[1:] + gens[:1])
+    maps.append({g: var[g] + t + t * t * var[h] * var[h] for g, h in nexts})
     # the benchmark ladder's linear shape at order 10: c * x_(i+k) at t^k
     maps.append(
         {
@@ -250,9 +257,14 @@ def test_twisting_by_the_flat_lifts_gives_the_trivial_system(case):
 
 def test_inversion_needs_the_identity_mod_t(plane_ring):
     x, y = (TPoly.generator(plane_ring, g, 2) for g in plane_ring.gens)
-    for phi in ({"x": x + 1, "y": y}, {"x": x, "y": y * 2}, {"x": y, "y": x}):
-        with pytest.raises(ValueError, match="not invertible"):
+    for phi, named in (
+        ({"x": x + 1, "y": y}, "phi(x) = x + 1"),
+        ({"x": x, "y": y * 2}, "phi(y) = 2*y"),
+        ({"x": y, "y": x}, "phi(x) = y"),
+    ):
+        with pytest.raises(ValueError, match="not invertible") as raised:
             invert_generator_map(plane_ring, 2, phi)
+        assert named in str(raised.value)
     with pytest.raises(GeneratorMismatch):
         invert_generator_map(plane_ring, 2, {"x": x})
 
@@ -266,8 +278,10 @@ def test_twist_validation(worked):
         },
         TPoly.constant(ring, 1, 0),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invertible"):
         worked.twist(bad_phi)
+    with pytest.raises(GeneratorMismatch, match="misses generator 'y'"):
+        worked.twist(GaugeTwist({"x": TPoly.generator(ring, "x", 1)}, TPoly.constant(ring, 1, 0)))
     bad_unit = GaugeTwist(
         {name: TPoly.generator(ring, name, 1) for name in ring.gens},
         TPoly.constant(ring, 0, 0),
@@ -347,9 +361,10 @@ def test_lift_uniqueness_under_perturbation(worked):
     result = worked.trivialize()
     lift = result.lifts["y"]
     for k in range(1, worked.n + 1):
-        perturbed = lift + TPoly.constant(worked.ring, 1, worked.n).t_shift(k)
+        perturbed = lift + t_shifted(TPoly.constant(worked.ring, 1, worked.n), k)
         assert not worked.line.alpha_apply(perturbed).is_zero()
-        perturbed = lift + TPoly.from_poly(worked.ring.var("x") ** 2, worked.n).t_shift(k)
+        x = worked.ring.var("x")
+        perturbed = lift + t_shifted(TPoly.from_poly(x * x, worked.n), k)
         assert not worked.line.alpha_apply(perturbed).is_zero()
 
 
@@ -547,7 +562,8 @@ def test_extend_weight_zero_hamiltonian_field(plane):
 
 def test_extend_zero_bracket(zero_bracket):
     system = MomentSystem.trivial(zero_bracket, 2)
-    xi = {"x": zero_bracket.ring.var("y"), "y": zero_bracket.ring.var("x") ** 2}
+    x, y = zero_bracket.ring.var("x"), zero_bracket.ring.var("y")
+    xi = {"x": y, "y": x * x}
     ext = system.extend_conformal(xi, Fraction(0))
     assert ext.mu == 0
     assert ext.passed

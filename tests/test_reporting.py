@@ -1,16 +1,17 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
-import momentkit
 from momentkit.algebra import TPoly
+from momentkit.cli import build_parser
 from momentkit.line import TotElement
 from momentkit.moment import MomentSystem
 from momentkit.reporting import Check, Finding
+from test_golden import CASES, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "momentkit"
-BENCH = ROOT / "bench"
 
 
 def test_check_of_keeps_nonzero_residuals_in_witness_order(plane):
@@ -91,44 +92,73 @@ def test_the_laurent_degree_bound_has_one_home():
     assert parameters == set()
 
 
-def test_every_public_method_has_a_caller_outside_the_tests():
-    # A public method of a library class, or a public module-level function
-    # that the package does not re-export, that only tests call is test code,
-    # which belongs in tests/oracles.py: each needs a use in the library or
-    # the benchmark (its self-tests aside), outside its own body.  A method
-    # needs an attribute use of its name, a function an attribute or a plain
-    # name use.  Uses match by name only, so a method that shares its name
-    # with a used one (once ``TotElement.coefficient``, beside
-    # ``TPoly.coefficient``) passes unseen.
-    exported = set(momentkit.__all__)
-    paths = sorted(SOURCE.glob("*.py")) + sorted(BENCH.glob("*.py"))
-    defined, uses = {}, []
-    for path in paths:
-        tree = ast.parse(path.read_text())
-        if path.parent == SOURCE:
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name not in exported:
-                    defined[f"{path.stem}.{node.name}"] = (path, node, (ast.Name, ast.Attribute))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, ast.FunctionDef):
-                            defined[f"{node.name}.{item.name}"] = (path, item, (ast.Attribute,))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.append((path, node.lineno, ast.Name, node.id))
-            elif isinstance(node, ast.Attribute):
-                uses.append((path, node.lineno, ast.Attribute, node.attr))
-    public = {k: v for k, v in defined.items() if not v[1].name.startswith("_")}
-    assert len(public) > 100
-    uncalled = [
+# Library functions that the golden corpus does not run, each with the user
+# that keeps it.  A ``__repr__`` needs no entry.
+UNREACHED_BY_THE_CORPUS = {
+    "algebra.Poly.terms": "bench/tracer.py reads it",
+    "instances.random_point": "bench/workloads.py draws its points",
+    "algebra.Poly.__str__": "ModelFile.render of a conformal declaration, which the bench renders",
+    "modelfile.parse_polynomial": "listed in __all__: the inverse of the canonical rendering",
+    "algebra.Poly.__sub__": "an operator beside the __add__ and __neg__ that run",
+    "algebra.Poly.__rsub__": "an operator beside the __add__ and __neg__ that run",
+    "algebra.TPoly.__rsub__": "an operator beside the __add__ and __neg__ that run",
+    "algebra.PolyRing.__hash__": "keeps rings hashable beside __eq__",
+    "algebra.Derivation.__eq__": "value equality",
+    "line.LineData.__eq__": "value equality",
+    "line.TotElement.__eq__": "value equality",
+    "reporting.Residual.is_zero": "a Protocol stub",
+}
+
+
+def _library_defs():
+    """{(resolved path, first line): dotted name} of every ``def`` in the
+    package.  The first line is that of a code object, ``co_firstlineno``:
+    the line of the first decorator, if there is one."""
+    defs = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for name, node in _named_nodes(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                defs[(path.resolve(), first)] = f"{path.stem}.{name}"
+    return defs
+
+
+def test_the_golden_corpus_runs_every_library_function(tmp_path, monkeypatch):
+    # Library code that only tests run is test code, which belongs in
+    # tests/oracles.py.  Every golden case runs under a profiler that records
+    # each code object started; a def is keyed by its file and first line, so
+    # a dead method is caught even when a live one shares its name.
+    defs = _library_defs()
+    assert len(defs) > 200
+    started = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            # the value keeps the code alive, so its id stays its own
+            started[id(frame.f_code)] = frame.f_code
+
+    # a cached function runs only on its first call
+    build_parser.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name in CASES:
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            run_case(name, workdir)
+    finally:
+        sys.setprofile(previous)
+    reached = {
+        (Path(code.co_filename).resolve(), code.co_firstlineno) for code in started.values()
+    }
+    unreached = {
         name
-        for name, (path, item, kinds) in sorted(public.items())
-        if not any(
-            kind in kinds
-            and used == item.name
-            and not (where == path and item.lineno <= line <= item.end_lineno)
-            for where, line, kind, used in uses
-        )
-    ]
-    assert uncalled == []
+        for key, name in defs.items()
+        if key not in reached and not name.endswith(".__repr__")
+    }
+    allowed = set(UNREACHED_BY_THE_CORPUS)
+    missing = sorted(unreached - allowed)
+    assert not missing, f"no golden case runs {missing}"
+    stale = sorted(allowed - unreached)
+    assert not stale, f"allowlisted, but run by the corpus or not defined: {stale}"
