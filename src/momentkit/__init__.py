@@ -37,13 +37,12 @@ from .moment import (
     TrivializationResult,
     invert_generator_map,
 )
-from .poisson import ConformalField, Point, PoissonStructure
+from .poisson import Point, PoissonStructure
 from .reporting import Check, Finding, Report
 
 __all__ = [
     "Check",
     "ConformalExtension",
-    "ConformalField",
     "Derivation",
     "Finding",
     "GaugeTwist",

@@ -49,10 +49,9 @@ Representation notes:
   field that moves t (alpha(t) = 1, and xi(t) = mu*t in the conformal
   extension), all accumulate this way instead of building a whole
   ``TPoly`` per partial product.  So do ``PoissonStructure.verify_jacobi``,
-  ``LineData.verify_cocycle``, ``PoissonStructure.add_bracket_into`` (the one
-  slot-level bracket, behind ``bracket``) and ``LineData.tot_bracket``: each
-  adds its terms into one slot set per generator triple, generator pair or
-  output degree,
+  ``LineData.verify_cocycle`` and ``LineData.tot_bracket``, which adds each
+  {f,g} as -H_g(f) through ``Derivation.add_into``: each adds its terms into
+  one slot set per generator triple, generator pair or output degree,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel

@@ -113,8 +113,7 @@ def _random_alpha(rng: random.Random, system: MomentSystem) -> dict[str, TPoly]:
         h = TPoly.from_poly(_random_poly(rng, ring, MAX_DEGREE), system.n)
         if system.n >= 2 and rng.random() < 0.5:
             h = h + _random_t_tail(rng, ring, system.n, MAX_DEGREE)
-        field = system.structure.hamiltonian_field(h)
-        return {g: field.value(g).truncate(low) for g in ring.gens}
+        return system.structure.hamiltonian_field(h.truncate(low)).values
     return {g: TPoly.from_poly(_random_poly(rng, ring, MAX_DEGREE), low) for g in ring.gens}
 
 

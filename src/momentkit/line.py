@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
@@ -123,21 +122,17 @@ class LineData:
         """
         return self.alpha.apply(f)
 
-    @cached_property
-    def _module_base(self) -> PoissonStructure:
-        """The base structure cut to the module order, where Hamiltonian
-        fields act on the values of alpha."""
-        return self.base.restrict(self.module_order)
-
     def verify_cocycle(self) -> Check:
         """H_a(alpha(b)) - H_b(alpha(a)) = alpha({a,b}) on generator pairs.
 
         The three terms of a pair's defect are added into one slot set, which
-        is finished once.  Pairs involving t reduce to H_a(1) = 0 because
-        alpha(t) = 1 and t is central, so they hold by construction and are
-        only noted.
+        is finished once.  The generator fields are the base's own, shared
+        with the Jacobi check: their order-N values add into the module-order
+        slots as the fields of the base cut to order N-1.  Pairs involving t
+        reduce to H_a(1) = 0 because alpha(t) = 1 and t is central, so they
+        hold by construction and are only noted.
         """
-        fields = self._module_base.generator_fields
+        fields = self.base.generator_fields
         alpha = self.alpha.values
 
         def defect(a: str, b: str) -> TPoly:
@@ -158,13 +153,13 @@ class LineData:
     def change_trivialization(self, u: Union[TPoly, Poly, RatLike]) -> LineData:
         """Replace e by u*e: the datum moves by alpha'(a) = alpha(a) + u^-1 H_a(u).
 
-        H_a(u) = {a, u} = -H_u(a), so one Hamiltonian field of u, at the
-        module order, gives every generator's term.  u must be a unit of the
-        module-order ring; alpha(t) stays 1 because {t, u} = 0.
+        H_a(u) = {a, u} = -H_u(a), so one Hamiltonian field of u, taken at
+        u's module order, gives every generator's term.  u must be a unit of
+        the module-order ring; alpha(t) stays 1 because {t, u} = 0.
         """
         u = as_tpoly(u, self.ring, self.module_order)
         u_inv = invert_unit(u)
-        field = self._module_base.hamiltonian_field(u).values
+        field = self.base.hamiltonian_field(u).values
         return LineData(
             self.base, {g: v - u_inv * field[g] for g, v in self.alpha.values.items()}
         )
@@ -186,10 +181,11 @@ class LineData:
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
         """Bilinear extension of {f s^p, g s^q} = ({f,g} + q g alpha(f) - p f alpha(g)) s^(p+q).
 
-        Each pair of terms adds into the slots of its output degree.  A pair
-        with p or q nonzero is determined only below t^N, so it adds into the
-        first N slots: the zero-padded lift in degree 0, and all that
-        ``from_slots`` keeps in other degrees.
+        Each pair of terms adds into the slots of its output degree, its
+        {f,g} as -H_g(f) with the base's Hamiltonian field of g taken at g's
+        order.  A pair with p or q nonzero is determined only below t^N, so it
+        adds into the first N slots: the zero-padded lift in degree 0, and all
+        that ``from_slots`` keeps in other degrees.
         """
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
@@ -203,7 +199,7 @@ class LineData:
                 if slots is None:
                     slots = out[p + q] = new_slots(n)
                 low = slots[:n] if p or q else slots
-                self.base.add_bracket_into(low, f, g)
+                self.base.hamiltonian_field(g).add_into(low, (-f).coeffs)
                 if q:
                     alpha_f = self.alpha_apply(f) if p == 0 else self.partial_alpha(f)
                     add_truncated_product(low, g.coeffs, (alpha_f * q).coeffs)

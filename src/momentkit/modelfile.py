@@ -204,6 +204,11 @@ class ModelFile:
         return "\n".join(lines) + "\n"
 
 
+def _got(text: str) -> str:
+    """The token ``text`` as a parse error names what it found."""
+    return repr(text) if text else "end of input"
+
+
 class _Parser:
     """A recursive-descent parser over the token texts of ``_lex``.
 
@@ -243,20 +248,20 @@ class _Parser:
         one kind per text, so comparing texts compares kinds too."""
         got = self.texts[self.pos]
         if got != text:
-            raise self.error(f"expected {text!r}, got {got!r}")
+            raise self.error(f"expected {text!r}, got {_got(got)}")
         self.pos += 1
 
     def expect_ident(self, what: str = "identifier") -> str:
         text = self.texts[self.pos]
         if _kind(text) != "ident":
-            raise self.error(f"expected {what}, got {text!r}")
+            raise self.error(f"expected {what}, got {_got(text)}")
         self.pos += 1
         return text
 
     def expect_int(self) -> int:
         text = self.texts[self.pos]
         if not text.isdigit():
-            raise self.error(f"expected integer, got {text!r}")
+            raise self.error(f"expected integer, got {_got(text)}")
         if self.max_digits and len(text) > self.max_digits:
             raise self.error(f"integer literal longer than {self.max_digits} digits")
         self.pos += 1
@@ -579,7 +584,7 @@ class _Parser:
                     elif _kind(text) == "ident":
                         raise self.error(f"undeclared generator {text!r}", start)
                     else:
-                        raise self.error(f"expected an expression, got {text!r}")
+                        raise self.error(f"expected an expression, got {_got(text)}")
                     self.pos = start + 1
                 if texts[self.pos] == "^":
                     power = self._parse_exponent(a_d == 1)

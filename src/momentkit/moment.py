@@ -60,7 +60,7 @@ from .algebra import (
     substitute_all,
 )
 from .line import LineData, TotElement
-from .poisson import ConformalField, Point, PoissonStructure, conformal_defect
+from .poisson import Point, PoissonStructure, conformal_defect
 from .reporting import Check, Report
 
 
@@ -355,7 +355,7 @@ class MomentSystem:
         """
         weight = Fraction(weight) if isinstance(weight, int) else weight
         xi0 = Derivation(self.ring, 0, xi)
-        base_check = self.structure.restrict(0).verify_conformal(ConformalField(xi0, weight))
+        base_check = self.structure.restrict(0).verify_conformal(xi0, weight)
         if not base_check.passed:
             raise NotConformal(base_check, weight)
         if not self._report.passed:

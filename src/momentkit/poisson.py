@@ -15,15 +15,22 @@ x_j, so ``generator_fields`` reads it off row u of the table with no kernel
 work.  ``verify_jacobi`` applies these fields to the table entries, as
 {x_a,{x_b,x_c}} + cyclic = H_a(B_bc) + H_b(B_ca) + H_c(B_ab), and adds the
 three terms of a triple into one slot set.
+
+``hamiltonian_field`` is the one contraction of the table with the partials
+of a polynomial, and ``bracket`` is {f, g} = -H_g(f) through it.  A field is
+taken at the order of its argument, so a field over the module order needs no
+copy of the structure cut to that order; the generator fields add into
+lower-order slots the same way, since the kernel drops the powers past the
+last slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from .algebra import (
     Derivation,
@@ -33,7 +40,6 @@ from .algebra import (
     PolyRing,
     Rat,
     RatLike,
-    Slots,
     TPoly,
     _diff_nums,
     _Slot,
@@ -112,30 +118,38 @@ class PoissonStructure:
     def bracket(self, f: Union[TPoly, Poly], g: Union[TPoly, Poly]) -> TPoly:
         """Biderivation extension of the table; t-coefficients are central scalars.
 
-        {f,g} = sum over i<j of B[i][j] * (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
-        added into one slot set by ``add_bracket_into``.
+        {f,g} = -H_g(f): both arguments are taken at this structure's order,
+        and the Hamiltonian field of g is applied to -f.
         """
         f = as_tpoly(f, self.ring, self.order)
         g = as_tpoly(g, self.ring, self.order)
-        slots = new_slots(self.order)
-        self.add_bracket_into(slots, f, g)
-        return TPoly.from_slots(self.ring, slots)
+        return self.hamiltonian_field(g).apply(-f)
 
-    def add_bracket_into(self, slots: Slots, f: TPoly, g: TPoly) -> None:
-        """Add {f, g} = -H_g(f) into ``slots`` of any length, dropping powers
-        past the last slot; f and g are ``TPoly``s of this ring at any order.
+    def hamiltonian_field(self, f: Union[TPoly, Poly, RatLike]) -> Derivation:
+        """The derivation g -> {f, g}: its value on a generator x_j is
+        H_f(x_j) = sum_i B_ij df/dx_i, contracted from the table.
 
-        g's derivatives are contracted with the table once, like
-        ``hamiltonian_field`` does, but only for the generators that f
-        involves, and that field is applied to -f.  It is the one slot-level
-        bracket: ``bracket`` and ``LineData.tot_bracket`` both add through it.
+        A ``TPoly`` f is used at its own order, at most this structure's; the
+        values then live at that order, since a slot of the field depends
+        only on the slots of f up to it.  A ``Poly`` or a rational is used at
+        this structure's order.  As in ``Derivation.add_into``, df/dx_i is an
+        unreduced kernel operand; the generators f does not involve are
+        skipped.
         """
-        self._contract(g, f.support()).add_into(slots, (-f).coeffs)
-
-    def hamiltonian_field(self, f: Union[TPoly, Poly]) -> Derivation:
-        """The derivation g -> {f, g}, read off the table by ``_contract``:
-        its value on a generator x_j is sum_i B_ij df/dx_i."""
-        return self._contract(as_tpoly(f, self.ring, self.order), range(self.ring.arity))
+        ring = self.ring
+        order = min(f.order, self.order) if isinstance(f, TPoly) else self.order
+        f = as_tpoly(f, ring, order)
+        partials = {
+            i: [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in f.coeffs]
+            for i in f.support()
+        }
+        values = [new_slots(order) for _ in ring.gens]
+        for (i, j), entry in self._table.items():
+            if i in partials:
+                add_truncated_product(values[j], entry.coeffs, partials[i])
+        return Derivation._trusted(
+            ring, order, {g: TPoly.from_slots(ring, v) for g, v in zip(ring.gens, values)}
+        )
 
     @cached_property
     def generator_fields(self) -> dict[str, Derivation]:
@@ -143,7 +157,9 @@ class PoissonStructure:
 
         Its value on x_j is the table entry B_uj itself, and a shared zero off
         the table: row u of the table, with no kernel work.  It equals
-        ``hamiltonian_field`` of x_u."""
+        ``hamiltonian_field`` of x_u.  Added into slots of a lower order, it
+        gives the field of the structure cut to that order, because the
+        kernel drops the powers past the last slot."""
         ring = self.ring
         zero = TPoly.constant(ring, 0, self.order)
         return {
@@ -154,27 +170,6 @@ class PoissonStructure:
             )
             for i, u in enumerate(ring.gens)
         }
-
-    def _contract(self, f: TPoly, targets: Iterable[int]) -> Derivation:
-        """The Hamiltonian field H_f(x_j) = sum_i B_ij df/dx_i of f, at f's
-        own order, on the generators with an index in ``targets``, and 0 on
-        the others.  As in ``Derivation.add_into``, df/dx_i is an unreduced
-        kernel operand; the generators f does not involve are skipped."""
-        ring = self.ring
-        partials = {
-            i: [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in f.coeffs]
-            for i in f.support()
-        }
-        wanted = set(targets)
-        values = [new_slots(f.order) for _ in ring.gens]
-        for (i, j), entry in self._table.items():
-            if j in wanted and i in partials:
-                add_truncated_product(values[j], entry.coeffs, partials[i])
-        return Derivation._trusted(
-            ring,
-            f.order,
-            {g: TPoly.from_slots(ring, v) for g, v in zip(ring.gens, values)},
-        )
 
     # -- verification --------------------------------------------------------
 
@@ -195,12 +190,11 @@ class PoissonStructure:
             ((w, jacobiator(w)) for w in combinations(self.ring.gens, 3)),
         )
 
-    def verify_conformal(self, cf: ConformalField) -> Check:
+    def verify_conformal(self, xi: Derivation, weight: Rat) -> Check:
         """Check xi({a,b}) = {xi a, b} + {a, xi b} + weight*{a,b} on generator pairs.
 
         Generator pairs suffice because the defect is a biderivation.
         """
-        xi = cf.xi
         if xi.ring != self.ring:
             raise GeneratorMismatch("conformal field over a different ring")
         if xi.order != self.order:
@@ -209,7 +203,7 @@ class PoissonStructure:
         return Check.of(
             "conformal",
             (
-                ((a, b), conformal_defect(self.bracket, xi.apply, cf.weight, gen[a], gen[b]))
+                ((a, b), conformal_defect(self.bracket, xi.apply, weight, gen[a], gen[b]))
                 for a, b in combinations(self.ring.gens, 2)
             ),
         )
@@ -232,14 +226,6 @@ class PoissonStructure:
     def __repr__(self) -> str:
         inner = ", ".join(f"{{{a},{b}}}={v}" for (a, b), v in self.table_items())
         return f"<PoissonStructure order={self.order} {inner or '0'}>"
-
-
-@dataclass(frozen=True)
-class ConformalField:
-    """A derivation xi with xi{f,g} = {xi f,g} + {f,xi g} + weight*{f,g}."""
-
-    xi: Derivation
-    weight: Rat = field(default_factory=lambda: Fraction(0))
 
 
 # -- the conformal defect, shared by the base and the total-space brackets --------

@@ -160,10 +160,9 @@ def test_criterion_7_conformal_extension():
         system = MomentSystem.trivial(plane, 2)
         euler = {"x": ring.var("x"), "y": ring.var("y")}
         from momentkit.algebra import Derivation
-        from momentkit.poisson import ConformalField
 
         xi0 = Derivation(ring, 0, {g: TPoly.from_poly(v, 0) for g, v in euler.items()})
-        assert plane.verify_conformal(ConformalField(xi0, Fraction(-2))).passed
+        assert plane.verify_conformal(xi0, Fraction(-2)).passed
         ext = system.extend_conformal(euler, Fraction(-2))
         assert ext.mu == Fraction(2)
         assert ext.mu == -ext.weight

@@ -225,6 +225,11 @@ STATEMENT_ERRORS = [
         21,
     ),
     (HEAD + "alpha x = 0;\nalpha x = 1;", "alpha x already declared", 3, 7),
+    # the end of input is named as such
+    ("order", "expected integer, got end of input", 1, 6),
+    (HEAD + "bracket {x,", "expected generator, got end of input", 2, 12),
+    (HEAD + "bracket {x, y", "expected '}', got end of input", 2, 14),
+    (HEAD + "bracket {x, y} =", "expected an expression, got end of input", 2, 17),
 ]
 
 

@@ -4,8 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from momentkit.algebra import Derivation, GeneratorMismatch, Poly, PolyRing, TPoly
-from momentkit.poisson import ConformalField, Point, PoissonStructure
+from momentkit.algebra import (
+    Derivation,
+    GeneratorMismatch,
+    OrderMismatch,
+    Poly,
+    PolyRing,
+    TPoly,
+    new_slots,
+)
+from momentkit.poisson import Point, PoissonStructure
 from momentkit.reporting import Check
 
 from oracles import (
@@ -128,10 +136,36 @@ def test_verify_jacobi_matches_nested_brackets_on_random_tables():
 
 
 def test_generator_fields_are_the_hamiltonian_fields_of_generators(so3):
-    for structure in (so3, random_table(random.Random(4), min_order=2)):
+    rng = random.Random(5)
+    so3_at_3 = PoissonStructure(so3.ring, 3, so3.base_table())
+    for structure in (so3, so3_at_3, random_table(random.Random(4), min_order=2)):
+        ring, n = structure.ring, structure.order
         for g, field in structure.generator_fields.items():
-            x = TPoly.generator(structure.ring, g, structure.order)
+            x = TPoly.generator(ring, g, n)
             assert field == structure.hamiltonian_field(x)
+        x = TPoly.generator(ring, ring.gens[0], n)
+        for m in range(n + 1):
+            # a TPoly is taken at its own order: the field of the structure cut there
+            low = structure.restrict(m)
+            f = rand_tpoly(rng, ring, m)
+            assert structure.hamiltonian_field(f) == low.hamiltonian_field(f)
+            # the order-N generator fields add into order-m slots as the cut fields
+            for g, field in structure.generator_fields.items():
+                slots = new_slots(m)
+                field.add_into(slots, f.coeffs)
+                assert TPoly.from_slots(ring, slots) == low.generator_fields[g].apply(f)
+            # a Poly is taken at the structure's order
+            head = f.coefficient(0)
+            assert structure.hamiltonian_field(head) == structure.hamiltonian_field(
+                TPoly.from_poly(head, n)
+            )
+            if m < n:
+                with pytest.raises(OrderMismatch):
+                    structure.bracket(f, x)
+                with pytest.raises(OrderMismatch):
+                    structure.bracket(x, f)
+        with pytest.raises(OrderMismatch):
+            structure.hamiltonian_field(rand_tpoly(rng, ring, n + 1))
 
 
 # -- hamiltonian fields and the center ---------------------------------------------
@@ -171,23 +205,21 @@ def euler(ring, order):
 
 
 def test_euler_is_conformal_of_weight_minus_two(plane):
-    assert plane.verify_conformal(ConformalField(euler(plane.ring, 0), Fraction(-2))).passed
-    assert not plane.verify_conformal(
-        ConformalField(euler(plane.ring, 0), Fraction(1))
-    ).passed
+    assert plane.verify_conformal(euler(plane.ring, 0), Fraction(-2)).passed
+    assert not plane.verify_conformal(euler(plane.ring, 0), Fraction(1)).passed
 
 
 def test_hamiltonian_fields_are_conformal_of_weight_zero(so3):
     rng = random.Random(3)
     f = TPoly.from_poly(rand_poly(rng, so3.ring), 0)
     field = so3.hamiltonian_field(f)
-    assert so3.verify_conformal(ConformalField(field, Fraction(0))).passed
+    assert so3.verify_conformal(field, Fraction(0)).passed
 
 
 def test_zero_bracket_admits_any_weight(zero_bracket):
     xi = euler(zero_bracket.ring, 0)
     for weight in (Fraction(0), Fraction(5), Fraction(-7, 3)):
-        assert zero_bracket.verify_conformal(ConformalField(xi, weight)).passed
+        assert zero_bracket.verify_conformal(xi, weight).passed
 
 
 # -- pointwise rank -------------------------------------------------------------------
@@ -292,7 +324,7 @@ def test_hamiltonian_field_read_off_the_table_is_the_bracket(seeded):
 
 
 def test_bracket_of_a_partly_supported_argument_matches_the_references(seeded):
-    # bracket(f, g) contracts the table only for the generators f involves
+    # arguments that involve only some generators: the partials of the others are skipped
     rng, structure = seeded
     ring, order = structure.ring, structure.order
     g = rand_tpoly(rng, ring, order)
@@ -325,15 +357,15 @@ def test_conformal_defect_vanishes_beyond_generators(plane):
     # once the generator-pair check passes, the defect is a biderivation
     rng = random.Random(9)
     order1 = PoissonStructure(plane.ring, 1, {("x", "y"): 1})
-    cf = ConformalField(euler(plane.ring, 1), Fraction(-2))
-    assert order1.verify_conformal(cf).passed
+    xi, weight = euler(plane.ring, 1), Fraction(-2)
+    assert order1.verify_conformal(xi, weight).passed
     f = rand_tpoly(rng, plane.ring, 1)
     g = rand_tpoly(rng, plane.ring, 1)
     defect = (
-        cf.xi.apply(order1.bracket(f, g))
-        - order1.bracket(cf.xi.apply(f), g)
-        - order1.bracket(f, cf.xi.apply(g))
-        - order1.bracket(f, g) * cf.weight
+        xi.apply(order1.bracket(f, g))
+        - order1.bracket(xi.apply(f), g)
+        - order1.bracket(f, xi.apply(g))
+        - order1.bracket(f, g) * weight
     )
     assert defect.is_zero()
 

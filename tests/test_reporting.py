@@ -92,6 +92,35 @@ def test_the_laurent_degree_bound_has_one_home():
     assert parameters == set()
 
 
+def test_every_import_is_read():
+    # no linter runs on the package: an import binding that no Name reads,
+    # and that __all__ does not re-export, is dead
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        read, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in bound.items()
+            if name not in read and name not in exported
+        ]
+    assert not unread, f"imported but never read: {unread}"
+
+
 # Library functions that the golden corpus does not run, each with the user
 # that keeps it.  A ``__repr__`` needs no entry.
 UNREACHED_BY_THE_CORPUS = {
