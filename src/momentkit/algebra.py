@@ -38,20 +38,9 @@ Representation notes:
   skipping slot pairs past the last slot.  A slot holds integer numerators
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
-  not divide the slot's.  ``Poly`` and ``TPoly`` products,
-  ``substitute_all``, both twist inverses (``invert_unit`` and
-  ``moment.invert_generator_map``, which add one t-slot at a time from
-  finished slots), the contraction of the bracket table into the
-  Hamiltonian field of a polynomial (a generator's field is its row of the
-  table, with no product), the model-file evaluator, ``Derivation.add_into``,
-  the slot primitive that applies every vector field (alpha, Hamiltonian and
-  conformal fields), and ``_add_t_term_into``, which adds the t-term of a
-  field that moves t (alpha(t) = 1, and xi(t) = mu*t in the conformal
-  extension), all accumulate this way instead of building a whole
-  ``TPoly`` per partial product.  So do ``PoissonStructure.verify_jacobi``,
-  ``LineData.verify_cocycle`` and ``LineData.tot_bracket``, which adds each
-  {f,g} as -H_g(f) through ``Derivation.add_into``: each adds its terms into
-  one slot set per generator triple, generator pair or output degree,
+  not divide the slot's.  No product builds a whole ``TPoly`` per partial
+  product: a sum of products is added into one slot set and finished once,
+  and a vector field adds through ``Derivation.add_into``,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel
@@ -808,35 +797,51 @@ def invert_unit(u: TPoly) -> TPoly:
 
 
 class Derivation:
-    """A k[t]-linear derivation, determined by its values on the generators.
+    """A k-linear derivation of A[t]/t^(N+1), determined by its values on the
+    generators and on t.
 
-    The Leibniz extension applies to any TPoly of the matching order;
-    constants and t itself are killed.  It is the one implementation of a
-    vector field: alpha, Hamiltonian and conformal fields all apply through
-    ``apply`` or its slot-level form ``add_into``.
+    It is the one implementation of a vector field: a Hamiltonian field has
+    D(t) = 0 (t is central), alpha has alpha(t) = 1 and a conformal field on
+    the total space xi(t) = mu*t.  ``dt`` is D(t), and
+    D(t^k c) = t^k D(c) + k t^(k-1) D(t) c; constants are killed.  The
+    Leibniz rule holds up to the top slot only for D(t) in t*A[t], because
+    D(t^(N+1)) = (N+1) t^N D(t) must vanish; so alpha maps the base order N
+    to N-1.  ``apply`` takes a ``TPoly`` at its own order, at most the
+    field's, and a ``Poly`` or a rational at the field's order;
+    ``add_into`` is its slot-level form.
     """
 
-    __slots__ = ("ring", "order", "values", "_active")
+    __slots__ = ("ring", "order", "values", "dt", "_active")
 
     def __init__(
-        self, ring: PolyRing, order: int, values: Mapping[str, Union[TPoly, Poly, RatLike]]
+        self,
+        ring: PolyRing,
+        order: int,
+        values: Mapping[str, Union[TPoly, Poly, RatLike]],
+        dt: Union[TPoly, Poly, RatLike] = 0,
     ):
         for g in values:
             ring.index(g)
-        self._fill(ring, order, {g: as_tpoly(values.get(g, 0), ring, order) for g in ring.gens})
+        values = {g: as_tpoly(values.get(g, 0), ring, order) for g in ring.gens}
+        self._fill(ring, order, values, as_tpoly(dt, ring, order).coeffs)
 
     @classmethod
     def _trusted(cls, ring: PolyRing, order: int, values: dict[str, TPoly]) -> Derivation:
         """Wrap one TPoly of ``ring`` at ``order`` per generator, in ring
-        order, as is.  For internal results only."""
+        order, as is, with D(t) = 0.  For internal results only."""
         d = object.__new__(cls)
-        d._fill(ring, order, values)
+        d._fill(ring, order, values, ())
         return d
 
-    def _fill(self, ring: PolyRing, order: int, values: dict[str, TPoly]) -> None:
+    def _fill(
+        self, ring: PolyRing, order: int, values: dict[str, TPoly], dt: Sequence[Poly]
+    ) -> None:
         self.ring = ring
         self.order = order
         self.values = values
+        # the t-slots of D(t) up to its last nonzero one
+        top = max((k + 1 for k, c in enumerate(dt) if c), default=0)
+        self.dt = tuple(dt[:top])
         # (generator index, t-slots of its value) for each nonzero value
         self._active = [(i, v.coeffs) for i, v in enumerate(values.values()) if v]
 
@@ -848,17 +853,23 @@ class Derivation:
         """Add ``t^shift * D(f)`` into ``slots`` of any length, dropping
         powers past the last slot; ``coeffs`` are the t-slots of f.  Each
         kernel product takes D(g) as its outer operand and df/dg, unreduced
-        over the denominators of f's slots, as the inner one."""
+        over the denominators of f's slots, as the inner one; the t-term of
+        a slot c_k is one product of c_k and k*D(t)."""
         if shift >= len(slots):
             return
         ring = self.ring
         for i, value in self._active:
             partials = [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in coeffs]
             add_truncated_product(slots, value, partials, shift)
+        if self.dt:
+            for k, c in enumerate(coeffs):
+                if k and c.nums:
+                    add_truncated_product(slots, (c,), [p * k for p in self.dt], k - 1 + shift)
 
-    def apply(self, f: Union[TPoly, Poly]) -> TPoly:
-        f = as_tpoly(f, self.ring, self.order)
-        slots = new_slots(self.order)
+    def apply(self, f: Union[TPoly, Poly, RatLike]) -> TPoly:
+        order = min(f.order, self.order) if isinstance(f, TPoly) else self.order
+        f = as_tpoly(f, self.ring, order)
+        slots = new_slots(order)
         self.add_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
 
@@ -869,21 +880,14 @@ class Derivation:
             self.ring == other.ring
             and self.order == other.order
             and self.values == other.values
+            and self.dt == other.dt
         )
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{g} -> {v}" for g, v in self.values.items())
+        if self.dt:
+            inner += f", t -> {render_terms(self.ring, self.dt)}"
         return f"<Derivation {inner}>"
-
-
-def _add_t_term_into(slots: Slots, coeffs: Sequence[Poly], dt: Sequence[Poly]) -> None:
-    """Add the t-term of a vector field D with D(t) = ``dt`` into ``slots``:
-    D(t^k c) - t^k D(c) = k t^(k-1) D(t) c for each t-slot c = ``coeffs[k]``.
-    ``dt`` is a t-slot sequence, and ``Derivation.add_into`` adds the rest of
-    D(f), the t^k D(c)."""
-    for k, c in enumerate(coeffs):
-        if k and c.nums:
-            add_truncated_product(slots, (c,), [p * k for p in dt], k - 1)
 
 
 # ---------------------------------------------------------------------------

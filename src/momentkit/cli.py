@@ -256,7 +256,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> RunReport:
     for index in range(args.cases):
         seed = args.seed + index
         model, gauge = random_instance(seed)
-        base = model.build_system().structure.restrict(0)
+        base = model.build_system().structure
         trivial = MomentSystem.trivial(base, model.order)
         twisted = trivial.twist(gauge)
         if not twisted.verify().passed:

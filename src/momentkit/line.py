@@ -3,8 +3,9 @@
 A ``LineData`` presents the module in a global trivialization e: the whole
 datum is the map alpha with {a, e} = alpha(a)*e, plus the fixed normalization
 alpha(t) = 1 (the bracket with t acts on the module as the identity).  alpha
-is held as a module-order ``Derivation``; ``alpha_apply`` adds the t-power
-bump to that field and ``partial_alpha`` is the field itself.  The
+is held as the module-order ``Derivation`` with that value on t, so
+``alpha_apply`` is one ``add_into`` of the field, the t-power bump included,
+and ``partial_alpha`` applies the same values with t held fixed.  The
 base bracket lives at truncation order N while alpha values live one order
 lower, at N-1; that drop is enforced by shape here because it is where the
 bookkeeping is easiest to get wrong: the extension of alpha across t-powers
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .algebra import (
     Derivation,
@@ -43,7 +44,6 @@ from .algebra import (
     RatLike,
     Slots,
     TPoly,
-    _add_t_term_into,
     add_truncated_product,
     as_tpoly,
     invert_unit,
@@ -85,7 +85,7 @@ class LineData:
         self.order = base.order
         self.module_order = base.order - 1
         self.degree_bound = default_degree_bound()
-        self.alpha = Derivation(self.ring, self.module_order, alpha or {})
+        self.alpha = Derivation(self.ring, self.module_order, alpha or {}, dt=1)
 
     def alpha_of(self, gen: str) -> TPoly:
         return self.alpha.value(gen)
@@ -96,7 +96,7 @@ class LineData:
     # -- the module datum as a map on the deformed ring -----------------------
 
     def alpha_apply(self, f: TPoly) -> TPoly:
-        """Extend alpha over t-powers: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
+        """The field alpha, with alpha(t) = 1: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
 
         The argument lives at the base order N, where this extension is
         intrinsic; the value lives at order N-1.  A module-order argument
@@ -105,22 +105,16 @@ class LineData:
         """
         f = as_tpoly(f, self.ring, self.order)
         slots = new_slots(self.module_order)
-        self._add_alpha_into(slots, f.coeffs)
+        self.alpha.add_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
-
-    def _add_alpha_into(self, slots: Slots, coeffs: Sequence[Poly]) -> None:
-        """Add alpha(f) with the t-power bump into module-order ``slots``;
-        ``coeffs`` are the t-slots of f at the base order."""
-        self.alpha.add_into(slots, coeffs)
-        _add_t_term_into(slots, coeffs, (self.ring.one(),))
 
     def partial_alpha(self, f: TPoly) -> TPoly:
         """The t-linear extension of alpha (no t-power bump), at order N-1.
 
         This is the extension that is well defined on module-order elements
-        without choosing a lift; t is treated as a scalar.
+        without choosing a lift: the values of alpha with t held fixed.
         """
-        return self.alpha.apply(f)
+        return Derivation._trusted(self.ring, self.module_order, self.alpha.values).apply(f)
 
     def verify_cocycle(self) -> Check:
         """H_a(alpha(b)) - H_b(alpha(a)) = alpha({a,b}) on generator pairs.
@@ -139,7 +133,7 @@ class LineData:
             slots = new_slots(self.module_order)
             fields[a].add_into(slots, alpha[b].coeffs)
             fields[b].add_into(slots, (-alpha[a]).coeffs)
-            self._add_alpha_into(slots, self.base.gen_bracket(b, a).coeffs)
+            self.alpha.add_into(slots, self.base.gen_bracket(b, a).coeffs)
             return TPoly.from_slots(self.ring, slots)
 
         return Check.of(

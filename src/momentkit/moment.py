@@ -14,22 +14,25 @@ must be exact rationals in characteristic zero.  A correction at order k can
 only disturb the residual at order >= k, so exactly n sweeps terminate, and
 the canonical (t-independent) lift of r makes the output reproducible.
 
-The residual alpha(lift) is kept up to date incrementally, one slot at a
-time, in per-slot accumulators.  Since alpha(t^k c) = k t^(k-1) c + t^k
-alpha(c), the correction c = -r/k at slot k zeroes residual slot k-1 (never
-read again) and adds alpha(c)*t^k to the slots above it through the alpha
-field's slot primitive ``Derivation.add_into``: O(n) slot products per sweep
-instead of a full alpha_apply of the lift.  The postconditions are
-still checked independently, with a full alpha_apply of every finished lift
-and the recovery of every bracket relation.
+The residual alpha(lift) is kept up to date incrementally, one slot at a time,
+in per-slot accumulators.  Since alpha(t^k c) = k t^(k-1) c + t^k alpha(c), the
+correction c = -r/k at slot k zeroes residual slot k-1 (never read again) and
+adds alpha(c)*t^k to the slots above it through the alpha field's slot
+primitive ``Derivation.add_into``: O(n) slot products per sweep instead of a
+full alpha_apply of the lift.  Each correction enters as a t^0 slot at a shift,
+so the field's value on t never enters the sweep.  The postconditions are still
+checked independently, with a full alpha_apply of every finished lift and the
+recovery of every bracket relation.
 
 A MomentSystem is immutable, so ``verify()`` computes its report once and
 caches it; ``trivialize`` and ``extend_conformal`` reuse that report.
 
 ``extend_conformal`` is the one home of the base conformal check: it checks
-the field on the undeformed base first and raises ``NotConformal`` (carrying
-the failed ``Check``) when that fails; on success the passing check is
-returned as ``ConformalExtension.base``.
+the order-0 field on the structure, which takes it on the undeformed base,
+and raises ``NotConformal`` (carrying the failed ``Check``) when that fails;
+on success the passing check is returned as ``ConformalExtension.base``.  On
+the total space the field is one ``Derivation`` with xi(t) = mu*t, applied
+to each Laurent coefficient at that coefficient's order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
-    _add_t_term_into,
     _Slot,
     add_truncated_product,
     as_tpoly,
@@ -354,25 +356,16 @@ class MomentSystem:
         on the undeformed base.
         """
         weight = Fraction(weight) if isinstance(weight, int) else weight
-        xi0 = Derivation(self.ring, 0, xi)
-        base_check = self.structure.restrict(0).verify_conformal(xi0, weight)
+        base_check = self.structure.verify_conformal(Derivation(self.ring, 0, xi), weight)
         if not base_check.passed:
             raise NotConformal(base_check, weight)
         if not self._report.passed:
             raise ValueError("refusing to extend over a system that fails verification")
         mu = -weight
-        xi_t = (self.ring.zero(), self.ring.const(mu))
-
-        def extended(tp: TPoly) -> TPoly:
-            # t-linear extension with xi(t) = mu*t: on c*t^k the field gives
-            # (xi(c) + k*mu*c) * t^k.
-            slots = new_slots(tp.order)
-            xi0.add_into(slots, tp.coeffs)
-            _add_t_term_into(slots, tp.coeffs, xi_t)
-            return TPoly.from_slots(self.ring, slots)
+        field = Derivation(self.ring, self.n, xi, dt=TPoly.t(self.ring, self.n) * mu)
 
         def tot_apply(w: TotElement) -> TotElement:
-            return TotElement(self.line, {d: extended(v) for d, v in w.coeffs.items()})
+            return TotElement(self.line, {d: field.apply(v) for d, v in w.coeffs.items()})
 
         coordinates: list[tuple[str, TotElement]] = [
             (g, self.line.tot_term(0, TPoly.generator(self.ring, g, self.n)))

@@ -17,11 +17,11 @@ work.  ``verify_jacobi`` applies these fields to the table entries, as
 three terms of a triple into one slot set.
 
 ``hamiltonian_field`` is the one contraction of the table with the partials
-of a polynomial, and ``bracket`` is {f, g} = -H_g(f) through it.  A field is
-taken at the order of its argument, so a field over the module order needs no
-copy of the structure cut to that order; the generator fields add into
-lower-order slots the same way, since the kernel drops the powers past the
-last slot.
+of a polynomial, and ``bracket`` is {f, g} = -H_g(f) through it.  Fields,
+brackets and the conformal check are taken at the order of their arguments,
+so no caller needs a copy of the structure cut to a lower order; the
+generator fields add into lower-order slots the same way, since the kernel
+drops the powers past the last slot.
 """
 
 from __future__ import annotations
@@ -106,23 +106,19 @@ class PoissonStructure:
         """The order-0 restriction of the table, as plain polynomials."""
         return {pair: value.coefficient(0) for pair, value in self.table_items()}
 
-    def restrict(self, order: int) -> PoissonStructure:
-        return PoissonStructure(
-            self.ring,
-            order,
-            {pair: value.truncate(order) for pair, value in self.table_items()},
-        )
-
     # -- bracket evaluation ------------------------------------------------
 
     def bracket(self, f: Union[TPoly, Poly], g: Union[TPoly, Poly]) -> TPoly:
         """Biderivation extension of the table; t-coefficients are central scalars.
 
-        {f,g} = -H_g(f): both arguments are taken at this structure's order,
-        and the Hamiltonian field of g is applied to -f.
+        {f,g} = -H_g(f), the Hamiltonian field of g applied to -f.  Both
+        arguments are taken at the order of the ``TPoly`` among them, at most
+        this structure's, or at this structure's order when there is none;
+        two ``TPoly``s of different orders raise ``OrderMismatch``.
         """
-        f = as_tpoly(f, self.ring, self.order)
-        g = as_tpoly(g, self.ring, self.order)
+        order = min([self.order] + [a.order for a in (f, g) if isinstance(a, TPoly)])
+        f = as_tpoly(f, self.ring, order)
+        g = as_tpoly(g, self.ring, order)
         return self.hamiltonian_field(g).apply(-f)
 
     def hamiltonian_field(self, f: Union[TPoly, Poly, RatLike]) -> Derivation:
@@ -193,13 +189,15 @@ class PoissonStructure:
     def verify_conformal(self, xi: Derivation, weight: Rat) -> Check:
         """Check xi({a,b}) = {xi a, b} + {a, xi b} + weight*{a,b} on generator pairs.
 
-        Generator pairs suffice because the defect is a biderivation.
+        Generator pairs suffice because the defect is a biderivation.  A
+        field of order m, at most this structure's, is checked on generators
+        at order m, against the table cut there.
         """
         if xi.ring != self.ring:
             raise GeneratorMismatch("conformal field over a different ring")
-        if xi.order != self.order:
-            raise OrderMismatch("conformal field at a different order")
-        gen = {g: TPoly.generator(self.ring, g, self.order) for g in self.ring.gens}
+        if xi.order > self.order:
+            raise OrderMismatch("conformal field above the structure's order")
+        gen = {g: TPoly.generator(self.ring, g, xi.order) for g in self.ring.gens}
         return Check.of(
             "conformal",
             (

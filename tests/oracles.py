@@ -6,12 +6,14 @@ summation over a table mirrored here from the declared pairs, the graded
 bracket via a free Laurent expansion that keeps the separate multiplication
 by s, term pair by term pair, the module bracket via the whole Hamiltonian
 field, the total-space matrix entry by entry from the declared items, the
-value of a polynomial at a point by summing ``Fraction`` terms, flat
-lifts by a sweep that recomputes the whole residual from the derivation
-formula at every order, the t-linear conformal extension slot by slot from
-partial derivatives, truncated products by plain ``Fraction`` accumulation,
-the inverse of a generator map by error correction, the inverse of a unit
-by its geometric series of whole ``TPoly`` products, the cocycle defect as
+value of a polynomial at a point by summing ``Fraction`` terms, a vector
+field that moves t by a sum over whole ``TPoly`` products, a structure at a
+lower order by a copy with every entry truncated, flat lifts by a sweep
+that recomputes the whole residual from the derivation formula at every
+order, the t-linear conformal extension slot by slot from partial
+derivatives, truncated products by plain ``Fraction`` accumulation, the
+inverse of a generator map by error correction, the inverse of a unit by
+its geometric series of whole ``TPoly`` products, the cocycle defect as
 three subtracted parts, the composite and inverse of gauge twists by
 term-by-term substitution, model-file expressions by a flat ``Fraction``
 term map, the canonical text by sorting ``Fraction`` terms, model-file
@@ -148,7 +150,7 @@ def tot_bracket_free_laurent(line, p, f, q, g):
     low = line.module_order
     if p == 0 and q == 0:
         return {0: bracket_by_pairs(line.base, f, g)}
-    base_low = line.base.restrict(low)
+    base_low = restrict(line.base, low)
     f_low = f.truncate(low) if f.order > low else f
     g_low = g.truncate(low) if g.order > low else g
     alpha_f = alpha_by_derivation(line, f) if p == 0 else alpha_t_linear(line, f)
@@ -198,6 +200,17 @@ def jacobiator(structure, f, g, h):
     return jacobi_sum(structure.bracket, f, g, h)
 
 
+def restrict(structure, order):
+    """``structure`` with every table entry truncated to ``order``, as a new
+    ``PoissonStructure``: the reference for taking a field, a bracket or a
+    conformal check at the order of its arguments."""
+    return PoissonStructure(
+        structure.ring,
+        order,
+        {pair: value.truncate(order) for pair, value in structure.table_items()},
+    )
+
+
 def random_table(rng, min_order=0):
     """A seeded bracket table drawn with no Jacobi constraint, so it almost
     always breaks the identity: 3-5 generators, order ``min_order``..4, each
@@ -217,7 +230,7 @@ def changed_alpha_by_generators(line, u):
     """alpha'(x_a) = alpha(x_a) + u^-1 {x_a, u} for each generator, with the
     bracket summed over ordered pairs of the base cut to the module order."""
     low = line.module_order
-    base_low = line.base.restrict(low)
+    base_low = restrict(line.base, low)
     u_inv = invert_unit(u)
     return {
         g: line.alpha_of(g)
@@ -256,27 +269,40 @@ def tot_product_by_truncate_and_lift(u, v):
     return TotElement(line, out)
 
 
-def alpha_by_derivation(line, f):
-    """alpha(f) = df/dt + sum_g alpha(g) * df/dg at the module order.
+def derivation_by_sum(values, dt, f):
+    """D(f) = dt * df/dt + sum_g values[g] * df/dg over whole TPolys.
 
-    alpha(t) = 1 makes the extension a derivation in t as well; the library
-    instead bumps slot by slot with alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
-    The argument lives at the base order.
+    ``dt`` and every value share one order, and D(f) is taken at the lower
+    of that order and the order of f.  df/dt is read off the slots of f as
+    sum_k k c_k t^(k-1); the library instead adds k t^(k-1) D(t) c_k into
+    its slots one t-slot at a time.
     """
-    low = line.module_order
-    total = TPoly(line.ring, low, [f.coefficient(k + 1) * (k + 1) for k in range(low + 1)])
-    for g in line.ring.gens:
-        total = total + line.alpha_of(g) * diff(f, g).truncate(low)
+    ring = f.ring
+    order = min(f.order, dt.order)
+    df_dt = [
+        f.coefficient(k + 1) * (k + 1) if k < f.order else ring.zero() for k in range(order + 1)
+    ]
+    total = dt.truncate(order) * TPoly(ring, order, df_dt)
+    for g in ring.gens:
+        total = total + values[g].truncate(order) * diff(f, g).truncate(order)
     return total
+
+
+def alpha_by_derivation(line, f):
+    """alpha(f) = df/dt + sum_g alpha(g) * df/dg at the module order:
+    alpha(t) = 1 makes the extension a derivation in t as well.  The
+    argument lives at the base order."""
+    low = line.module_order
+    alpha = {g: line.alpha_of(g) for g in line.ring.gens}
+    return derivation_by_sum(alpha, TPoly.constant(line.ring, 1, low), f)
 
 
 def alpha_t_linear(line, f):
     """sum_g alpha(g) * df/dg: the t-linear extension of alpha (no t-power
     bump) to a module-order f."""
-    total = TPoly.constant(line.ring, 0, line.module_order)
-    for g in line.ring.gens:
-        total = total + line.alpha_of(g) * diff(f, g)
-    return total
+    low = line.module_order
+    alpha = {g: line.alpha_of(g) for g in line.ring.gens}
+    return derivation_by_sum(alpha, TPoly.constant(line.ring, 0, low), f)
 
 
 def cocycle_defect_by_parts(line, a, b):
@@ -284,7 +310,7 @@ def cocycle_defect_by_parts(line, a, b):
     then subtracted.  H_g(m) = {g, m} is summed over ordered pairs at the
     module order and alpha by the derivation formula; the library adds all
     three terms into one slot set instead."""
-    low = line.base.restrict(line.module_order)
+    low = restrict(line.base, line.module_order)
 
     def hamiltonian(g, m):
         return bracket_by_pairs(low, TPoly.generator(line.ring, g, low.order), m)

@@ -27,10 +27,11 @@ from momentkit.algebra import (
     substitute_all,
 )
 from momentkit import algebra
-from momentkit.instances import _random_t_tail
+from momentkit.instances import _random_poly, _random_t_tail
 
 from oracles import (
     accumulate_product,
+    derivation_by_sum,
     evaluate_by_terms,
     invert_unit_by_geometric_series,
     rank_by_minors,
@@ -71,8 +72,13 @@ def tpolys(draw, order=2):
 
 @st.composite
 def derivations(draw, order=2):
+    """A field with values on x, y and a value on t in t*A[t].  The Leibniz
+    rule needs D(t) there: otherwise D(t^(N+1)) = (N+1) t^N D(t) is not 0."""
     return Derivation(
-        RING, order, {"x": draw(tpolys(order)), "y": draw(tpolys(order))}
+        RING,
+        order,
+        {"x": draw(tpolys(order)), "y": draw(tpolys(order))},
+        t_shifted(draw(tpolys(order)), 1),
     )
 
 
@@ -169,6 +175,39 @@ def test_derivations_kill_constants():
     d = Derivation(RING, 1, {"x": TPoly.from_poly(Y, 1), "y": TPoly.from_poly(X, 1)})
     assert d.apply(TPoly.constant(RING, 5, 1)).is_zero()
     assert d.apply(TPoly.t(RING, 1)).is_zero()
+    moves_t = Derivation(RING, 1, d.values, X)
+    assert moves_t.apply(TPoly.constant(RING, 5, 1)).is_zero()
+    assert moves_t.apply(TPoly.t(RING, 1)) == TPoly.from_poly(X, 1)
+    assert moves_t != d
+
+
+def test_derivation_with_a_value_on_t_matches_the_sum_oracle():
+    # D(f) = D(t) df/dt + sum_g D(g) df/dg for f at every order m <= N: a
+    # TPoly is taken at its own order, a Poly or a rational at the field's
+    rng = random.Random(29)
+
+    def draw(order):
+        return TPoly.from_poly(_random_poly(rng, RING, 2), order) + _random_t_tail(
+            rng, RING, order, 2
+        )
+
+    for n in range(5):
+        for _ in range(4):
+            values = {g: draw(n) for g in RING.gens}
+            dt = draw(n)
+            while not dt:
+                dt = draw(n)
+            d = Derivation(RING, n, values, dt)
+            for m in range(n + 1):
+                f = draw(m)
+                assert d.apply(f) == derivation_by_sum(values, dt, f), (n, m)
+            head = f.coefficient(0)
+            assert d.apply(head) == d.apply(TPoly.from_poly(head, n))
+            assert d.apply(3).is_zero() and d.apply(3).order == n
+            with pytest.raises(OrderMismatch):
+                d.apply(draw(n + 1))
+            with pytest.raises(OrderMismatch):
+                Derivation(RING, n, values, draw(n + 1))
 
 
 def test_order_and_ring_mixing_is_an_error():
@@ -264,19 +303,21 @@ def test_derivation_leibniz(d, f, g):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_slot_primitive_is_the_shifted_apply(data):
-    # Adding D(f) at t^shift, whole or one t-slot c_k of f at a time at
-    # t^(k + shift), is t^shift * D(f); a shift past the top adds nothing.
+    # Adding D(f) at t^shift is t^shift * D(f); a shift past the top adds
+    # nothing.  Adding one t-slot c_k of f at a time at t^(k + shift) holds
+    # t fixed: it is t^shift times the field with the same values and D(t) = 0.
     order = data.draw(st.integers(min_value=0, max_value=5))
-    d = data.draw(derivations(order))
+    values = {"x": data.draw(tpolys(order)), "y": data.draw(tpolys(order))}
+    d = Derivation(RING, order, values, data.draw(tpolys(order).filter(bool)))
+    t_fixed = Derivation(RING, order, values)
     f = data.draw(tpolys(order))
     for shift in range(order + 2):
         whole, by_slot = new_slots(order), new_slots(order)
         d.add_into(whole, f.coeffs, shift)
         for k, c in enumerate(f.coeffs):
             d.add_into(by_slot, (c,), k + shift)
-        expected = t_shifted(d.apply(f), shift)
-        assert TPoly.from_slots(RING, whole) == expected, shift
-        assert TPoly.from_slots(RING, by_slot) == expected, shift
+        assert TPoly.from_slots(RING, whole) == t_shifted(d.apply(f), shift), shift
+        assert TPoly.from_slots(RING, by_slot) == t_shifted(t_fixed.apply(f), shift), shift
 
 
 @given(tpolys(), tpolys(), tpolys(), tpolys())

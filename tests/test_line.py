@@ -22,6 +22,7 @@ from oracles import (
     module_bracket_by_field,
     random_line_data,
     random_table,
+    restrict,
     t_shifted,
     tot_bracket_by_term_pairs,
     tot_product_by_truncate_and_lift,
@@ -184,7 +185,7 @@ def test_alpha_zero_collapses_to_base_bracket(plane2):
     f = TPoly.from_poly(plane2.ring.var("x") * plane2.ring.var("x"), 1)
     g = TPoly.from_poly(plane2.ring.var("y"), 1)
     got = line.tot_bracket(line.tot_term(2, f), line.tot_term(1, g))
-    base_low = plane2.structure.restrict(1)
+    base_low = restrict(plane2.structure, 1)
     assert got == line.tot_term(3, base_low.bracket(f, g))
 
 

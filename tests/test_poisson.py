@@ -22,6 +22,7 @@ from oracles import (
     pfaffian,
     random_table,
     rank_by_minors,
+    restrict,
     t_shifted,
 )
 
@@ -146,7 +147,7 @@ def test_generator_fields_are_the_hamiltonian_fields_of_generators(so3):
         x = TPoly.generator(ring, ring.gens[0], n)
         for m in range(n + 1):
             # a TPoly is taken at its own order: the field of the structure cut there
-            low = structure.restrict(m)
+            low = restrict(structure, m)
             f = rand_tpoly(rng, ring, m)
             assert structure.hamiltonian_field(f) == low.hamiltonian_field(f)
             # the order-N generator fields add into order-m slots as the cut fields
@@ -159,13 +160,28 @@ def test_generator_fields_are_the_hamiltonian_fields_of_generators(so3):
             assert structure.hamiltonian_field(head) == structure.hamiltonian_field(
                 TPoly.from_poly(head, n)
             )
+            # a bracket and a conformal check are taken at their arguments' order
+            g = rand_tpoly(rng, ring, m)
+            assert structure.bracket(f, g) == low.bracket(f, g)
+            assert structure.bracket(head, g) == low.bracket(head, g)
+            xi = euler(ring, m)
+            for weight in (Fraction(-1), Fraction(2)):
+                expected = low.verify_conformal(xi, weight)
+                assert structure.verify_conformal(xi, weight) == expected
             if m < n:
                 with pytest.raises(OrderMismatch):
                     structure.bracket(f, x)
                 with pytest.raises(OrderMismatch):
                     structure.bracket(x, f)
+        above = rand_tpoly(rng, ring, n + 1)
         with pytest.raises(OrderMismatch):
-            structure.hamiltonian_field(rand_tpoly(rng, ring, n + 1))
+            structure.hamiltonian_field(above)
+        with pytest.raises(OrderMismatch):
+            structure.bracket(above, above)
+        with pytest.raises(OrderMismatch):
+            structure.bracket(above, 1)
+        with pytest.raises(OrderMismatch):
+            structure.verify_conformal(euler(ring, n + 1), Fraction(-1))
 
 
 # -- hamiltonian fields and the center ---------------------------------------------

@@ -1,4 +1,6 @@
 import ast
+import builtins
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from test_golden import CASES, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "momentkit"
+TESTS = ROOT / "tests"
 
 
 def test_check_of_keeps_nonzero_residuals_in_witness_order(plane):
@@ -93,10 +96,10 @@ def test_the_laurent_degree_bound_has_one_home():
 
 
 def test_every_import_is_read():
-    # no linter runs on the package: an import binding that no Name reads,
-    # and that __all__ does not re-export, is dead
+    # no linter runs on the package or the tests: an import binding that no
+    # Name reads, and that __all__ does not re-export, is dead
     unread = []
-    for path in sorted(SOURCE.glob("*.py")):
+    for path in [*sorted(SOURCE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         tree = ast.parse(path.read_text())
         bound = {}
         read, exported = set(), set()
@@ -119,6 +122,87 @@ def test_every_import_is_read():
             if name not in read and name not in exported
         ]
     assert not unread, f"imported but never read: {unread}"
+
+
+# ``name`` or ``name(..)`` in a docstring
+DOC_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)(?:\([^`]*\))?``")
+
+
+def _reads_as_code(name):
+    """Dotted, private, with an ``_xx`` word, or capitalized and longer than
+    two characters: math such as ``x_i``, ``N`` or ``W`` is not."""
+    return (
+        "." in name
+        or name.startswith("_")
+        or re.search(r"_[A-Za-z]{2}", name) is not None
+        or (name[0].isupper() and len(name) > 2)
+    )
+
+
+def test_every_name_a_docstring_cites_exists():
+    # A docstring that names a deleted helper misleads its reader.  A plain
+    # name must be a builtin, or a def, class, attribute, __slots__ entry,
+    # parameter, import or string constant of the package.  In a dotted
+    # name, a module or class must define the part after it, an imported
+    # stdlib module must have it, and after a parameter every part is known.
+    scopes = {}  # module stem or class name -> the names it defines
+    params, strings, stdlib, cited = set(), set(), {}, {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = {"": scopes.setdefault(path.stem, set())}
+
+        def scope(owner):
+            # the module, a class, or a throwaway set for a function's locals
+            return classes.get(owner, set())
+
+        for name in DOC_NAME.findall(ast.get_docstring(tree) or ""):
+            cited.setdefault(name, path.name)
+        for owner, node in _named_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for name in DOC_NAME.findall(ast.get_docstring(node) or ""):
+                    cited.setdefault(name, f"{path.name}:{owner}")
+                scope(owner.rpartition(".")[0]).add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    classes[owner] = scopes[node.name] = set()
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                scope(owner).add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if "." in owner:  # self.x = .. in a method
+                    scope(owner.rpartition(".")[0]).add(node.attr)
+            elif isinstance(node, ast.Assign) and "__slots__" in [
+                getattr(target, "id", None) for target in node.targets
+            ]:
+                scope(owner).update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.arg):
+                params.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    scope("").add(alias.asname or alias.name)
+                    if isinstance(node, ast.Import):
+                        stdlib[alias.asname or alias.name] = alias.name
+    known = set(dir(builtins)) | params | strings | set(scopes)
+    for names in scopes.values():
+        known |= names
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        if not rest:
+            return name in known
+        if head in stdlib:
+            value = importlib.import_module(stdlib[head])
+            for part in rest:
+                value = getattr(value, part, None)
+            return value is not None
+        if head in scopes and rest[0] in scopes[head] or head in params:
+            return all(part in known for part in rest)
+        return False
+
+    cited = {name: where for name, where in cited.items() if _reads_as_code(name)}
+    assert len(cited) > 40
+    missing = sorted(f"{where} ``{name}``" for name, where in cited.items() if not resolves(name))
+    assert not missing, f"docstrings name code that does not exist: {missing}"
 
 
 # Library functions that the golden corpus does not run, each with the user
