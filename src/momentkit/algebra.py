@@ -38,9 +38,11 @@ Representation notes:
   skipping slot pairs past the last slot.  A slot holds integer numerators
   over one slot denominator, so a term pair costs one integer multiply-add;
   the slot is rescaled only when a product brings a denominator that does
-  not divide the slot's.  No product builds a whole ``TPoly`` per partial
-  product: a sum of products is added into one slot set and finished once,
-  and a vector field adds through ``Derivation.add_into``,
+  not divide the slot's.  Beside it, ``add_term`` adds one term into a slot
+  by the same rule; the model parser adds each term it folds through it.
+  No product builds a whole ``TPoly`` per partial product: a sum of products
+  is added into one slot set and finished once, and a vector field adds
+  through ``Derivation.add_into``,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel
@@ -635,7 +637,8 @@ def add_truncated_product(
     ``slots[k]`` accumulates the terms of the t^k coefficient.  A product of
     integer forms ``(Da, na) * (Db, nb)`` has denominator ``Da * Db``; the
     slot moves to the lcm of that and its own denominator only when
-    ``Da * Db`` does not divide it.
+    ``Da * Db`` does not divide it.  ``add_term`` is the only other writer
+    of an accumulator, and aligns denominators by the same rule.
     """
     top = len(slots) - 1
     for i, pa in enumerate(a):
@@ -676,6 +679,28 @@ def add_truncated_product(
                         out[key] += na * nb
                     else:
                         out[key] = na * nb
+
+
+def add_term(slot: _Slot, den: int, key: int, num: int) -> None:
+    """Add the one term ``num/den * x^key`` into the accumulator ``slot``.
+
+    Denominators align as in ``add_truncated_product``: the slot moves to
+    the lcm of ``den`` and its own only when ``den`` does not divide it.
+    """
+    out = slot.nums
+    if not out:
+        slot.den = den
+    elif slot.den % den:
+        target = lcm(slot.den, den)
+        scale = target // slot.den
+        for other in out:
+            out[other] *= scale
+        slot.den = target
+    num *= slot.den // den
+    if key in out:
+        out[key] += num
+    else:
+        out[key] = num
 
 
 def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:

@@ -85,6 +85,10 @@ class LineData:
         self.order = base.order
         self.module_order = base.order - 1
         self.degree_bound = default_degree_bound()
+        # Read alpha only through add_into, alpha_apply or partial_alpha: its
+        # D(t) = 1 has a t^0 slot, so alpha.apply on a module-order f returns
+        # alpha of the zero-padded lift of f, a choice of lift alpha_apply
+        # refuses to make.
         self.alpha = Derivation(self.ring, self.module_order, alpha or {}, dt=1)
 
     def alpha_of(self, gen: str) -> TPoly:

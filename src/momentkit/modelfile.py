@@ -32,23 +32,25 @@ Line and column are computed only when an error is raised, from the
 ``index``-th match of a ``re.finditer`` of the same pattern.
 
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
-accumulators of its t^0 .. t^order coefficients.  A product of atoms folds
-into one integer monomial (numerator, denominator, s-degree, t-power,
-exponents) and a power of a single term scales its exponents; all other
+accumulators of its t^0 .. t^order coefficients.  A product of atoms folds,
+in one pass over its tokens, into one integer monomial (numerator,
+denominator, s-degree, t-power, packed key): a generator power adds
+``power * ring.units[i]`` to the key, and a power of a single term scales
+its key.  A folded term is added into its slot by ``add_term``; all other
 arithmetic is ``add_truncated_product``: products and powers of sums are
-kernel products, and ``+`` and ``-`` add a term or a sum as a kernel product
-with the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
+kernel products, and ``+`` and ``-`` add a sum as a kernel product with the
+one-term constant 1 or -1.  ``TPoly`` values are built once, at the
 end, by ``TPoly.from_slots``.  A t-power above the order is an error
 wherever it arises (a literal, product or power), even if a later sum would
 cancel it; the error names the lowest such t-power of the product where it
 arose.  In total-space expressions this applies to the final s-degree 0
 part, while the other degrees are reduced to the module order.  A nonzero
 monomial of total degree past ``MAX_TOTAL_DEGREE`` (2^32 - 1) is an error at
-the atom, factor or power that forms it; a folded monomial is packed into
-its key by one ``PolyRing.pack`` call.  A zero-valued entry is omitted
-like ``= 0;``.  Integer literals are ASCII digits, at most
-``sys.get_int_max_str_digits()`` of them.  Parentheses nest at most
-``MAX_NESTING`` deep.
+the atom, factor or power that forms it; since a key of such a degree is at
+least ``ring.limit``, one comparison of the folded or scaled key finds it.
+A zero-valued entry is omitted like ``= 0;``.  Integer literals are ASCII
+digits, at most ``sys.get_int_max_str_digits()`` of them.  Parentheses nest
+at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from itertools import islice
 from typing import Iterator, Mapping
 
 from .algebra import MAX_TOTAL_DEGREE, Poly, PolyRing, Rat, Slots, TPoly
-from .algebra import _Slot, add_truncated_product, new_slots
+from .algebra import add_term, add_truncated_product, new_slots
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
 from .poisson import Point, PoissonStructure
@@ -82,6 +84,8 @@ RESERVED = KEYWORDS | {"t", "s"}
 # Deepest parenthesis nesting an expression may use; deeper input is a
 # ModelError rather than a RecursionError.
 MAX_NESTING = 100
+
+_DEGREE_ERROR = f"total degree exceeds {MAX_TOTAL_DEGREE}"
 
 
 class ModelError(ValueError):
@@ -221,15 +225,17 @@ class _Parser:
     def __init__(self, text: str):
         self.code, self.texts = _lex(text)
         self.pos = 0
-        self.max_digits = sys.get_int_max_str_digits()
+        # the most digits an integer literal may have; 0 there means no limit
+        self.max_digits = sys.get_int_max_str_digits() or sys.maxsize
         self.ring: PolyRing | None = None
         self.order: int | None = None
         # what the model has declared, for _claim
         self.declared: set[object] = set()
-        # set per expression by _parse_top
+        # set per expression by _parse_top; units maps each generator to its key
         self.limit = 0
         self.allow_s = False
         self.depth = 0
+        self.units: dict[str, int] = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -262,7 +268,7 @@ class _Parser:
         text = self.texts[self.pos]
         if not text.isdigit():
             raise self.error(f"expected integer, got {_got(text)}")
-        if self.max_digits and len(text) > self.max_digits:
+        if len(text) > self.max_digits:
             raise self.error(f"integer literal longer than {self.max_digits} digits")
         self.pos += 1
         return int(text)
@@ -497,10 +503,12 @@ class _Parser:
 
     def _parse_top(self, order: int, allow_s: bool) -> _Sum:
         """A whole expression whose t-powers may reach ``order``."""
+        ring = self._ring()
         self.limit = order
         self.allow_s = allow_s
         self.depth = 0
-        one = self._ring().one()
+        self.units = dict(zip(ring.gens, ring.units))
+        one = ring.one()
         self.signs = {1: one, -1: -one}
         return self._parse_expr()
 
@@ -543,17 +551,20 @@ class _Parser:
         """Add ``sign`` times the product of factors at the cursor to ``total``.
 
         Atoms and their powers fold into one monomial ``num/den * s^d * t^k *
-        x^expo`` of integers, of total degree ``degree``, until a
+        x^key`` of integers, its key summed from ``units``, until a
         parenthesised factor, or a t-power past the limit, makes the product
-        a _Sum; each later factor is then a kernel product.  A unary minus
-        flips the sign of the whole term.
+        a _Sum; each later factor is then a kernel product.  A folded
+        monomial goes into its slot by ``add_term``.  A unary minus flips the
+        sign of the whole term.  Literals and exponents that are plain digit
+        strings are read here; ``_parse_literal`` and ``_parse_exponent``
+        read the rest and raise the errors.
         """
-        ring = self._ring()
-        gens = ring.gens
         texts = self.texts
+        units = self.units
         limit = self.limit
-        num, den, d, k, expo = 1, 1, 0, 0, [0] * ring.arity
-        degree = 0
+        key_limit = self._ring().limit
+        max_digits = self.max_digits
+        num, den, d, k, key = 1, 1, 0, 0, 0
         product: _Sum | None = None
         at: int | None = None  # where the factor starts; None for the first
         while True:
@@ -566,58 +577,66 @@ class _Parser:
             if text == "(":
                 factor = self._parse_group(start)
             else:
-                # the atom, with its power: a_num/a_den * s^a_d * t^a_k * gen^power
-                a_num = a_den = power = 1
-                a_d = a_k = 0
-                gen = None
+                # the atom, with its power: a_num/a_den * s^a_d * t^a_k * x^a_key
+                a_num = a_den = 1
+                a_d = a_k = a_key = 0
+                pos = start + 1
                 if text.isdigit():
-                    a_num, a_den = self._parse_literal()
-                else:
-                    if text == "t":
-                        a_k = 1
-                    elif text == "s":
-                        if not self.allow_s:
-                            raise self.error("s is not allowed in this expression", start)
-                        a_d = 1
-                    elif text in gens:
-                        gen = ring.index(text)
-                    elif _kind(text) == "ident":
-                        raise self.error(f"undeclared generator {text!r}", start)
+                    q = "1"
+                    if texts[pos] == "/":
+                        q = texts[pos + 1]
+                        pos += 2
+                    if len(text) <= max_digits and q.isdigit() and len(q) <= max_digits and int(q):
+                        a_num, a_den = int(text), int(q)
                     else:
-                        raise self.error(f"expected an expression, got {_got(text)}")
-                    self.pos = start + 1
-                if texts[self.pos] == "^":
-                    power = self._parse_exponent(a_d == 1)
+                        a_num, a_den = self._parse_literal()
+                elif text in units:
+                    a_key = units[text]
+                elif text == "t":
+                    a_k = 1
+                elif text == "s":
+                    if not self.allow_s:
+                        raise self.error("s is not allowed in this expression", start)
+                    a_d = 1
+                elif _kind(text) == "ident":
+                    raise self.error(f"undeclared generator {text!r}", start)
+                else:
+                    raise self.error(f"expected an expression, got {_got(text)}")
+                if texts[pos] == "^":
+                    exponent = texts[pos + 1]
+                    if exponent.isdigit() and len(exponent) <= max_digits:
+                        power = int(exponent)
+                        pos += 2
+                    else:
+                        self.pos = pos
+                        power = self._parse_exponent(a_d == 1)
+                        pos = self.pos
                     if power >= 0:  # only s takes a negative power
                         a_num, a_den = a_num**power, a_den**power
-                    a_d, a_k = a_d * power, a_k * power
+                    a_d, a_k, a_key = a_d * power, a_k * power, a_key * power
+                self.pos = pos
                 if a_k > limit:
                     factor = _Sum({}, {a_d: (start, a_k)})
                 elif product is None:
-                    num, den, d, k = num * a_num, den * a_den, d + a_d, k + a_k
-                    if gen is not None:
-                        expo[gen] += power
-                        degree += power
-                        if degree > MAX_TOTAL_DEGREE:
-                            raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", start)
+                    num, den, d, k, key = num * a_num, den * a_den, d + a_d, k + a_k, key + a_key
+                    if key >= key_limit:
+                        raise self.error(_DEGREE_ERROR, start)
                     if num and k > limit:
                         product = _Sum({}, {d: (at, k)})
                 else:
-                    a_expo = [0] * ring.arity
-                    if gen is not None:
-                        a_expo[gen] = power
-                    factor = self._term(a_num, a_den, a_d, a_k, a_expo, start)
+                    if a_key >= key_limit:
+                        raise self.error(_DEGREE_ERROR, start)
+                    factor = self._term(a_num, a_den, a_d, a_k, a_key)
             if factor is not None:
                 if product is None and at is not None:
-                    product = self._term(num, den, d, k, expo, at)
+                    product = self._term(num, den, d, k, key)
                 product = factor if product is None else self._mul(product, factor, at)
             if texts[self.pos] != "*":
                 break
             at = self.pos = self.pos + 1
         if product is None:
             if num:
-                term = (_Slot(den, {ring.pack(expo): num}),)
-                add_truncated_product(total.at(d, limit), term, (self.signs[sign],), k)
+                add_term(total.at(d, limit)[k], den, key, sign * num)
             return
         for deg, slots in product.parts.items():
             add_truncated_product(total.at(deg, limit), slots, (self.signs[sign],))
@@ -650,17 +669,12 @@ class _Parser:
         assert self.ring is not None
         return self.ring
 
-    def _term(self, num: int, den: int, d: int, k: int, expo: list[int], at: int) -> _Sum:
-        """The _Sum of the one term ``num/den * s^d * t^k * x^expo``; ``at``
-        is the token where it arose."""
+    def _term(self, num: int, den: int, d: int, k: int, key: int) -> _Sum:
+        """The _Sum of the one term ``num/den * s^d * t^k * x^key``."""
         if not num:
             return _Sum({}, {})
-        try:
-            key = self._ring().pack(expo)
-        except OverflowError as exc:
-            raise self.error(str(exc), at) from None
         slots = new_slots(self.limit)
-        slots[k] = _Slot(den, {key: num})
+        add_term(slots[k], den, key, num)
         return _Sum({d: slots}, {})
 
     def _mul(self, a: _Sum, b: _Sum, at: int) -> _Sum:
@@ -685,7 +699,7 @@ class _Parser:
                 if nums and max(nums) >= key_limit and any(
                     nums[key] for key in nums if key >= key_limit
                 ):
-                    raise self.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", at)
+                    raise self.error(_DEGREE_ERROR, at)
         over = result.over
         for d in sorted(lowest):
             over[d] = (at, lowest[d])
@@ -699,18 +713,17 @@ class _Parser:
         return result
 
     def _power(self, value: _Sum, exponent: int, at: int) -> _Sum:
-        ring = self._ring()
         terms = list(islice(value.terms(), 2))
         if not value.over and len(terms) < 2:
-            # zero or one term: scale its exponents
+            # zero or one term: scale its key, checked as in _parse_term
             d, k, den, key, num = terms[0] if terms else (0, 0, 1, 0, 0)
             if k * exponent > self.limit:
                 return _Sum({}, {d * exponent: (at, k * exponent)})
-            expo = [e * exponent for e in ring.unpack(key)]
-            return self._term(
-                num**exponent, den**exponent, d * exponent, k * exponent, expo, at
-            )
-        result = self._term(1, 1, 0, 0, [0] * ring.arity, at)
+            key *= exponent
+            if key >= self._ring().limit:
+                raise self.error(_DEGREE_ERROR, at)
+            return self._term(num**exponent, den**exponent, d * exponent, k * exponent, key)
+        result = self._term(1, 1, 0, 0, 0)
         for _ in range(exponent):
             result = self._mul(result, value, at)
         return result

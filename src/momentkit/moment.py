@@ -22,7 +22,8 @@ primitive ``Derivation.add_into``: O(n) slot products per sweep instead of a
 full alpha_apply of the lift.  Each correction enters as a t^0 slot at a shift,
 so the field's value on t never enters the sweep.  The postconditions are still
 checked independently, with a full alpha_apply of every finished lift and the
-recovery of every bracket relation.
+recovery of every bracket relation; the relations contract one Hamiltonian
+field per lift after the first, not one per pair.
 
 A MomentSystem is immutable, so ``verify()`` computes its report once and
 caches it; ``trivialize`` and ``extend_conformal`` reuse that report.
@@ -295,14 +296,17 @@ class MomentSystem:
 
         # Every pair must bracket to its base entry evaluated on the lifts,
         # and a pair with no base entry to zero.  Comparing before
-        # subtracting keeps the difference off the passing pairs.
+        # subtracting keeps the difference off the passing pairs.  Each lift
+        # b after the first contracts its Hamiltonian field once, and
+        # {lift_a, lift_b} = -H_b(lift_a) for every a before it.
         base_table = self.structure.base_table()
+        fields = {b: self.structure.hamiltonian_field(lifts[b]) for b in self.ring.gens[1:]}
 
         def relation_defects():
             for a, b in combinations(self.ring.gens, 2):
                 value = base_table.get((a, b), self.ring.zero())
                 expected = TPoly.from_poly(value, self.n).substitute(lifts)
-                actual = self.structure.bracket(lifts[a], lifts[b])
+                actual = -fields[b].apply(lifts[a])
                 if actual != expected:
                     yield (a, b), actual - expected
 

@@ -414,6 +414,53 @@ def test_total_degree_up_to_the_bound_parses():
     assert parse_polynomial(text, ring, 1).is_zero()
 
 
+def test_keys_fold_to_exactly_the_degree_bound():
+    # 2^32 - 1 = 65535 * 65537: a folded key and a scaled one both reach it
+    ring = PolyRing(["x", "y"])
+    for text, expo in (
+        ("x^2147483647*y^2147483648", (2147483647, 2147483648)),
+        ("x^4294967294*x", (4294967295, 0)),
+        ("y*x^2147483647*y^2147483647", (2147483647, 2147483648)),
+        ("(x^65535)^65537", (4294967295, 0)),
+        ("(x^32767*y^32768)^65537", (32767 * 65537, 32768 * 65537)),
+    ):
+        assert parse_polynomial(text, ring, 1) == TPoly.from_poly(Poly(ring, {expo: 1}), 1)
+    for text, col in (("x^4294967295*y", 14), ("(x^65535*y)^65537", 1)):
+        with pytest.raises(ModelError) as err:
+            parse_polynomial(text, ring, 1)
+        assert (err.value.message, err.value.col) == ("total degree exceeds 4294967295", col)
+
+
+def test_power_of_one_term_matches_tpoly_arithmetic():
+    ring = PolyRing(["x", "y"])
+    x, y = TPoly.generator(ring, "x", 3), TPoly.generator(ring, "y", 3)
+    term = TPoly.t(ring, 3) * x * y * y * Fraction(-2, 3)
+    assert parse_polynomial("(-2/3*t*x*y^2)^3", ring, 3) == term * term * term
+    assert parse_polynomial("(x^0)^5", ring, 3) == TPoly.constant(ring, 1, 3)
+    assert parse_polynomial("(7)^0", ring, 3) == TPoly.constant(ring, 1, 3)
+    assert parse_polynomial("3*(1/2*x)^2", ring, 3) == x * x * Fraction(3, 4)
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("y + (t*x)^3", ring, 2)
+    assert (err.value.message, err.value.col) == ("t-degree 3 exceeding order 2", 5)
+
+
+def test_one_term_folds_repeated_generators():
+    ring = PolyRing(["x", "y"])
+    assert parse_polynomial("x*y*x^2", ring, 1) == parse_polynomial("x^3*y", ring, 1)
+    assert parse_polynomial("2*x*y*x^2", ring, 1) == TPoly.from_poly(
+        Poly(ring, {(3, 1): 2}), 1
+    )
+
+
+def test_terms_over_different_denominators_share_a_slot():
+    ring = PolyRing(["x", "y"])
+    assert parse_polynomial("1/2*x + 1/3*x - 5/6*x", ring, 1).is_zero()
+    # the slot keeps its lcm denominator while terms align to it
+    value = parse_polynomial("1/2*x + 1/3*y - 1/6*x + 3/4*t*x", ring, 1)
+    x, y = TPoly.generator(ring, "x", 1), TPoly.generator(ring, "y", 1)
+    assert value == x * Fraction(1, 3) + y * Fraction(1, 3) + TPoly.t(ring, 1) * x * Fraction(3, 4)
+
+
 @pytest.mark.parametrize(
     "text,message,col",
     [

@@ -348,6 +348,35 @@ def test_worked_lift(worked):
     assert bracket == TPoly.constant(worked.ring, 1, 1)
 
 
+@pytest.mark.parametrize("base, fields", [("plane", 1), ("so3", 2)])
+def test_relations_check_contracts_one_field_per_lift(base, fields, request, monkeypatch):
+    # k - 1 Hamiltonian fields for the k(k-1)/2 relation pairs
+    base = request.getfixturevalue(base)
+    system = MomentSystem.trivial(base, 3).twist(
+        random_gauge_twist(random.Random(3), base.ring, 3)
+    )
+    assert system.verify().passed
+    real = PoissonStructure.hamiltonian_field
+    calls = []
+
+    def counted(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(PoissonStructure, "hamiltonian_field", counted)
+    lifts = system.trivialize().lifts
+    assert len(calls) == fields
+    assert calls == [lifts[b] for b in base.ring.gens[1:]]
+
+    # every pair is still compared: doubled fields break each relation
+    monkeypatch.setattr(PoissonStructure, "hamiltonian_field", lambda self, f: real(self, f * 2))
+    with pytest.raises(AssertionError) as err:
+        system.trivialize()
+    pairs = [(a, b) for i, a in enumerate(base.ring.gens) for b in base.ring.gens[i + 1 :]]
+    for pair in pairs:
+        assert f"witness={pair!r}" in str(err.value)
+
+
 def test_trivialize_refuses_invalid_systems(plane):
     system = MomentSystem.trivial(plane, 1)
     corrupted = MomentSystem(
