@@ -74,12 +74,21 @@ The canonical text rendering (used by every report and by the model-file
 round trip) lists terms by ascending t-power, then graded-lexicographic
 descending in the generators, with ``^`` for powers, ``*`` for products and
 rationals as ``p/q``; ``render_terms`` reads each coefficient ``n/den`` off
-the integer form and puts it in lowest terms with one gcd.
+the integer form and puts it in lowest terms with one gcd (none when
+``den == 1``).  It builds the generator part of each monomial's text once per
+ring: a ``PolyRing`` keeps a table from packed key to that text, one string
+per distinct monomial rendered over it, so the table is no larger than the
+texts it has printed and lives as long as the ring (a parse makes its own
+rings, so a CLI operation has its own table).  A ``TPoly`` keeps its text
+after the first ``str``, so a value that a report and an emitted model file
+both print is rendered once.  Both caches hold what any caller would compute
+and are filled on first use; values are immutable, so neither goes stale.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, Union
@@ -123,10 +132,12 @@ class PolyRing:
     The ring owns the layout of the packed exponent keys of ``Poly.nums``
     (see the module notes): ``pack`` and ``unpack`` convert between keys and
     exponent tuples, ``units[i]`` is the key of the i-th generator and
-    ``limit`` bounds every valid key from above.
+    ``limit`` bounds every valid key from above.  ``render_terms`` keeps the
+    text of each monomial it renders in the ring, one string per distinct
+    monomial.
     """
 
-    __slots__ = ("gens", "_index", "_shifts", "_fields", "_bytes", "units", "limit")
+    __slots__ = ("gens", "_index", "_shifts", "_fields", "_bytes", "units", "limit", "_text")
 
     def __init__(self, gens: Sequence[str]):
         gens = tuple(gens)
@@ -148,6 +159,8 @@ class PolyRing:
         degree_one = 1 << (W * k)
         self.units = tuple(degree_one | (1 << shift) for shift in self._shifts)
         self.limit = degree_one << W
+        # key -> the generator part of its canonical text, filled by render_terms
+        self._text: dict[int, str] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and self.gens == other.gens
@@ -422,9 +435,12 @@ def _diff_nums(ring: PolyRing, nums: dict[int, int], i: int) -> dict[int, int]:
 
 
 class TPoly:
-    """Element of A[t]/t^(N+1): order N and N+1 polynomial coefficient slots."""
+    """Element of A[t]/t^(N+1): order N and N+1 polynomial coefficient slots.
 
-    __slots__ = ("ring", "order", "coeffs")
+    Its canonical text is rendered on the first ``str`` and kept.
+    """
+
+    __slots__ = ("ring", "order", "coeffs", "_text")
 
     def __init__(self, ring: PolyRing, order: int, coeffs: Sequence[Poly]):
         if order < 0:
@@ -440,6 +456,7 @@ class TPoly:
         self.ring = ring
         self.order = order
         self.coeffs = coeffs
+        self._text = None
 
     @classmethod
     def _trusted(cls, ring: PolyRing, order: int, coeffs: tuple[Poly, ...]) -> TPoly:
@@ -449,6 +466,7 @@ class TPoly:
         tp.ring = ring
         tp.order = order
         tp.coeffs = coeffs
+        tp._text = None
         return tp
 
     # -- constructors ----------------------------------------------------
@@ -575,7 +593,10 @@ class TPoly:
         return substitute_all([self], assignment)[0]
 
     def __str__(self) -> str:
-        return render_terms(self.ring, self.coeffs)
+        text = self._text
+        if text is None:
+            text = self._text = render_terms(self.ring, self.coeffs)
+        return text
 
     def __repr__(self) -> str:
         return f"<TPoly[{self.order}] {self}>"
@@ -923,33 +944,52 @@ def render_terms(ring: PolyRing, slots: Sequence[Poly]) -> str:
     """The canonical text of ``sum_k slots[k] * t^k``.
 
     Each coefficient is read off the integer form: ``n/den`` is written in
-    lowest terms after one gcd, with its sign taken from ``n``.  Packed keys
-    sort as ints in graded lexicographic order, so descending keys list
-    higher total degree first, then earlier generators with higher exponents.
+    lowest terms after one gcd (none when ``den == 1``), with its sign taken
+    from ``n``.  Packed keys sort as ints in graded lexicographic order, so
+    descending keys list higher total degree first, then earlier generators
+    with higher exponents.  The generator part of each monomial's text
+    (``x^2*y``, or ``""`` for the constant) is built on first use and kept
+    in ``ring._text``, so that table holds one string per distinct monomial
+    the ring has rendered; the t-power and the coefficient are written per
+    term.  A coefficient with more digits than
+    ``sys.get_int_max_str_digits()`` raises ``OverflowError``.
     """
+    texts = ring._text
+    fields = tuple(zip(ring.gens, ring._shifts))
     chunks: list[str] = []
-    # reading the fields in place is cheaper than an unpacked tuple per term
-    fields = list(zip(ring.gens, ring._shifts))
     for t_pow, poly in enumerate(slots):
-        t_pieces = [] if t_pow == 0 else ["t"] if t_pow == 1 else [f"t^{t_pow}"]
+        t_part = "" if t_pow == 0 else "t" if t_pow == 1 else f"t^{t_pow}"
         den = poly.den
         nums = poly.nums
         for key in sorted(nums, reverse=True):
             n = nums[key]
-            pieces = t_pieces.copy()
-            for name, shift in fields:
-                e = (key >> shift) & _FIELD
-                if e == 1:
-                    pieces.append(name)
-                elif e:
-                    pieces.append(f"{name}^{e}")
-            g = gcd(n, den)
-            mag, q = abs(n) // g, den // g
-            if q != 1:
-                pieces.insert(0, f"{mag}/{q}")
-            elif mag != 1 or not pieces:
-                pieces.insert(0, str(mag))
-            body = "*".join(pieces)
+            mono = texts.get(key)
+            if mono is None:
+                pieces = []
+                for name, shift in fields:
+                    e = (key >> shift) & _FIELD
+                    if e == 1:
+                        pieces.append(name)
+                    elif e:
+                        pieces.append(f"{name}^{e}")
+                mono = texts[key] = "*".join(pieces)
+            factors = f"{t_part}*{mono}" if t_part and mono else t_part or mono
+            if den == 1:
+                mag, q = abs(n), 1
+            else:
+                g = gcd(n, den)
+                mag, q = abs(n) // g, den // g
+            if q != 1 or mag != 1 or not factors:
+                try:
+                    coeff = str(mag) if q == 1 else f"{mag}/{q}"
+                except ValueError:
+                    raise OverflowError(
+                        f"coefficient longer than {sys.get_int_max_str_digits()} digits, "
+                        "the limit of sys.get_int_max_str_digits()"
+                    ) from None
+                body = f"{coeff}*{factors}" if factors else coeff
+            else:
+                body = factors
             if chunks:
                 chunks.append(f"- {body}" if n < 0 else f"+ {body}")
             else:

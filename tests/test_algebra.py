@@ -254,6 +254,66 @@ def test_rendering_matches_fraction_oracle(p):
         assert str(poly) == render_terms_by_fractions(RING, [(0, e, c) for e, c in poly.terms.items()])
 
 
+def test_warm_ring_renders_seeded_polys_like_the_fraction_oracle():
+    # One ring renders them all, so later polynomials read monomial texts
+    # that earlier ones put in its table.
+    ring = PolyRing(["w", "x", "y", "z"])
+    rng = random.Random(25)
+    cases = [
+        TPoly(ring, 2, [-ring.var("x") * ring.var("z") + 3, ring.const(Fraction(-5, 2)), ring.one()]),
+        TPoly(ring, 0, [ring.const(7)]),
+    ]
+    for _ in range(60):
+        order = rng.randint(0, 3)
+        slots = []
+        for _ in range(order + 1):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                expo = tuple(rng.choice((0, 0, 1, 2, 10, 13)) for _ in range(4))
+                den = rng.choice((1, 1, 2, 6))
+                terms[expo] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), den)
+            slots.append(Poly(ring, terms))
+        cases.append(TPoly(ring, order, slots))
+    seen = set()
+    for tp in cases:
+        triples = [(k, e, c) for k, poly in enumerate(tp.coeffs) for e, c in poly.terms.items()]
+        assert str(tp) == render_terms_by_fractions(ring, triples)
+        seen.update(key for poly in tp.coeffs for key in poly.nums)
+    assert str(cases[0]) == "-x*z + 3 - 5/2*t + t^2"
+    # exponents past 9 and both kinds of denominator came up
+    expos = {e for tp in cases for poly in tp.coeffs for expo in poly.terms for e in expo}
+    assert {10, 13} <= expos
+    dens = {poly.den for tp in cases for poly in tp.coeffs}
+    assert 1 in dens and any(d > 1 for d in dens)
+    assert set(ring._text) == seen
+
+
+def test_monomial_texts_belong_to_their_ring():
+    # Both rings pack (2, 1) to the same key; each reads it in its own order.
+    xy, yx = PolyRing(["x", "y"]), PolyRing(["y", "x"])
+    key = xy.pack((2, 1))
+    assert yx.pack((2, 1)) == key
+    assert str(Poly._trusted(xy, 1, {key: 1})) == "x^2*y"
+    assert str(Poly._trusted(yx, 1, {key: 1})) == "y^2*x"
+    assert str(Poly._trusted(xy, 3, {key: -2})) == "-2/3*x^2*y"
+
+
+def test_a_tpoly_is_rendered_once(monkeypatch):
+    calls = []
+    original = algebra.render_terms
+
+    def counting(ring, slots):
+        calls.append(slots)
+        return original(ring, slots)
+
+    monkeypatch.setattr(algebra, "render_terms", counting)
+    tp = TPoly(RING, 1, [X * Y, -RING.one()])
+    assert str(tp) == str(tp) == "x*y - t"
+    assert len(calls) == 1
+    assert str(-tp) == "-x*y + t"  # a new value renders its own text
+    assert len(calls) == 2
+
+
 def test_evaluate():
     tp = TPoly(RING, 1, [X * Y, RING.one()])
     value = tp.evaluate({"x": Fraction(2), "y": Fraction(3, 2)}, Fraction(1, 3))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from momentkit import cli
+from momentkit import algebra, cli
 from momentkit.cli import main
 from momentkit.modelfile import parse_model
 
@@ -163,6 +163,29 @@ def test_oversized_literal_in_tot_expression_exits_two(worked_model):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit to pass")
+@pytest.mark.parametrize("command", ["tot", "twist"])
+def test_oversized_coefficient_exits_two(tmp_path, command, capsys):
+    # the literal is under the digit limit, its square is over it
+    limit = sys.get_int_max_str_digits()
+    big = "9" * (limit - 300)
+    path = tmp_path / "big.mks"
+    if command == "tot":
+        path.write_text(WORKED)
+        argv = ["tot", str(path), "--left", f"({big})^2*x", "--right", "y"]
+    else:
+        path.write_text(f"ring x, y;\norder 2;\nbracket {{x, y}} = ({big})^2;\n")
+        argv = ["twist", str(path), "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: coefficient longer than {limit} digits, "
+        "the limit of sys.get_int_max_str_digits()\n"
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_long_unary_minus_chain_parses(tmp_path):
     path = tmp_path / "minus.mks"
     path.write_text("ring x, y;\norder 2;\nbracket {x, y} = " + "-" * 3000 + "x;\n")
@@ -259,6 +282,33 @@ def test_twist_emit_round_trips(worked_model, tmp_path):
     assert emitted.build_system().verify().passed
     again = parse_model(emitted.render())
     assert again == emitted
+
+
+def test_twist_renders_each_entry_once(tmp_path, monkeypatch, capsys):
+    # the JSON details and the emitted model file print the same values
+    path = tmp_path / "so3.mks"
+    path.write_text(
+        "ring x, y, z;\norder 2;\n"
+        "bracket {x, y} = z;\nbracket {y, z} = x;\nbracket {z, x} = y;\n"
+        "twist g: x -> x + t*y*z y -> y - 1/2*t^2*x^2; unit 1 + t*z;\n"
+    )
+    calls = []
+    original = algebra.render_terms
+
+    def counting(ring, slots):
+        calls.append(slots)
+        return original(ring, slots)
+
+    monkeypatch.setattr(algebra, "render_terms", counting)
+    out = tmp_path / "twisted.mks"
+    assert main(["twist", str(path), "--name", "g", "--emit", str(out), "--json"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    entries = [*details["bracket"].values(), *details["alpha"].values()]
+    assert len(details["bracket"]) == 3 and details["alpha"]
+    assert len(calls) == len(entries)
+    assert len({id(slots) for slots in calls}) == len(calls)
+    for text in entries:
+        assert f" = {text};" in out.read_text()
 
 
 def test_twist_declared_name(tmp_path):
