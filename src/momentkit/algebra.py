@@ -42,7 +42,8 @@ Representation notes:
   by the same rule; the model parser adds each term it folds through it.
   No product builds a whole ``TPoly`` per partial product: a sum of products
   is added into one slot set and finished once, and a vector field adds
-  through ``Derivation.add_into``,
+  through ``Derivation.add_into``: one kernel product of D(x_i) and df/dx_i
+  per generator the field moves, and one of D(t) and df/dt,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel
@@ -849,12 +850,17 @@ class Derivation:
     It is the one implementation of a vector field: a Hamiltonian field has
     D(t) = 0 (t is central), alpha has alpha(t) = 1 and a conformal field on
     the total space xi(t) = mu*t.  ``dt`` is D(t), and
-    D(t^k c) = t^k D(c) + k t^(k-1) D(t) c; constants are killed.  The
-    Leibniz rule holds up to the top slot only for D(t) in t*A[t], because
-    D(t^(N+1)) = (N+1) t^N D(t) must vanish; so alpha maps the base order N
-    to N-1.  ``apply`` takes a ``TPoly`` at its own order, at most the
-    field's, and a ``Poly`` or a rational at the field's order;
-    ``add_into`` is its slot-level form.
+    D(t^k c) = t^k D(c) + k t^(k-1) D(t) c; constants are killed.
+
+    A field of order N whose D(t) has a nonzero t^0 slot lowers the order by
+    one: D(t^(m+1)) = (m+1) t^m D(t) vanishes only mod t^m, so D is a
+    derivation from order m to order m-1.  ``apply`` takes a ``TPoly`` at
+    an order m with 1 <= m <= N+1 and returns D(f) at order m-1; a ``Poly``
+    or a rational is taken at order N+1.  Any other field (D(t) in t*A[t],
+    0 included) keeps the order: ``apply`` takes a ``TPoly`` at its own
+    order, at most N, and a ``Poly`` or a rational at order N.  An argument
+    outside these orders raises ``OrderMismatch``.  ``add_into`` is the
+    slot-level form, into slots of any length.
     """
 
     __slots__ = ("ring", "order", "values", "dt", "_active")
@@ -899,23 +905,30 @@ class Derivation:
         """Add ``t^shift * D(f)`` into ``slots`` of any length, dropping
         powers past the last slot; ``coeffs`` are the t-slots of f.  Each
         kernel product takes D(g) as its outer operand and df/dg, unreduced
-        over the denominators of f's slots, as the inner one; the t-term of
-        a slot c_k is one product of c_k and k*D(t)."""
+        over the denominators of f's slots, as the inner one; the t-term is
+        one product of D(t) and df/dt, whose slot k-1 is k*c_k, unreduced
+        in the same way."""
         if shift >= len(slots):
             return
         ring = self.ring
         for i, value in self._active:
             partials = [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in coeffs]
             add_truncated_product(slots, value, partials, shift)
-        if self.dt:
-            for k, c in enumerate(coeffs):
-                if k and c.nums:
-                    add_truncated_product(slots, (c,), [p * k for p in self.dt], k - 1 + shift)
+        # k*c_k lands in slot k-1+shift: the c_k past the last slot drop out
+        tail = coeffs[1 : len(slots) - shift + 1]
+        if self.dt and any(c.nums for c in tail):
+            dfdt = [
+                _Slot(c.den, {e: n * k for e, n in c.nums.items()}) for k, c in enumerate(tail, 1)
+            ]
+            add_truncated_product(slots, self.dt, dfdt, shift)
 
     def apply(self, f: Union[TPoly, Poly, RatLike]) -> TPoly:
-        order = min(f.order, self.order) if isinstance(f, TPoly) else self.order
+        drop = 1 if self.dt and self.dt[0] else 0
+        top = self.order + drop
+        # a TPoly outside the orders drop..top fails as_tpoly's order check
+        order = min(max(f.order, drop), top) if isinstance(f, TPoly) else top
         f = as_tpoly(f, self.ring, order)
-        slots = new_slots(order)
+        slots = new_slots(order - drop)
         self.add_into(slots, f.coeffs)
         return TPoly.from_slots(self.ring, slots)
 

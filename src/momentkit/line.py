@@ -4,12 +4,12 @@ A ``LineData`` presents the module in a global trivialization e: the whole
 datum is the map alpha with {a, e} = alpha(a)*e, plus the fixed normalization
 alpha(t) = 1 (the bracket with t acts on the module as the identity).  alpha
 is held as the module-order ``Derivation`` with that value on t, so
-``alpha_apply`` is one ``add_into`` of the field, the t-power bump included,
-and ``partial_alpha`` applies the same values with t held fixed.  The
+``alpha_apply`` is the field's ``apply``, the t-power bump included, and
+``partial_alpha`` applies the same values with t held fixed.  The
 base bracket lives at truncation order N while alpha values live one order
-lower, at N-1; that drop is enforced by shape here because it is where the
-bookkeeping is easiest to get wrong: the extension of alpha across t-powers
-is alpha(t^k * c) = k*t^(k-1)*c + t^k*alpha(c), so the top t-slot of the base
+lower, at N-1.  That drop is the rule of every ``Derivation`` that moves t
+at t^0, so ``apply`` enforces it: the extension of alpha across t-powers is
+alpha(t^k * c) = k*t^(k-1)*c + t^k*alpha(c), so the top t-slot of the base
 feeds the top retained slot of the module.
 
 ``TotElement`` models finite Laurent sums sum_p f_p * s^p in the trivializing
@@ -21,12 +21,12 @@ identity exactly when alpha is a cocycle, which ``verify_cocycle`` checks.
 
 Inside the graded bracket, alpha is extended two ways and the distinction
 matters: degree-0 arguments are honest functions at order N, where the full
-extension ``alpha_apply`` (with the t-power bump above) is intrinsic;
-coefficients of nonzero degree exist only at order N-1, where the bump of the
-top slot would depend on a choice of lift, so they get ``partial_alpha``, the
-t-linear extension (no bump).  So ``alpha_apply`` takes base-order arguments
-only.  The t-linear choice is the one under which a change of trivialization
-intertwines the brackets exactly.
+extension ``alpha_apply`` (with the t-power bump above) gives a value at
+order N-1; coefficients of nonzero degree exist only at order N-1, where the
+bump would leave a value at order N-2 only, so they get ``partial_alpha``,
+the t-linear extension (no bump), at order N-1.  The t-linear choice is
+the one under which a change of trivialization intertwines the brackets
+exactly.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class LineData:
         self.order = base.order
         self.module_order = base.order - 1
         self.degree_bound = default_degree_bound()
-        # Read alpha only through add_into, alpha_apply or partial_alpha: its
-        # D(t) = 1 has a t^0 slot, so alpha.apply on a module-order f returns
-        # alpha of the zero-padded lift of f, a choice of lift alpha_apply
-        # refuses to make.
         self.alpha = Derivation(self.ring, self.module_order, alpha or {}, dt=1)
 
     def alpha_of(self, gen: str) -> TPoly:
@@ -102,15 +98,13 @@ class LineData:
     def alpha_apply(self, f: TPoly) -> TPoly:
         """The field alpha, with alpha(t) = 1: alpha(t^k c) = k t^(k-1) c + t^k alpha(c).
 
-        The argument lives at the base order N, where this extension is
-        intrinsic; the value lives at order N-1.  A module-order argument
-        raises ``OrderMismatch``: the top slot of its value would depend on
-        how it is lifted to order N.
+        alpha moves t at t^0, so it lowers the order by one: an argument at
+        the base order N (a ``Poly`` or a rational is taken there) has its
+        value at the module order N-1.  An argument at an order m < N has
+        its value at order m-1, the slots on which every lift of it to
+        order N agrees; at order 0 it raises ``OrderMismatch``.
         """
-        f = as_tpoly(f, self.ring, self.order)
-        slots = new_slots(self.module_order)
-        self.alpha.add_into(slots, f.coeffs)
-        return TPoly.from_slots(self.ring, slots)
+        return self.alpha.apply(f)
 
     def partial_alpha(self, f: TPoly) -> TPoly:
         """The t-linear extension of alpha (no t-power bump), at order N-1.

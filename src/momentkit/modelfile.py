@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping
 
-from .algebra import MAX_TOTAL_DEGREE, Poly, PolyRing, Rat, Slots, TPoly
+from .algebra import _DEGREE_ERROR, Poly, PolyRing, Rat, Slots, TPoly
 from .algebra import add_term, add_truncated_product, new_slots
 from .line import LineData, TotElement
 from .moment import GaugeTwist, MomentSystem
@@ -84,8 +84,6 @@ RESERVED = KEYWORDS | {"t", "s"}
 # Deepest parenthesis nesting an expression may use; deeper input is a
 # ModelError rather than a RecursionError.
 MAX_NESTING = 100
-
-_DEGREE_ERROR = f"total degree exceeds {MAX_TOTAL_DEGREE}"
 
 
 class ModelError(ValueError):

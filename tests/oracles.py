@@ -273,9 +273,11 @@ def derivation_by_sum(values, dt, f):
     """D(f) = dt * df/dt + sum_g values[g] * df/dg over whole TPolys.
 
     ``dt`` and every value share one order, and D(f) is taken at the lower
-    of that order and the order of f.  df/dt is read off the slots of f as
-    sum_k k c_k t^(k-1); the library instead adds k t^(k-1) D(t) c_k into
-    its slots one t-slot at a time.
+    of that order and the order of f, with no drop for a ``dt`` that has a
+    t^0 slot: a caller cuts the result itself.  df/dt is read off the slots
+    of f as sum_k k c_k t^(k-1) and multiplied as a whole TPoly; the library
+    instead adds D(t) times the slots k*c_k, unreduced, into its slots as
+    one kernel product, beside one product per generator.
     """
     ring = f.ring
     order = min(f.order, dt.order)

@@ -39,6 +39,7 @@ from oracles import (
     substitute_by_terms,
     t_shifted,
     truncated_product_slots,
+    zero_padded,
 )
 
 RING = PolyRing(["x", "y"])
@@ -72,13 +73,14 @@ def tpolys(draw, order=2):
 
 @st.composite
 def derivations(draw, order=2):
-    """A field with values on x, y and a value on t in t*A[t].  The Leibniz
-    rule needs D(t) there: otherwise D(t^(N+1)) = (N+1) t^N D(t) is not 0."""
+    """A field with values on x, y and any value on t.  One whose D(t) has a
+    t^0 slot lowers the order by one: D(t^(N+1)) = (N+1) t^N D(t) is 0 only
+    below t^N."""
     return Derivation(
         RING,
         order,
         {"x": draw(tpolys(order)), "y": draw(tpolys(order))},
-        t_shifted(draw(tpolys(order)), 1),
+        draw(tpolys(order)),
     )
 
 
@@ -175,15 +177,18 @@ def test_derivations_kill_constants():
     d = Derivation(RING, 1, {"x": TPoly.from_poly(Y, 1), "y": TPoly.from_poly(X, 1)})
     assert d.apply(TPoly.constant(RING, 5, 1)).is_zero()
     assert d.apply(TPoly.t(RING, 1)).is_zero()
+    # D(t) = x moves t at t^0, so the values lie one order lower
     moves_t = Derivation(RING, 1, d.values, X)
-    assert moves_t.apply(TPoly.constant(RING, 5, 1)).is_zero()
-    assert moves_t.apply(TPoly.t(RING, 1)) == TPoly.from_poly(X, 1)
+    assert moves_t.apply(TPoly.constant(RING, 5, 1)) == TPoly.constant(RING, 0, 0)
+    assert moves_t.apply(TPoly.t(RING, 1)) == TPoly.from_poly(X, 0)
     assert moves_t != d
 
 
 def test_derivation_with_a_value_on_t_matches_the_sum_oracle():
-    # D(f) = D(t) df/dt + sum_g D(g) df/dg for f at every order m <= N: a
-    # TPoly is taken at its own order, a Poly or a rational at the field's
+    # D(f) = D(t) df/dt + sum_g D(g) df/dg.  A field with D(t) in t*A[t]
+    # takes f at every order m <= N to order m; one whose D(t) has a t^0
+    # slot takes f at every order m = 1..N+1 to order m-1.  A TPoly is taken
+    # at its own order, a Poly or a rational at the highest the field takes.
     rng = random.Random(29)
 
     def draw(order):
@@ -195,19 +200,47 @@ def test_derivation_with_a_value_on_t_matches_the_sum_oracle():
         for _ in range(4):
             values = {g: draw(n) for g in RING.gens}
             dt = draw(n)
-            while not dt:
+            while not dt.coefficient(0):
                 dt = draw(n)
-            d = Derivation(RING, n, values, dt)
-            for m in range(n + 1):
-                f = draw(m)
-                assert d.apply(f) == derivation_by_sum(values, dt, f), (n, m)
-            head = f.coefficient(0)
-            assert d.apply(head) == d.apply(TPoly.from_poly(head, n))
-            assert d.apply(3).is_zero() and d.apply(3).order == n
-            with pytest.raises(OrderMismatch):
-                d.apply(draw(n + 1))
+            for d_t, drop in ((t_shifted(dt, 1), 0), (dt, 1)):
+                d = Derivation(RING, n, values, d_t)
+                top = n + drop
+                for m in range(drop, top + 1):
+                    f = draw(m)
+                    expected = derivation_by_sum(values, d_t, f).truncate(m - drop)
+                    assert d.apply(f) == expected, (n, m, drop)
+                head = f.coefficient(0)
+                assert d.apply(head) == d.apply(TPoly.from_poly(head, top))
+                assert d.apply(3).is_zero() and d.apply(3).order == n
+                with pytest.raises(OrderMismatch):
+                    d.apply(draw(top + 1))
+                if drop:
+                    with pytest.raises(OrderMismatch):
+                        d.apply(draw(0))
             with pytest.raises(OrderMismatch):
                 Derivation(RING, n, values, draw(n + 1))
+
+
+def test_the_t_term_is_one_kernel_product(monkeypatch):
+    # D(t) * df/dt is one kernel call whatever the number of t-slots of f,
+    # beside one call per generator the field moves
+    n = 8
+    rng = random.Random(31)
+    values = {"x": TPoly.constant(RING, 0, n - 1), "y": TPoly.from_poly(X, n - 1)}
+    dt = TPoly.constant(RING, 1, n - 1)
+    d = Derivation(RING, n - 1, values, dt)
+    f = TPoly(RING, n, [X * Y + rng.randint(1, 9) for _ in range(n + 1)])
+    calls = []
+
+    def counted(slots, a, b, shift=0):
+        calls.append(shift)
+        add_truncated_product(slots, a, b, shift)
+
+    monkeypatch.setattr(algebra, "add_truncated_product", counted)
+    slots = new_slots(n - 1)
+    d.add_into(slots, f.coeffs)
+    assert len(calls) == 2
+    assert TPoly.from_slots(RING, slots) == derivation_by_sum(values, dt, f)
 
 
 def test_order_and_ring_mixing_is_an_error():
@@ -357,26 +390,35 @@ def test_invert_unit_round_trip(c, q):
 @given(derivations(), tpolys(), tpolys())
 @settings(max_examples=60)
 def test_derivation_leibniz(d, f, g):
-    assert d.apply(f * g) == d.apply(f) * g + f * d.apply(g)
+    # checked at the value's order: one lower when D(t) has a t^0 slot
+    df, dg = d.apply(f), d.apply(g)
+    low = df.order
+    assert low == f.order - (1 if d.dt and d.dt[0] else 0)
+    assert d.apply(f * g) == df * g.truncate(low) + f.truncate(low) * dg
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_slot_primitive_is_the_shifted_apply(data):
     # Adding D(f) at t^shift is t^shift * D(f); a shift past the top adds
-    # nothing.  Adding one t-slot c_k of f at a time at t^(k + shift) holds
-    # t fixed: it is t^shift times the field with the same values and D(t) = 0.
+    # nothing.  Into slots of f's order, a field that moves t at t^0 adds D
+    # of the zero-padded lift of f.  Adding one t-slot c_k of f at a time at
+    # t^(k + shift) holds t fixed: it is t^shift times the field with the
+    # same values and D(t) = 0.
     order = data.draw(st.integers(min_value=0, max_value=5))
     values = {"x": data.draw(tpolys(order)), "y": data.draw(tpolys(order))}
-    d = Derivation(RING, order, values, data.draw(tpolys(order).filter(bool)))
+    dt = data.draw(tpolys(order).filter(bool))
+    d = Derivation(RING, order, values, dt)
     t_fixed = Derivation(RING, order, values)
     f = data.draw(tpolys(order))
+    value = d.apply(zero_padded(f, order + 1) if dt.coefficient(0) else f)
+    assert value.order == order
     for shift in range(order + 2):
         whole, by_slot = new_slots(order), new_slots(order)
         d.add_into(whole, f.coeffs, shift)
         for k, c in enumerate(f.coeffs):
             d.add_into(by_slot, (c,), k + shift)
-        assert TPoly.from_slots(RING, whole) == t_shifted(d.apply(f), shift), shift
+        assert TPoly.from_slots(RING, whole) == t_shifted(value, shift), shift
         assert TPoly.from_slots(RING, by_slot) == t_shifted(t_fixed.apply(f), shift), shift
 
 

@@ -157,15 +157,44 @@ def test_top_t_power_acts_as_multiplication_one_order_down(plane):
 
 def test_alpha_apply_matches_derivation_oracle():
     # alpha_apply is the t-power bump plus the alpha field; the oracle sums
-    # df/dt + alpha(g) * df/dg over whole TPolys.  A module-order argument
-    # is refused: the top slot of its value would depend on its lift.
+    # df/dt + alpha(g) * df/dg over whole TPolys.  alpha moves t at t^0, so
+    # a module-order argument has its value at order N-2, the slots that
+    # every lift of it to order N agrees on; at module order 0 it raises.
     rng = random.Random(43)
+    seen = set()
     for seed in range(30):
         line = random_line_data(seed)
-        f = _random_tpoly(rng, line.ring, line.order)
+        n = line.order
+        f = _random_tpoly(rng, line.ring, n)
         assert line.alpha_apply(f) == alpha_by_derivation(line, f), seed
-        with pytest.raises(OrderMismatch):
-            line.alpha_apply(f.truncate(line.module_order))
+        assert line.alpha.apply(f) == line.alpha_apply(f), seed
+        low = f.truncate(line.module_order)
+        seen.add(n > 1)
+        if n == 1:
+            for apply in (line.alpha_apply, line.alpha.apply):
+                with pytest.raises(OrderMismatch):
+                    apply(low)
+            continue
+        expected = alpha_by_derivation(line, low).truncate(n - 2)
+        assert line.alpha_apply(low) == expected, seed
+        assert line.alpha.apply(low) == expected, seed
+        for top in (line.ring.zero(), f.coefficient(n), _random_poly(rng, line.ring, 2)):
+            lift = TPoly(line.ring, n, [*low.coeffs, top])
+            assert line.alpha_apply(lift).truncate(n - 2) == expected, seed
+    assert seen == {False, True}
+
+
+def test_alpha_of_a_module_order_argument_agrees_with_every_lift(plane):
+    # alpha(y) = x on the plane at order 2: alpha(y + t*y) is x + y at
+    # order 0, and alpha_apply of each order-2 lift agrees with it below t
+    ring = plane.ring
+    x, y = ring.var("x"), ring.var("y")
+    line = LineData(MomentSystem.trivial(plane, 2).structure, {"y": x})
+    value = line.alpha.apply(TPoly(ring, 1, [y, y]))
+    assert value == TPoly.from_poly(x + y, 0)
+    for top in (ring.zero(), x, y * 3, x * y - 1):
+        lift = TPoly(ring, 2, [y, y, top])
+        assert line.alpha_apply(lift).truncate(0) == value
 
 
 def test_module_bracket_matches_field_oracle():

@@ -232,6 +232,16 @@ def test_hamiltonian_fields_are_conformal_of_weight_zero(so3):
     assert so3.verify_conformal(field, Fraction(0)).passed
 
 
+def test_a_field_that_moves_t_at_t0_is_not_a_conformal_field(plane_ring):
+    # its values lie one order below its arguments, so the check cannot
+    # compare xi{a,b} with {xi a, b}: it raises at every field order
+    structure = PoissonStructure(plane_ring, 2, {("x", "y"): 1})
+    for m in range(3):
+        xi = Derivation(plane_ring, m, euler(plane_ring, m).values, dt=1)
+        with pytest.raises(OrderMismatch):
+            structure.verify_conformal(xi, Fraction(-2))
+
+
 def test_zero_bracket_admits_any_weight(zero_bracket):
     xi = euler(zero_bracket.ring, 0)
     for weight in (Fraction(0), Fraction(5), Fraction(-7, 3)):
