@@ -32,22 +32,28 @@ Line and column are computed only when an error is raised, from the
 ``index``-th match of a ``re.finditer`` of the same pattern.
 
 An expression evaluates to ``{s-degree: kernel slots}``, the integer
-accumulators of its t^0 .. t^order coefficients.  A product of atoms folds,
-in one pass over its tokens, into one integer monomial (numerator,
+accumulators of its t^0 .. t^order coefficients.  A product of one-term
+factors (atoms, and parenthesised expressions that sum to at most one term)
+folds, in one pass over its tokens, into one integer monomial (numerator,
 denominator, s-degree, t-power, packed key): a generator power adds
-``power * ring.units[i]`` to the key, and a power of a single term scales
-its key.  A folded term is added into its slot by ``add_term``; all other
-arithmetic is ``add_truncated_product``: products and powers of sums are
-kernel products, and ``+`` and ``-`` add a sum as a kernel product with the
-one-term constant 1 or -1.  ``TPoly`` values are built once, at the
+``power * ring.units[i]`` to the key, and a power of a one-term factor
+scales its key.  A folded term is added into its slot by ``add_term``; all
+other arithmetic is ``add_truncated_product``: products and powers of sums
+are kernel products, and ``+`` and ``-`` add a sum as a kernel product with
+the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
 end, by ``TPoly.from_slots``.  A t-power above the order is an error
 wherever it arises (a literal, product or power), even if a later sum would
 cancel it; the error names the lowest such t-power of the product where it
 arose.  In total-space expressions this applies to the final s-degree 0
 part, while the other degrees are reduced to the module order.  A nonzero
 monomial of total degree past ``MAX_TOTAL_DEGREE`` (2^32 - 1) is an error at
-the atom, factor or power that forms it; since a key of such a degree is at
+the factor or product that forms it; since a key of such a degree is at
 least ``ring.limit``, one comparison of the folded or scaled key finds it.
+A one-term factor or a folded product is checked against the order first,
+since a term past it is not kept, and then against the bound.  The error of
+a one-term factor points at its first token after any minus.  A product is
+past either only with a nonzero coefficient, and its error points at the
+first token of the factor that took it past, its minus included.
 A zero-valued entry is omitted like ``= 0;``.  Integer literals are ASCII
 digits, at most ``sys.get_int_max_str_digits()`` of them.  Parentheses nest
 at most ``MAX_NESTING`` deep.
@@ -548,10 +554,13 @@ class _Parser:
     def _parse_term(self, total: _Sum, sign: int) -> None:
         """Add ``sign`` times the product of factors at the cursor to ``total``.
 
-        Atoms and their powers fold into one monomial ``num/den * s^d * t^k *
-        x^key`` of integers, its key summed from ``units``, until a
-        parenthesised factor, or a t-power past the limit, makes the product
-        a _Sum; each later factor is then a kernel product.  A folded
+        A one-term factor, an atom or a parenthesised expression that sums
+        to at most one term and nothing past the order, is read with its
+        power as ``num/den * s^d * t^k * x^key`` of integers, its key summed
+        from ``units``.  One-term factors fold into one such monomial until a
+        group of several terms, or a t-power past the limit, makes the
+        product a _Sum; each later factor is then a kernel product, and a
+        power of a group of several terms is repeated ``_mul``.  A folded
         monomial goes into its slot by ``add_term``.  A unary minus flips the
         sign of the whole term.  Literals and exponents that are plain digit
         strings are read here; ``_parse_literal`` and ``_parse_exponent``
@@ -564,67 +573,85 @@ class _Parser:
         max_digits = self.max_digits
         num, den, d, k, key = 1, 1, 0, 0, 0
         product: _Sum | None = None
-        at: int | None = None  # where the factor starts; None for the first
+        at: int | None = None  # where the factor starts, its minus included; None for the first
         while True:
             while texts[self.pos] == "-":
                 self.pos += 1
                 sign = -sign
             start = self.pos
             text = texts[start]
+            # the one-term factor a_num/a_den * s^a_d * t^a_k * x^a_key, unless
+            # ``factor`` holds a group of several terms
             factor: _Sum | None = None
+            a_num = a_den = 1
+            a_d = a_k = a_key = 0
+            pos = start + 1
             if text == "(":
-                factor = self._parse_group(start)
-            else:
-                # the atom, with its power: a_num/a_den * s^a_d * t^a_k * x^a_key
-                a_num = a_den = 1
-                a_d = a_k = a_key = 0
-                pos = start + 1
-                if text.isdigit():
-                    q = "1"
-                    if texts[pos] == "/":
-                        q = texts[pos + 1]
-                        pos += 2
-                    if len(text) <= max_digits and q.isdigit() and len(q) <= max_digits and int(q):
-                        a_num, a_den = int(text), int(q)
-                    else:
-                        a_num, a_den = self._parse_literal()
-                elif text in units:
-                    a_key = units[text]
-                elif text == "t":
-                    a_k = 1
-                elif text == "s":
-                    if not self.allow_s:
-                        raise self.error("s is not allowed in this expression", start)
-                    a_d = 1
-                elif _kind(text) == "ident":
-                    raise self.error(f"undeclared generator {text!r}", start)
+                self.pos = pos
+                self.depth += 1
+                if self.depth > MAX_NESTING:
+                    message = f"expression nested deeper than {MAX_NESTING} parentheses"
+                    raise self.error(message, start)
+                factor = self._parse_expr()
+                self.expect(")")
+                self.depth -= 1
+                pos = self.pos
+                terms = list(islice(factor.terms(), 2))
+                if not factor.over and len(terms) < 2:
+                    a_d, a_k, a_den, a_key, a_num = terms[0] if terms else (0, 0, 1, 0, 0)
+                    factor = None
+            elif text.isdigit():
+                q = "1"
+                if texts[pos] == "/":
+                    q = texts[pos + 1]
+                    pos += 2
+                if len(text) <= max_digits and q.isdigit() and len(q) <= max_digits and int(q):
+                    a_num, a_den = int(text), int(q)
                 else:
-                    raise self.error(f"expected an expression, got {_got(text)}")
-                if texts[pos] == "^":
-                    exponent = texts[pos + 1]
-                    if exponent.isdigit() and len(exponent) <= max_digits:
-                        power = int(exponent)
-                        pos += 2
-                    else:
-                        self.pos = pos
-                        power = self._parse_exponent(a_d == 1)
-                        pos = self.pos
-                    if power >= 0:  # only s takes a negative power
+                    a_num, a_den = self._parse_literal()
+            elif text in units:
+                a_key = units[text]
+            elif text == "t":
+                a_k = 1
+            elif text == "s":
+                if not self.allow_s:
+                    raise self.error("s is not allowed in this expression", start)
+                a_d = 1
+            elif _kind(text) == "ident":
+                raise self.error(f"undeclared generator {text!r}", start)
+            else:
+                raise self.error(f"expected an expression, got {_got(text)}")
+            if texts[pos] == "^":
+                exponent = texts[pos + 1]
+                if exponent.isdigit() and len(exponent) <= max_digits:
+                    power = int(exponent)
+                    pos += 2
+                else:
+                    self.pos = pos
+                    power = self._parse_exponent(text == "s")
+                    pos = self.pos
+                if factor is not None:
+                    base, factor = factor, self._term(1, 1, 0, 0, 0)
+                    for _ in range(power):
+                        factor = self._mul(factor, base, start)
+                else:
+                    if power >= 0:  # only a bare s takes a negative power
                         a_num, a_den = a_num**power, a_den**power
                     a_d, a_k, a_key = a_d * power, a_k * power, a_key * power
-                self.pos = pos
+            self.pos = pos
+            if factor is None:
                 if a_k > limit:
                     factor = _Sum({}, {a_d: (start, a_k)})
-                elif product is None:
+                elif a_key >= key_limit:
+                    raise self.error(_DEGREE_ERROR, start)
+                elif product is not None:
+                    factor = self._term(a_num, a_den, a_d, a_k, a_key)
+                else:
                     num, den, d, k, key = num * a_num, den * a_den, d + a_d, k + a_k, key + a_key
-                    if key >= key_limit:
-                        raise self.error(_DEGREE_ERROR, start)
                     if num and k > limit:
                         product = _Sum({}, {d: (at, k)})
-                else:
-                    if a_key >= key_limit:
-                        raise self.error(_DEGREE_ERROR, start)
-                    factor = self._term(a_num, a_den, a_d, a_k, a_key)
+                    elif num and key >= key_limit:
+                        raise self.error(_DEGREE_ERROR, at)
             if factor is not None:
                 if product is None and at is not None:
                     product = self._term(num, den, d, k, key)
@@ -650,18 +677,6 @@ class _Parser:
             self.pos += 1
             return -self.expect_int()
         return self.expect_int()
-
-    def _parse_group(self, start: int) -> _Sum:
-        self.pos += 1
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"expression nested deeper than {MAX_NESTING} parentheses", start)
-        value = self._parse_expr()
-        self.expect(")")
-        self.depth -= 1
-        if self.at_punct("^"):
-            value = self._power(value, self._parse_exponent(False), start)
-        return value
 
     def _ring(self) -> PolyRing:
         assert self.ring is not None
@@ -708,22 +723,6 @@ class _Parser:
                 for d, where in mine.over.items():
                     for e in degrees:
                         over.setdefault(d + e, where)
-        return result
-
-    def _power(self, value: _Sum, exponent: int, at: int) -> _Sum:
-        terms = list(islice(value.terms(), 2))
-        if not value.over and len(terms) < 2:
-            # zero or one term: scale its key, checked as in _parse_term
-            d, k, den, key, num = terms[0] if terms else (0, 0, 1, 0, 0)
-            if k * exponent > self.limit:
-                return _Sum({}, {d * exponent: (at, k * exponent)})
-            key *= exponent
-            if key >= self._ring().limit:
-                raise self.error(_DEGREE_ERROR, at)
-            return self._term(num**exponent, den**exponent, d * exponent, k * exponent, key)
-        result = self._term(1, 1, 0, 0, 0)
-        for _ in range(exponent):
-            result = self._mul(result, value, at)
         return result
 
 

@@ -125,6 +125,9 @@ order 1;
 bracket {x, z} = 1;
 """
 
+# WORKED with its point declared without an s-coordinate.
+WORKED_NO_S = WORKED.replace(" s = 1", "")
+
 # case name -> (model text or None, argv, emitted file or None)
 CASES = {
     "verify_worked": (WORKED, ["verify", "model.mks", "--json"], None),
@@ -192,6 +195,17 @@ CASES = {
         None,
     ),
     "error_unknown_point": (WORKED, ["rank", "model.mks", "--point", "nowhere"], None),
+    "error_tot_trailing_input": (
+        WORKED,
+        ["tot", "model.mks", "--left", "x )", "--right", "y"],
+        None,
+    ),
+    "error_unknown_twist": (SO3_WITH_TWIST, ["twist", "model.mks", "--name", "nosuch"], None),
+    "error_rank_point_without_s": (
+        WORKED_NO_S,
+        ["rank", "model.mks", "--point", "p0", "--space", "tot"],
+        None,
+    ),
     "error_roundtrip_cases": (None, ["roundtrip", "--cases", "0"], None),
 }
 

@@ -361,6 +361,16 @@ def test_over_order_error_points_at_the_term():
         parse_polynomial("x + t", ring, 0)
     assert err.value.message == "t-degree 1 exceeding order 0"
     assert (err.value.line, err.value.col) == (1, 5)
+    # a product past the order is reported at the factor that took it past,
+    # minus included
+    with pytest.raises(ModelError) as err:
+        parse_polynomial("t*-t^2", ring, 2)
+    assert (err.value.message, err.value.col) == ("t-degree 3 exceeding order 2", 3)
+    # a product past the order is not kept, so its degree is not checked
+    for text in ("t*y^2147483648*t*y^2147483648", "t*y^2147483648*(t*y^2147483648)"):
+        with pytest.raises(ModelError) as err:
+            parse_polynomial(text, ring, 1)
+        assert (err.value.message, err.value.col) == ("t-degree 2 exceeding order 1", 16)
 
 
 def test_over_order_error_names_the_lowest_t_power():
@@ -387,6 +397,9 @@ def test_over_order_error_names_the_lowest_t_power():
         ("(x^2147483648)^2", 1),
         ("y*(x + 1)*x^4294967296", 11),
         ("(y^4294967295 + 1)*y", 20),
+        # a folded product is reported at the factor that took it past, minus included
+        ("x^2147483648*-x^2147483648", 14),
+        ("(x^2147483648)*-(x^2147483648)", 16),
     ],
 )
 def test_total_degree_past_the_bound_is_an_error_at_its_location(text, col):
@@ -409,9 +422,14 @@ def test_total_degree_up_to_the_bound_parses():
         ("x^0*y^4294967295", (0, 4294967295)),
     ):
         assert parse_polynomial(text, ring, 1) == TPoly.from_poly(Poly(ring, {expo: 1}), 1)
-    # a monomial past the bound that cancels is dropped like any other
-    text = "(x^2147483648 - x^2147483648)*x^2147483648*x^2147483648"
-    assert parse_polynomial(text, ring, 1).is_zero()
+    # a monomial past the bound that cancels or has a zero factor is dropped
+    # like any other
+    for text in (
+        "(x^2147483648 - x^2147483648)*x^2147483648*x^2147483648",
+        "x^4294967295*0*x",
+        "x^4294967295*(0)*x",
+    ):
+        assert parse_polynomial(text, ring, 1).is_zero(), text
 
 
 def test_keys_fold_to_exactly_the_degree_bound():
@@ -442,6 +460,25 @@ def test_power_of_one_term_matches_tpoly_arithmetic():
     with pytest.raises(ModelError) as err:
         parse_polynomial("y + (t*x)^3", ring, 2)
     assert (err.value.message, err.value.col) == ("t-degree 3 exceeding order 2", 5)
+
+
+def test_one_term_groups_fold_without_kernel_products(monkeypatch):
+    model = parse_model(TRIVIAL_PLANE)
+    line = model.build_system().line
+    calls = []
+    kernel = modelfile.add_truncated_product
+    monkeypatch.setattr(
+        modelfile, "add_truncated_product", lambda *args: calls.append(1) or kernel(*args)
+    )
+    for text, count in (
+        ("(-9/2)*x*y*s^2 + (3)*y", 0),
+        ("(x*y)^3*(2/3)", 0),
+        ("(1 + x)^2*y", 4),
+    ):
+        calls.clear()
+        value = parse_tot_expression(text, line)
+        assert len(calls) == count, text
+        assert value == evaluate_by_term_map(text, model.ring, line.order, line), text
 
 
 def test_one_term_folds_repeated_generators():
@@ -543,11 +580,14 @@ def _trees(allow_s):
 
 def _render(tree, flat: bool = False) -> str:
     """The tree as text; every composite operand is parenthesised, except
-    with ``flat`` the left operand of a chain of ``*`` or of ``+``/``-``."""
+    with ``flat`` the left operand of a chain of ``*`` or of ``+``/``-``,
+    and a negated right operand of ``*`` (``a * -b``)."""
 
-    def wrap(node, chain=()):
+    def wrap(node, chain=(), right=False):
         text = _render(node, flat)
         if node[0] in ("lit", "gen", "t") or (flat and node[0] in chain):
+            return text
+        if flat and right and node[0] == "neg":
             return text
         return f"({text})"
 
@@ -566,7 +606,7 @@ def _render(tree, flat: bool = False) -> str:
     if kind == "^":
         return f"{wrap(tree[1])}^{tree[2]}"
     chain = ("*",) if kind == "*" else ("+", "-")
-    return f"{wrap(tree[1], chain)} {kind} {wrap(tree[2])}"
+    return f"{wrap(tree[1], chain)} {kind} {wrap(tree[2], right=kind == '*')}"
 
 
 def _t_bound(tree) -> int:
