@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 * :mod:`momentkit.algebra` -- rationals, sparse polynomials, truncated
-  t-polynomials, derivations;
+  t-polynomials, the product kernel, substitution and its inverse, derivations;
 * :mod:`momentkit.poisson` -- Poisson structures, Jacobi and conformal
   verification, Hamiltonian fields, pointwise bivector rank;
 * :mod:`momentkit.line` -- rank-1 module data in a trivialization, the graded
@@ -25,6 +25,7 @@ from .algebra import (
     Rat,
     TPoly,
     exact_rank,
+    invert_generator_map,
     invert_unit,
 )
 from .line import LineData, TotElement, default_degree_bound
@@ -35,7 +36,6 @@ from .moment import (
     MomentSystem,
     NotConformal,
     TrivializationResult,
-    invert_generator_map,
 )
 from .poisson import Point, PoissonStructure
 from .reporting import Check, Finding, Report

@@ -43,7 +43,8 @@ Representation notes:
   No product builds a whole ``TPoly`` per partial product: a sum of products
   is added into one slot set and finished once, and a vector field adds
   through ``Derivation.add_into``: one kernel product of D(x_i) and df/dx_i
-  per generator the field moves, and one of D(t) and df/dt,
+  per generator the field moves, and one of D(t) and df/dt.  ``partials``
+  is the one builder of df/dx_i, for it and for ``hamiltonian_field``,
 * ``substitute_all`` substitutes one assignment into several ``TPoly``s of
   one order, and ``TPoly.substitute`` is its one-poly case.  It builds each
   monomial of the assigned values once for all of them, by a single kernel
@@ -54,9 +55,9 @@ Representation notes:
   in.  It is pushed down the chain of lower monomials (the truncation
   discipline of relaxed power series; van der Hoeven, J. Symb. Comput.
   34(6), 2002).  ``monomial_chains`` is the one walk of those chains (the
-  lowest set bit of a key owns its last generator); ``invert_generator_map``
-  walks the tails of its map with it and builds the same monomials of psi
-  one slot per step,
+  lowest set bit of a key owns its last generator).  ``invert_generator_map``,
+  defined after ``substitute_all``, walks the tails of its map the same way
+  and builds the same monomials of psi one slot per step,
 * one finisher, ``finish_slot``, turns an accumulator into a ``Poly``: it
   drops cancelled terms and divides out one gcd; no caller reads the slot
   layout,
@@ -421,20 +422,6 @@ class Poly:
         return f"<Poly {self}>"
 
 
-def _diff_nums(ring: PolyRing, nums: dict[int, int], i: int) -> dict[int, int]:
-    """The numerators of d/dx_i over the same denominator, not reduced."""
-    out: dict[int, int] = {}
-    shift = ring._shifts[i]
-    unit = ring.units[i]
-    # Distinct keys with e_i > 0 stay distinct after lowering e_i; lowering
-    # it by one is subtracting the unit key, which cannot borrow.
-    for key, n in nums.items():
-        e = (key >> shift) & _FIELD
-        if e:
-            out[key - unit] = n * e
-    return out
-
-
 class TPoly:
     """Element of A[t]/t^(N+1): order N and N+1 polynomial coefficient slots.
 
@@ -725,6 +712,23 @@ def add_term(slot: _Slot, den: int, key: int, num: int) -> None:
         out[key] = num
 
 
+def partials(ring: PolyRing, coeffs: Sequence[Poly], i: int) -> Slots:
+    """d/dx_i of each t-slot in ``coeffs`` as a kernel operand: the
+    numerators of the derivative over the slot's own denominator, unreduced."""
+    shift = ring._shifts[i]
+    unit = ring.units[i]
+    out = []
+    # Distinct keys with e_i > 0 stay distinct after lowering e_i; lowering
+    # it by one is subtracting the unit key, which cannot borrow.
+    for c in coeffs:
+        nums = {}
+        for key, n in c.nums.items():
+            if e := (key >> shift) & _FIELD:
+                nums[key - unit] = n * e
+        out.append(_Slot(c.den, nums))
+    return out
+
+
 def finish_slot(ring: PolyRing, slot: _Slot) -> Poly:
     """The ``Poly`` a filled accumulator stands for, in lowest terms.
 
@@ -816,6 +820,77 @@ def substitute_all(polys: Sequence[TPoly], assignment: Mapping[str, TPoly]) -> l
     return out
 
 
+def invert_generator_map(ring: PolyRing, order: int, phi: Mapping[str, TPoly]) -> dict[str, TPoly]:
+    """Formal inverse psi of a substitution phi that is id mod t.
+
+    With T = phi - id, which lies in t*A[t], psi is the fixed point of
+    psi = x - T(psi) (the fixed-point form of series reversion; Brent & Kung,
+    JACM 25(4), 1978).  Slot m of T(psi) depends on psi only mod t^m, so psi
+    is solved one t-slot at a time, and each slot is built once (the relaxed
+    method of van der Hoeven, J. Symb. Comput. 34(6), 2002): at step m,
+    every monomial M of psi that T needs gains its slot m-1,
+    M_(m-1) = sum_a P_a * psi_i,(m-1-a) over its prefix P = M / x_i, and then
+    psi_g,m = -sum_{k>=1} T_g,k(psi)_(m-k).  ``monomial_chains`` picks the
+    monomials and their precisions, as for ``substitute_all``; the TPolys
+    are built at the end.
+
+    This is the one library home of the check that phi is invertible: a
+    missing generator raises ``GeneratorMismatch``, and a value that is not
+    the identity mod t ``ValueError``.
+    """
+    tails = []
+    for g in ring.gens:
+        value = phi.get(g)
+        if value is None:
+            raise GeneratorMismatch(f"generator map misses generator {g!r}")
+        value = as_tpoly(value, ring, order)
+        if value.coefficient(0) != ring.var(g):
+            raise ValueError(
+                f"generator map is not invertible: phi({g}) = {value} is not the identity mod t"
+            )
+        tails.append(TPoly._trusted(ring, order, (ring.zero(), *value.coeffs[1:])))
+    precision, prefix = monomial_chains(tails)
+    # each term of T_g at t^k, by ascending k, as (k, key, -coefficient) with
+    # the coefficient a one-term kernel operand
+    terms = [
+        [
+            (k, key, _Slot(c.den, {0: -n}))
+            for k, c in enumerate(tail.coeffs)
+            for key, n in c.nums.items()
+        ]
+        for tail in tails
+    ]
+    psi = [[ring.var(g)] for g in ring.gens]
+    # Slot lists grow one slot per step; the monomial of a generator is its
+    # psi, and the constant monomial has only its t^0 slot.
+    monomials: dict[int, list[Poly]] = {0: [ring.one()]}
+    for key, (lower, i) in prefix.items():
+        monomials[key] = [] if lower else psi[i]
+    # keys order by total degree first, so a prefix gains each slot first
+    built = sorted(key for key, (lower, _) in prefix.items() if lower)
+    for m in range(1, order + 1):
+        j = m - 1
+        for key in built:
+            if precision[key] < j:
+                continue
+            lower, i = prefix[key]
+            low, psi_i = monomials[lower], psi[i]
+            acc = new_slots(0)
+            for a in range(m):
+                add_truncated_product(acc, (low[a],), (psi_i[j - a],))
+            monomials[key].append(finish_slot(ring, acc[0]))
+        for slots, own in zip(psi, terms):
+            acc = new_slots(0)
+            for k, key, coeff in own:
+                if k > m:
+                    break
+                monomial = monomials[key]
+                if m - k < len(monomial):
+                    add_truncated_product(acc, (monomial[m - k],), (coeff,))
+            slots.append(finish_slot(ring, acc[0]))
+    return {g: TPoly._trusted(ring, order, tuple(s)) for g, s in zip(ring.gens, psi)}
+
+
 def invert_unit(u: TPoly) -> TPoly:
     """Inverse of a unit u = c0 + t*(..) of A[t]/t^(N+1), slot by slot.
 
@@ -904,16 +979,13 @@ class Derivation:
     def add_into(self, slots: Slots, coeffs: Sequence[Poly], shift: int = 0) -> None:
         """Add ``t^shift * D(f)`` into ``slots`` of any length, dropping
         powers past the last slot; ``coeffs`` are the t-slots of f.  Each
-        kernel product takes D(g) as its outer operand and df/dg, unreduced
-        over the denominators of f's slots, as the inner one; the t-term is
-        one product of D(t) and df/dt, whose slot k-1 is k*c_k, unreduced
-        in the same way."""
+        kernel product takes D(g) as its outer operand and df/dg from
+        ``partials`` as the inner one; the t-term is one product of D(t)
+        and df/dt, whose slot k-1 is k*c_k, unreduced like a partial."""
         if shift >= len(slots):
             return
-        ring = self.ring
         for i, value in self._active:
-            partials = [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in coeffs]
-            add_truncated_product(slots, value, partials, shift)
+            add_truncated_product(slots, value, partials(self.ring, coeffs, i), shift)
         # k*c_k lands in slot k-1+shift: the c_k past the last slot drop out
         tail = coeffs[1 : len(slots) - shift + 1]
         if self.dt and any(c.nums for c in tail):

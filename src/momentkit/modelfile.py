@@ -66,6 +66,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterator, Mapping
 
 from .algebra import _DEGREE_ERROR, Poly, PolyRing, Rat, Slots, TPoly
@@ -636,7 +637,8 @@ class _Parser:
                         factor = self._mul(factor, base, start)
                 else:
                     if power >= 0:  # only a bare s takes a negative power
-                        a_num, a_den = a_num**power, a_den**power
+                        g = gcd(a_num, a_den)
+                        a_num, a_den = (a_num // g) ** power, (a_den // g) ** power
                     a_d, a_k, a_key = a_d * power, a_k * power, a_key * power
             self.pos = pos
             if factor is None:

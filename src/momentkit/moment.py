@@ -53,12 +53,10 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
-    _Slot,
-    add_truncated_product,
     as_tpoly,
     exact_rank,
     finish_slot,
-    monomial_chains,
+    invert_generator_map,
     new_slots,
     substitute_all,
 )
@@ -75,8 +73,8 @@ class GaugeTwist:
     unit: TPoly
 
     def validate(self, system: MomentSystem) -> None:
-        """The checks that ``invert_generator_map`` does not make (it refuses
-        a missing generator and a ``phi`` that is not the identity mod t).
+        """The checks that ``algebra.invert_generator_map`` does not make (it
+        refuses a missing generator and a ``phi`` that is not the identity mod t).
         A ``phi`` key outside the ring is a ``GeneratorMismatch``, as in
         ``Derivation``; ring and order go through ``as_tpoly``
         (``GeneratorMismatch`` / ``OrderMismatch``); a plain ``Poly`` or
@@ -108,17 +106,26 @@ class ConformalExtension:
     """Result of extending a base conformal field across the deformation.
 
     ``base`` is the (passing) conformal check of the field on the undeformed
-    base structure.
+    base structure; ``mu``, ``h_is_free`` and ``passed`` derive from the rest.
     """
 
     weight: Rat
-    mu: Rat
     base: Check
     pairs: Check
     module_check: Check
-    h_is_free: bool
-    passed: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def mu(self) -> Rat:
+        return -self.weight
+
+    @property
+    def h_is_free(self) -> bool:
+        return self.module_check.passed
+
+    @property
+    def passed(self) -> bool:
+        return self.pairs.passed
 
 
 class NotConformal(ValueError):
@@ -130,79 +137,6 @@ class NotConformal(ValueError):
             f"field is not conformal of weight {weight} on the undeformed base: {check}"
         )
         self.check = check
-
-
-def invert_generator_map(
-    ring: PolyRing, order: int, phi: Mapping[str, TPoly]
-) -> dict[str, TPoly]:
-    """Formal inverse psi of a substitution phi that is id mod t.
-
-    With T = phi - id, which lies in t*A[t], psi is the fixed point of
-    psi = x - T(psi) (the fixed-point form of series reversion; Brent & Kung,
-    JACM 25(4), 1978).  Slot m of T(psi) depends on psi only mod t^m, so psi
-    is solved one t-slot at a time, and each slot is built once (the relaxed
-    method of van der Hoeven, J. Symb. Comput. 34(6), 2002): at step m,
-    every monomial M of psi that T needs gains its slot m-1,
-    M_(m-1) = sum_a P_a * psi_i,(m-1-a) over its prefix P = M / x_i, and then
-    psi_g,m = -sum_{k>=1} T_g,k(psi)_(m-k).  ``monomial_chains`` picks the
-    monomials and their precisions, as for ``substitute_all``; the TPolys
-    are built at the end.
-
-    This is the one library home of the check that phi is invertible: a
-    missing generator raises ``GeneratorMismatch``, and a value that is not
-    the identity mod t ``ValueError``.
-    """
-    tails = []
-    for g in ring.gens:
-        value = phi.get(g)
-        if value is None:
-            raise GeneratorMismatch(f"generator map misses generator {g!r}")
-        value = as_tpoly(value, ring, order)
-        if value.coefficient(0) != ring.var(g):
-            raise ValueError(
-                f"generator map is not invertible: phi({g}) = {value} is not the identity mod t"
-            )
-        tails.append(TPoly._trusted(ring, order, (ring.zero(), *value.coeffs[1:])))
-    precision, prefix = monomial_chains(tails)
-    # each term of T_g at t^k, by ascending k, as (k, key, -coefficient) with
-    # the coefficient a one-term kernel operand
-    terms = [
-        [
-            (k, key, _Slot(c.den, {0: -n}))
-            for k, c in enumerate(tail.coeffs)
-            for key, n in c.nums.items()
-        ]
-        for tail in tails
-    ]
-    psi = [[ring.var(g)] for g in ring.gens]
-    # Slot lists grow one slot per step; the monomial of a generator is its
-    # psi, and the constant monomial has only its t^0 slot.
-    monomials: dict[int, list[Poly]] = {0: [ring.one()]}
-    for key, (lower, i) in prefix.items():
-        monomials[key] = [] if lower else psi[i]
-    # keys order by total degree first, so a prefix gains each slot first
-    built = sorted(key for key, (lower, _) in prefix.items() if lower)
-    for m in range(1, order + 1):
-        j = m - 1
-        for key in built:
-            if precision[key] < j:
-                continue
-            lower, i = prefix[key]
-            low, psi_i = monomials[lower], psi[i]
-            acc = new_slots(0)
-            for a in range(m):
-                add_truncated_product(acc, (low[a],), (psi_i[j - a],))
-            monomials[key].append(finish_slot(ring, acc[0]))
-        for slots, own in zip(psi, terms):
-            acc = new_slots(0)
-            for k, key, coeff in own:
-                if k > m:
-                    break
-                monomial = monomials[key]
-                if m - k < len(monomial):
-                    add_truncated_product(acc, (monomial[m - k],), (coeff,))
-            slots.append(finish_slot(ring, acc[0]))
-    return {g: TPoly._trusted(ring, order, tuple(s)) for g, s in zip(ring.gens, psi)}
 
 
 class MomentSystem:
@@ -396,12 +330,9 @@ class MomentSystem:
         )
         return ConformalExtension(
             weight,
-            mu,
             base_check,
             pairs,
             module_check,
-            h_is_free=module_check.passed,
-            passed=pairs.passed,
             notes=(
                 f"solved t-scaling: xi(t) = {mu}*t",
                 "mu = -weight",

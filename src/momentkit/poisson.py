@@ -41,12 +41,11 @@ from .algebra import (
     Rat,
     RatLike,
     TPoly,
-    _diff_nums,
-    _Slot,
     add_truncated_product,
     as_tpoly,
     exact_rank,
     new_slots,
+    partials,
 )
 from .reporting import Check
 
@@ -128,21 +127,17 @@ class PoissonStructure:
         A ``TPoly`` f is used at its own order, at most this structure's; the
         values then live at that order, since a slot of the field depends
         only on the slots of f up to it.  A ``Poly`` or a rational is used at
-        this structure's order.  As in ``Derivation.add_into``, df/dx_i is an
-        unreduced kernel operand; the generators f does not involve are
-        skipped.
+        this structure's order.  As in ``Derivation.add_into``, ``partials``
+        gives df/dx_i; the generators f does not involve are skipped.
         """
         ring = self.ring
         order = min(f.order, self.order) if isinstance(f, TPoly) else self.order
         f = as_tpoly(f, ring, order)
-        partials = {
-            i: [_Slot(c.den, _diff_nums(ring, c.nums, i)) for c in f.coeffs]
-            for i in f.support()
-        }
+        diffs = {i: partials(ring, f.coeffs, i) for i in f.support()}
         values = [new_slots(order) for _ in ring.gens]
         for (i, j), entry in self._table.items():
-            if i in partials:
-                add_truncated_product(values[j], entry.coeffs, partials[i])
+            if i in diffs:
+                add_truncated_product(values[j], entry.coeffs, diffs[i])
         return Derivation._trusted(
             ring, order, {g: TPoly.from_slots(ring, v) for g, v in zip(ring.gens, values)}
         )

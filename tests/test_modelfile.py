@@ -481,6 +481,21 @@ def test_one_term_groups_fold_without_kernel_products(monkeypatch):
         assert value == evaluate_by_term_map(text, model.ring, line.order, line), text
 
 
+def test_a_one_term_factor_is_reduced_before_its_power(monkeypatch):
+    # the power of 2/6 is taken as (1/3)^5, not as 2^5/6^5
+    ring = PolyRing(["x", "y"])
+    dens = []
+    add = modelfile.add_term
+    monkeypatch.setattr(
+        modelfile, "add_term", lambda slot, den, *rest: dens.append(den) or add(slot, den, *rest)
+    )
+    for text, den in (("(2/6*x)^5", 243), ("(1/3*y + x - 1/3*y)^3", 1)):
+        dens.clear()
+        value = parse_polynomial(text, ring, 1)
+        assert dens[-1] == den, text
+        assert value == evaluate_by_term_map(text, ring, 1), text
+
+
 def test_one_term_folds_repeated_generators():
     ring = PolyRing(["x", "y"])
     assert parse_polynomial("x*y*x^2", ring, 1) == parse_polynomial("x^3*y", ring, 1)
@@ -557,20 +572,33 @@ def test_tot_expression_order_rules():
 FUZZ_RING = PolyRing(["x", "y"])
 
 
+# t^2 and t^3 as leaves, so that short products often pass the order
+_T_POWERS = st.integers(2, 3).map(lambda k: ("^", ("t",), k))
+
+
 def _leaves(allow_s):
-    literals = st.fractions(min_value=0, max_value=3, max_denominator=3).map(
-        lambda c: ("lit", c)
-    )
+    # a literal's numerator and denominator are both scaled by the drawn
+    # factor, so unreduced literals such as 2/6 occur
+    fractions = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    literals = st.tuples(st.just("lit"), fractions, st.integers(1, 3))
     names = st.sampled_from([("gen", "x"), ("gen", "y"), ("t",), ("t",)])
     if not allow_s:
-        return st.one_of(literals, names)
-    return st.one_of(literals, names, st.integers(-2, 2).map(lambda k: ("s", k)))
+        return st.one_of(literals, names, _T_POWERS)
+    return st.one_of(literals, names, _T_POWERS, st.integers(-2, 2).map(lambda k: ("s", k)))
 
 
 def _trees(allow_s):
+    # products by a negated leaf, drawn often and t-powers weighted up: flat
+    # rendering leaves that operand bare (a * -t), and a product passing the
+    # order there is an error located at its minus
+    negated = st.tuples(st.just("neg"), st.one_of(_leaves(False), _T_POWERS))
+
     def extend(children):
+        by_negated = st.tuples(st.just("*"), children, negated)
         return st.one_of(
             st.tuples(st.sampled_from(["+", "-", "*"]), children, children),
+            by_negated,
+            by_negated,
             st.tuples(st.just("neg"), children),
             st.tuples(st.just("^"), children, st.integers(0, 3)),
         )
@@ -593,8 +621,9 @@ def _render(tree, flat: bool = False) -> str:
 
     kind = tree[0]
     if kind == "lit":
-        c = tree[1]
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        _, c, scale = tree
+        n, d = c.numerator * scale, c.denominator * scale
+        return str(n) if d == 1 else f"{n}/{d}"
     if kind == "gen":
         return tree[1]
     if kind == "t":
@@ -726,16 +755,16 @@ def _outcome(evaluate):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=_trees(allow_s=True), order=st.integers(1, 3), flat=st.booleans())
-def test_evaluator_matches_term_map_oracle(tree, order, flat):
-    text = _render(tree, flat)
+@given(tree=_trees(allow_s=True), order=st.integers(1, 3))
+def test_evaluator_matches_term_map_oracle(tree, order):
     line = _fuzz_line(order)
-    assert _outcome(lambda: parse_polynomial(text, FUZZ_RING, order)) == _outcome(
-        lambda: evaluate_by_term_map(text, FUZZ_RING, order)
-    ), text
-    assert _outcome(lambda: parse_tot_expression(text, line)) == _outcome(
-        lambda: evaluate_by_term_map(text, FUZZ_RING, order, line)
-    ), text
+    for text in (_render(tree), _render(tree, flat=True)):
+        assert _outcome(lambda: parse_polynomial(text, FUZZ_RING, order)) == _outcome(
+            lambda: evaluate_by_term_map(text, FUZZ_RING, order)
+        ), text
+        assert _outcome(lambda: parse_tot_expression(text, line)) == _outcome(
+            lambda: evaluate_by_term_map(text, FUZZ_RING, order, line)
+        ), text
 
 
 @st.composite

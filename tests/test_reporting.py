@@ -66,6 +66,19 @@ def test_findings_are_built_only_in_reporting():
     assert offenders == []
 
 
+def test_kernel_operands_are_built_only_in_algebra():
+    # the accumulator type, the partials and the monomial chains of a
+    # substitution are built where the kernel lives; other modules call
+    # ``partials``, ``substitute_all`` and ``invert_generator_map``
+    offenders = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "algebra.py"
+        and re.search(r"\b(_Slot|_diff_nums|monomial_chains)\b", path.read_text())
+    ]
+    assert offenders == []
+
+
 def _named_nodes(tree):
     """(dotted name of the enclosing classes and functions, node) for every
     node under ``tree``."""
