@@ -953,11 +953,14 @@ class Derivation:
         self._fill(ring, order, values, as_tpoly(dt, ring, order).coeffs)
 
     @classmethod
-    def _trusted(cls, ring: PolyRing, order: int, values: dict[str, TPoly]) -> Derivation:
+    def _trusted(
+        cls, ring: PolyRing, order: int, values: dict[str, TPoly], dt: Sequence[Poly] = ()
+    ) -> Derivation:
         """Wrap one TPoly of ``ring`` at ``order`` per generator, in ring
-        order, as is, with D(t) = 0.  For internal results only."""
+        order, as is, with D(t) given by its t-slots ``dt`` (0 when empty).
+        For internal results only."""
         d = object.__new__(cls)
-        d._fill(ring, order, values, ())
+        d._fill(ring, order, values, dt)
         return d
 
     def _fill(

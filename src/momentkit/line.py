@@ -27,12 +27,21 @@ bump would leave a value at order N-2 only, so they get ``partial_alpha``,
 the t-linear extension (no bump), at order N-1.  The t-linear choice is
 the one under which a change of trivialization intertwines the brackets
 exactly.
+
+``tot_bracket`` never forms alpha of a left coefficient.  For each right
+term g s^q, {f,g} + q g alpha(f) is one vector field applied to every left
+term f s^p: its value on x_j is -H_g(x_j) + q g alpha_j, given on the
+generators the left operand involves, and for left terms of degree 0 it
+also has D(t) = q g, which is alpha's t-power bump.  So H_g is contracted
+once per right term and f is differentiated once per pair.  The remaining
+-p f alpha(g) is one kernel product into the same slots.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Union
 
@@ -112,7 +121,12 @@ class LineData:
         This is the extension that is well defined on module-order elements
         without choosing a lift: the values of alpha with t held fixed.
         """
-        return Derivation._trusted(self.ring, self.module_order, self.alpha.values).apply(f)
+        return self.linear_alpha.apply(f)
+
+    @cached_property
+    def linear_alpha(self) -> Derivation:
+        """alpha's values with D(t) = 0: the field ``partial_alpha`` applies."""
+        return Derivation._trusted(self.ring, self.module_order, self.alpha.values)
 
     def verify_cocycle(self) -> Check:
         """H_a(alpha(b)) - H_b(alpha(a)) = alpha({a,b}) on generator pairs.
@@ -173,32 +187,83 @@ class LineData:
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
         """Bilinear extension of {f s^p, g s^q} = ({f,g} + q g alpha(f) - p f alpha(g)) s^(p+q).
 
-        Each pair of terms adds into the slots of its output degree, its
-        {f,g} as -H_g(f) with the base's Hamiltonian field of g taken at g's
-        order.  A pair with p or q nonzero is determined only below t^N, so it
-        adds into the first N slots: the zero-padded lift in degree 0, and all
-        that ``from_slots`` keeps in other degrees.
+        {f,g} + q g alpha(f) is one vector field of the right term g s^q
+        applied to f: its value on x_j is -H_g(x_j) + q g alpha_j, with the
+        base's Hamiltonian field of g taken at g's order, and on t it is
+        q g, alpha's t-power bump, for left terms of degree 0 only (see
+        ``_right_fields``).  So each right term contracts H_g once, and each
+        pair differentiates f once.  -p f alpha(g) is one kernel product,
+        with alpha(g) taken once per right term.  A pair with p or q nonzero
+        is determined only below t^N, so it adds into the first N slots: the
+        zero-padded lift in degree 0, and all that ``from_slots`` keeps in
+        other degrees.
         """
         if u.line is not self and u.line != self:
             raise GeneratorMismatch("left element belongs to different module data")
         if v.line is not self and v.line != self:
             raise GeneratorMismatch("right element belongs to different module data")
+        if not u.coeffs or not v.coeffs:
+            return TotElement(self, {})
         n = self.order
+        involved = set().union(*(f.support() for f in u.coeffs.values()))
+        degrees = u.coeffs.keys()
+        moving = any(degrees)
         out: dict[int, Slots] = {}
-        for p, f in u.coeffs.items():
-            for q, g in v.coeffs.items():
+        for q, g in v.coeffs.items():
+            fields = self._right_fields(q, g, involved, 0 in degrees, moving)
+            if moving:
+                alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
+            for p, f in u.coeffs.items():
                 slots = out.get(p + q)
                 if slots is None:
                     slots = out[p + q] = new_slots(n)
                 low = slots[:n] if p or q else slots
-                self.base.hamiltonian_field(g).add_into(low, (-f).coeffs)
-                if q:
-                    alpha_f = self.alpha_apply(f) if p == 0 else self.partial_alpha(f)
-                    add_truncated_product(low, g.coeffs, (alpha_f * q).coeffs)
+                fields[p == 0].add_into(low, f.coeffs)
                 if p:
-                    alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
                     add_truncated_product(low, f.coeffs, (alpha_g * -p).coeffs)
         return TotElement.from_slots(self, out)
+
+    def _right_fields(
+        self, q: int, g: TPoly, involved: set[int], flat: bool, moving: bool
+    ) -> dict[bool, Derivation]:
+        """The field f -> {f,g} + q g alpha(f) of the right term g s^q, keyed
+        by ``p == 0`` for the left terms f s^p it serves.  Only the variants
+        asked for are built: degree 0 if ``flat``, nonzero degrees if
+        ``moving``; they coincide when q = 0.
+
+        Its value on x_j is -H_g(x_j) + q g alpha_j, at g's order, for the
+        ``involved`` generator indices only; every other value is zero, so a
+        generator no left term involves costs no kernel call.  The field of
+        degree 0 also has D(t) = q g, the t-power bump of ``alpha_apply``;
+        nonzero degrees take the t-linear ``partial_alpha``, with D(t) = 0.
+        """
+        ring = self.ring
+        order = g.order
+        field = self.base.hamiltonian_field(-g)  # H_{-g} = -H_g
+        values = dict(field.values)
+        for i, x in enumerate(ring.gens):
+            if i not in involved and values[x]:
+                values[x] = TPoly._trusted(ring, order, (ring.zero(),) * (order + 1))
+        fields = {}
+        if q:
+            qg = g * q
+            for i in involved:
+                x = ring.gens[i]
+                alpha = self.alpha.values[x]
+                if alpha:
+                    slots = new_slots(order)
+                    add_truncated_product(slots, qg.coeffs, alpha.coeffs)
+                    # -H_g(x_j) joins the same slots as its product by 1
+                    add_truncated_product(slots, values[x].coeffs, (ring.one(),))
+                    values[x] = TPoly.from_slots(ring, slots)
+            if flat:
+                fields[True] = Derivation._trusted(ring, order, values, qg.coeffs)
+        if moving or not q:
+            if values != field.values:  # else the Hamiltonian field serves as is
+                field = Derivation._trusted(ring, order, values)
+            fields[False] = field
+            fields.setdefault(True, field)
+        return fields
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LineData):

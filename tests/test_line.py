@@ -4,8 +4,11 @@ from itertools import combinations
 
 import pytest
 
+from momentkit import algebra, poisson
+from momentkit import line as line_module
 from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly, invert_unit
 from momentkit.line import LineData, TotElement
+from momentkit.modelfile import parse_polynomial, parse_tot_expression
 from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
 from momentkit.instances import (
@@ -248,6 +251,88 @@ def test_matches_free_laurent_expansion():
             for _ in range(2)
         )
         assert line.tot_bracket(u, v) == tot_bracket_by_term_pairs(line, u, v), seed
+    # the shapes the per-right-term field has to get right: its values on the
+    # generators only the left operand involves, a right side larger than the
+    # left, and alpha's t-power bump for p = 0 against q != 0
+    line = _twisted_inner_so3()
+    assert any(line.alpha_of(g).coefficient(0) for g in line.ring.gens)
+    for left, right in (
+        ("y^2*s + x*y + t*x", "z*s^-1 + (z^2 + t)*s + 3*z"),
+        ("x*s", "(x + y + z + 1)^3*s^2 + y - t*z + z^2*s^-1"),
+        ("x*z + t*y - t^2*x^2 + t^3*z", "(y + t*z)*s + 3*s^-2 + x"),
+    ):
+        u, v = parse_tot_expression(left, line), parse_tot_expression(right, line)
+        assert line.tot_bracket(u, v) == tot_bracket_by_term_pairs(line, u, v), (left, right)
+
+
+def _twisted_inner_so3():
+    """so3 at order 3 with the inner datum of h = x*y + 2*z^2 - x, carried by
+    a seeded twist: table and alpha depend on t, and alpha has nonzero t^0
+    slots."""
+    trivial = MomentSystem.trivial(catalog_structure(1), 3)
+    ring = trivial.ring
+    h = parse_polynomial("x*y + 2*z^2 - x", ring, 2)
+    system = MomentSystem(
+        trivial.structure, LineData(trivial.structure, trivial.structure.hamiltonian_field(h).values)
+    )
+    return system.twist(random_gauge_twist(random.Random(5), ring, 3)).line
+
+
+def _count_kernel_pairs(monkeypatch):
+    """Patch the product kernel where the bracket reaches it; the returned
+    list collects the term pairs of each call, within the kept slots."""
+    pairs = []
+    kernel = algebra.add_truncated_product
+
+    def counting(slots, a, b, shift=0):
+        top = len(slots) - 1
+        pairs.append(
+            sum(
+                len(pa.nums) * len(pb.nums)
+                for i, pa in enumerate(a)
+                for j, pb in enumerate(b)
+                if i + j + shift <= top
+            )
+        )
+        kernel(slots, a, b, shift)
+
+    for module in (algebra, line_module, poisson):
+        monkeypatch.setattr(module, "add_truncated_product", counting)
+    return pairs
+
+
+def test_each_right_term_is_one_field(monkeypatch):
+    # {f,g} + q g alpha(f) is one field per right term applied to each f:
+    # H_g is contracted once per right term, and alpha never sees a left
+    # coefficient
+    line = _twisted_inner_so3()
+    u = parse_tot_expression("(x + y + 1)^2*s^-1 + x*z - t*y", line)
+    v = parse_tot_expression("3*x*y*s^2 + 1/2*z", line)
+    expected = tot_bracket_by_term_pairs(line, u, v)
+    fields, alphas = [], []
+    for owner, name, seen in (
+        (PoissonStructure, "hamiltonian_field", fields),
+        (LineData, "partial_alpha", alphas),
+        (LineData, "alpha_apply", alphas),
+    ):
+        method = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda self, f, method=method, seen=seen: seen.append(f) or method(self, f)
+        )
+    assert line.tot_bracket(u, v) == expected
+    assert len(fields) == len(v.coeffs) == 2
+    assert alphas and not [a for a in alphas if a in u.coeffs.values()]
+
+
+def test_tot_bracket_kernel_work_is_pinned(monkeypatch):
+    # the shape of the benchmark's tot operations on a twisted so3 at order 4
+    system = MomentSystem.trivial(catalog_structure(1), 4)
+    line = system.twist(random_gauge_twist(random.Random(1), system.ring, 4)).line
+    u = parse_tot_expression("(x + y + z + 1)^6*s^-1", line)
+    v = parse_tot_expression("6*x*z*s^2 + 1/4*x", line)
+    pairs = _count_kernel_pairs(monkeypatch)
+    line.tot_bracket(u, v)
+    assert sum(pairs) == 10694
 
 
 def test_tot_jacobi_equivalence_documented_failure(plane2):

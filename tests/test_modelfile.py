@@ -457,6 +457,10 @@ def test_power_of_one_term_matches_tpoly_arithmetic():
     assert parse_polynomial("(x^0)^5", ring, 3) == TPoly.constant(ring, 1, 3)
     assert parse_polynomial("(7)^0", ring, 3) == TPoly.constant(ring, 1, 3)
     assert parse_polynomial("3*(1/2*x)^2", ring, 3) == x * x * Fraction(3, 4)
+    # a rational literal is one atom: its power is (p/q)^e, not p/(q^e)
+    assert parse_polynomial("3/2^2", ring, 3) == TPoly.constant(ring, Fraction(9, 4), 3)
+    assert parse_polynomial("3/2^2*x", ring, 3) == x * Fraction(9, 4)
+    assert parse_polynomial("-3/2^2", ring, 3) == TPoly.constant(ring, Fraction(-9, 4), 3)
     with pytest.raises(ModelError) as err:
         parse_polynomial("y + (t*x)^3", ring, 2)
     assert (err.value.message, err.value.col) == ("t-degree 3 exceeding order 2", 5)
