@@ -283,12 +283,13 @@ class TotElement:
     __slots__ = ("line", "coeffs")
 
     def __init__(self, line: LineData, coeffs: Mapping[int, Union[TPoly, Poly, RatLike]]):
+        # the error names the lowest degree past the bound, whatever the
+        # order of ``coeffs``
+        past = [degree for degree in coeffs if abs(degree) > line.degree_bound]
+        if past:
+            raise OverflowError(f"Laurent degree {min(past)} exceeds bound {line.degree_bound}")
         clean: dict[int, TPoly] = {}
         for degree, value in coeffs.items():
-            if abs(degree) > line.degree_bound:
-                raise OverflowError(
-                    f"Laurent degree {degree} exceeds bound {line.degree_bound}"
-                )
             tp = as_tpoly(value, line.ring, line.coefficient_order(degree))
             if not tp.is_zero():
                 clean[degree] = tp

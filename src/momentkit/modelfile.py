@@ -38,14 +38,23 @@ folds, in one pass over its tokens, into one integer monomial (numerator,
 denominator, s-degree, t-power, packed key): a generator power adds
 ``power * ring.units[i]`` to the key, and a power of a one-term factor
 scales its key.  A folded term is added into its slot by ``add_term``; all
-other arithmetic is ``add_truncated_product``: products and powers of sums
-are kernel products, and ``+`` and ``-`` add a sum as a kernel product with
-the one-term constant 1 or -1.  ``TPoly`` values are built once, at the
-end, by ``TPoly.from_slots``.  A t-power above the order is an error
-wherever it arises (a literal, product or power), even if a later sum would
-cancel it; the error names the lowest such t-power of the product where it
-arose.  In total-space expressions this applies to the final s-degree 0
-part, while the other degrees are reduced to the module order.  A nonzero
+other arithmetic is ``add_truncated_product``: products of sums are kernel
+products, and ``+`` and ``-`` add a sum as a kernel product with the
+one-term constant 1 or -1, or, at an s-degree the total has no part of yet,
+by adopting the sum's own slots (negated in place for ``-``).  A power of a
+sum is taken by the binomial theorem, (a + R)^n = sum_i C(n, i) a^i
+R^(n-i) with ``a`` one of its terms: only the powers of R are repeated
+products, and each summand is one kernel product by the one-term
+C(n, i) a^i.  That path is taken only where the repeated product could find
+nothing: the sum has no over-order term, n times its highest t-power is at
+most the order, and n times its largest key is below ``ring.limit``.  Any
+other sum is multiplied in n times, so the errors below keep their t-power
+and location.  ``TPoly`` values are built once, at the end, by
+``TPoly.from_slots``.  A t-power above the order is an error wherever it
+arises (a literal, product or power), even if a later sum would cancel it;
+the error names the lowest such t-power of the product where it arose.
+In total-space expressions this applies to the final s-degree 0 part, while
+the other degrees are reduced to the module order.  A nonzero
 monomial of total degree past ``MAX_TOTAL_DEGREE`` (2^32 - 1) is an error at
 the factor or product that forms it; since a key of such a degree is at
 least ``ring.limit``, one comparison of the folded or scaled key finds it.
@@ -561,8 +570,11 @@ class _Parser:
         from ``units``.  One-term factors fold into one such monomial until a
         group of several terms, or a t-power past the limit, makes the
         product a _Sum; each later factor is then a kernel product, and a
-        power of a group of several terms is repeated ``_mul``.  A folded
-        monomial goes into its slot by ``add_term``.  A unary minus flips the
+        power of a group of several terms is ``_power``.  A folded monomial
+        goes into its slot by ``add_term``.  A _Sum product goes into
+        ``total`` as a kernel product by the one-term 1 or -1, except at an
+        s-degree where ``total`` has no part yet: there ``total`` adopts the
+        product's slots, negated in place for -1.  A unary minus flips the
         sign of the whole term.  Literals and exponents that are plain digit
         strings are read here; ``_parse_literal`` and ``_parse_exponent``
         read the rest and raise the errors.
@@ -632,9 +644,7 @@ class _Parser:
                     power = self._parse_exponent(text == "s")
                     pos = self.pos
                 if factor is not None:
-                    base, factor = factor, self._term(1, 1, 0, 0, 0)
-                    for _ in range(power):
-                        factor = self._mul(factor, base, start)
+                    factor = self._power(factor, power, start)
                 else:
                     if power >= 0:  # only a bare s takes a negative power
                         g = gcd(a_num, a_den)
@@ -665,8 +675,16 @@ class _Parser:
             if num:
                 add_term(total.at(d, limit)[k], den, key, sign * num)
             return
+        parts = total.parts
         for deg, slots in product.parts.items():
-            add_truncated_product(total.at(deg, limit), slots, (self.signs[sign],))
+            if deg in parts:
+                add_truncated_product(parts[deg], slots, (self.signs[sign],))
+                continue
+            # the product's slots are its own: adopt them
+            if sign < 0:
+                for slot in slots:
+                    slot.nums = {m: -c for m, c in slot.nums.items()}
+            parts[deg] = slots
         for deg, where in product.over.items():
             total.over.setdefault(deg, where)
 
@@ -691,6 +709,46 @@ class _Parser:
         slots = new_slots(self.limit)
         add_term(slots[k], den, key, num)
         return _Sum({d: slots}, {})
+
+    def _power(self, base: _Sum, n: int, at: int) -> _Sum:
+        """``base ^ n`` of a group of several terms, by the binomial theorem
+        where the module notes allow it; ``base`` starts at token ``at`` and
+        is used up.  With ``a`` the first term of ``base`` and R the rest,
+        R^n is the result, each other summand C(n, i) a^i R^(n-i) is one
+        kernel product at t-shift ``i * k_a``, and a^n goes in by
+        ``add_term``.  Any other group is multiplied into 1 ``n`` times, so
+        its errors are found, and located, as each product finds them.
+        """
+        terms = list(base.terms())
+        if (
+            base.over
+            or not n
+            or n * max(term[1] for term in terms) > self.limit
+            or n * max(term[3] for term in terms) >= self._ring().limit
+        ):
+            power = self._term(1, 1, 0, 0, 0)
+            for _ in range(n):
+                power = self._mul(power, base, at)
+            return power
+        d, k, den, key, num = terms[0]
+        del base.parts[d][k].nums[key]
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        powers = [base]  # R^1 .. R^n
+        for _ in range(n - 1):
+            powers.append(self._mul(powers[-1], base, at))
+        result = powers.pop()
+        limit = self.limit
+        c, a_num, a_den = 1, 1, 1
+        for i in range(1, n):
+            c = c * (n - i + 1) // i
+            a_num, a_den = a_num * num, a_den * den
+            a_i = new_slots(0)
+            add_term(a_i[0], a_den, key * i, c * a_num)
+            for e, slots in powers[n - i - 1].parts.items():
+                add_truncated_product(result.at(e + d * i, limit), a_i, slots, k * i)
+        add_term(result.at(d * n, limit)[k * n], a_den * den, key * n, a_num * num)
+        return result
 
     def _mul(self, a: _Sum, b: _Sum, at: int) -> _Sum:
         """``a * b`` by kernel products; ``b`` starts at token ``at``."""

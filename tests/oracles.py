@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from momentkit.algebra import Derivation, Poly, PolyRing, TPoly, invert_unit
+from momentkit.algebra import MAX_TOTAL_DEGREE, Derivation, Poly, PolyRing, TPoly, invert_unit
 from momentkit.instances import (
     CATALOG,
     MAX_ORDER,
@@ -525,6 +525,11 @@ def truncated_product_slots(slots, a, b, shift=0):
 # -- model-file expressions by a flat term map ----------------------------------
 
 
+class _PastBound(Exception):
+    """A product or power made a nonzero kept term of total degree past
+    ``MAX_TOTAL_DEGREE``; its argument is the token where that factor starts."""
+
+
 class _Terms:
     """A parsed expression as one flat map of terms ``c * s^d * t^k * x^e``.
 
@@ -533,7 +538,9 @@ class _Terms:
     at which one arose to the index of the token where it arose and its
     t-power.  A product with an over-order term is over-order too, so such a
     term never comes back into range, but a power of s can move it to another
-    s-degree: products carry ``over`` along.
+    s-degree: products carry ``over`` along.  A kept product term of total
+    degree past ``MAX_TOTAL_DEGREE`` raises ``_PastBound`` at the factor that
+    made it, after each product of a power.
     """
 
     __slots__ = ("terms", "over")
@@ -570,6 +577,9 @@ class _Terms:
                     continue
                 key = (da + db, k, tuple(map(add, ea, eb)))
                 terms[key] = terms.get(key, 0) + ca * cb
+        terms = {key: c for key, c in terms.items() if c}
+        if any(sum(e) > MAX_TOTAL_DEGREE for _, _, e in terms):
+            raise _PastBound(at)
         over = {d: (at, lowest[d]) for d in sorted(lowest)}
         for mine, theirs in ((self, other), (other, self)):
             if mine.over:
@@ -577,7 +587,7 @@ class _Terms:
                 for d, where in mine.over.items():
                     for e in degrees:
                         over.setdefault(d + e, where)
-        return _Terms({key: c for key, c in terms.items() if c}, over)
+        return _Terms(terms, over)
 
     def power(self, exponent, at, limit, zero):
         if not self.terms and not self.over:
@@ -588,6 +598,8 @@ class _Terms:
             ((d, k, expo), c), = self.terms.items()
             if k * exponent > limit:
                 return _Terms({}, {d * exponent: (at, k * exponent)})
+            if sum(expo) * exponent > MAX_TOTAL_DEGREE:
+                raise _PastBound(at)
             return _Terms.term(
                 d * exponent, k * exponent, tuple(e * exponent for e in expo), c**exponent
             )
@@ -693,10 +705,16 @@ def evaluate_by_term_map(text, ring, order, line=None):
     the library does.  A bare ``t`` at order 0 is kept as a term here and
     dropped, so compare at orders >= 1.
     """
+    parser = _TermMapParser(text)
+    try:
+        if line is None:
+            value = parser.parse_entry(ring, order, allow_s=False)
+        else:
+            value = parser.parse_entry(line.ring, line.order, allow_s=True)
+    except _PastBound as past:
+        raise parser.error(f"total degree exceeds {MAX_TOTAL_DEGREE}", *past.args) from None
     if line is None:
-        value = _TermMapParser(text).parse_entry(ring, order, allow_s=False)
         return value.coefficient(ring, 0, order)
-    value = _TermMapParser(text).parse_entry(line.ring, line.order, allow_s=True)
     degrees = {d for d, _, _ in value.terms}
     return TotElement(
         line, {d: value.coefficient(line.ring, d, line.coefficient_order(d)) for d in degrees}

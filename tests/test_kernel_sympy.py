@@ -14,6 +14,9 @@ same expression, truncated in t, on hypothesis-drawn inputs:
 * ``invert_unit``: sympy's series of ``1/u`` in t, and ``u * u^-1 = 1``,
 * ``invert_generator_map``: ``psi o phi = id`` and ``phi o psi = id`` mod
   ``t^(n+1)``, with the compositions expanded by sympy as for ``substitute``,
+* ``parse_polynomial`` of a power ``(sum)^n`` of drawn terms: the
+  expansion, or an over-order error exactly when its t-degree passes the
+  order,
 * ``trivialize``: each lift x' is flat, ``{x', e} = 0``, that is
   ``dx'/dt + sum_g alpha(g) * dx'/dg = 0`` below ``t^n``, on seeded twisted
   systems.
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from momentkit.algebra import Derivation, Poly, PolyRing, TPoly, invert_unit
 from momentkit.instances import random_instance
 from momentkit.line import LineData
+from momentkit.modelfile import ModelError, parse_polynomial
 from momentkit.moment import invert_generator_map
 from momentkit.poisson import PoissonStructure
 
@@ -237,6 +241,39 @@ def test_invert_generator_map_composes_to_identity(data):
         identity = terms_of(TPoly.generator(ring, g, order))
         assert substituted_terms(psi[g], phi) == identity
         assert substituted_terms(phi[g], psi) == identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parsed_sum_powers_match_the_expansion(data):
+    ring, order = data.draw(rings_and_orders(min_order=1))
+    exponents = st.tuples(*[st.integers(0, 2)] * (ring.arity + 1))
+    term = st.tuples(coefficients.filter(bool), exponents)
+    terms = data.draw(st.lists(term, min_size=2, max_size=4))
+    n = data.draw(st.integers(0, 6))
+    symbols = (T, *SYMBOLS[: ring.arity])
+    texts = [
+        "*".join([str(abs(c)), *(f"{s}^{e}" for s, e in zip(symbols, expo) if e)])
+        for c, expo in terms
+    ]
+    signs = ["-" if c < 0 else "+" for c, _ in terms]
+    body = " ".join(f"{sign} {t}" for sign, t in zip(signs, texts))
+    text = f"({body.removeprefix('+ ')})^{n}"
+    total = sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, expo)))
+            for c, expo in terms
+        )
+    )
+    expanded = sympy.expand(total**n)
+    # the top t-power of a power is n times the group's, and an over-order
+    # product is an error even where a later sum would cancel it
+    if expanded != 0 and sympy.degree(expanded, T) > order:
+        with pytest.raises(ModelError, match="exceeding order"):
+            parse_polynomial(text, ring, order)
+        return
+    assert terms_of(parse_polynomial(text, ring, order)) == truncated_terms(expanded, ring, order)
 
 
 def test_trivialize_lifts_are_flat():

@@ -480,6 +480,21 @@ def test_degree_bound_enforced(plane, monkeypatch):
         env_line.s_power(3)
 
 
+def test_degree_bound_error_names_the_lowest_degree_past_it(plane, monkeypatch):
+    # whatever order the degrees come in, and however the parser reached them
+    monkeypatch.setenv("MOMENTKIT_DEGREE_BOUND", "16")
+    line = MomentSystem.trivial(plane, 1).line
+    x = TPoly.generator(plane.ring, "x", 1)
+    for coeffs in ({20: x, -20: x}, {-20: x, 20: x}, {-20: x, 3: x, 18: x}):
+        with pytest.raises(OverflowError) as err:
+            TotElement(line, coeffs)
+        assert str(err.value) == "Laurent degree -20 exceeds bound 16", coeffs
+    for text, degree in (("s^20 + s^-20", -20), ("s^-20 + s^20", -20), ("(s + s^-1)^17", -17)):
+        with pytest.raises(OverflowError) as err:
+            parse_tot_expression(text, line)
+        assert str(err.value) == f"Laurent degree {degree} exceeds bound 16", text
+
+
 # -- trivialization changes ---------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from momentkit import modelfile
 from momentkit.algebra import Poly, PolyRing, TPoly
-from momentkit.instances import random_instance
+from momentkit.instances import catalog_structure, random_instance
 from momentkit.line import DEGREE_BOUND_ENV, LineData, TotElement
 from momentkit.modelfile import (
     KEYWORDS,
@@ -21,6 +21,7 @@ from momentkit.modelfile import (
     _lex,
     parse_tot_expression,
 )
+from momentkit.moment import MomentSystem
 from momentkit.poisson import PoissonStructure
 
 from oracles import (
@@ -477,12 +478,41 @@ def test_one_term_groups_fold_without_kernel_products(monkeypatch):
     for text, count in (
         ("(-9/2)*x*y*s^2 + (3)*y", 0),
         ("(x*y)^3*(2/3)", 0),
-        ("(1 + x)^2*y", 4),
+        # (1 + x)^2 by the binomial theorem: x*x is the result, 2*1*x goes
+        # into it by one product and 1^2 by add_term; then the product by y
+        ("(1 + x)^2*y", 3),
     ):
         calls.clear()
         value = parse_tot_expression(text, line)
         assert len(calls) == count, text
         assert value == evaluate_by_term_map(text, model.ring, line.order, line), text
+
+
+def test_group_power_kernel_work_is_pinned(monkeypatch):
+    # term pairs of every kernel product the parser makes, within the kept
+    # slots; the repeated product took 6,370 and 40,401
+    pairs = []
+    kernel = modelfile.add_truncated_product
+
+    def counting(slots, a, b, shift=0):
+        top = len(slots) - 1
+        pairs.append(
+            sum(
+                len(pa.nums) * len(pb.nums)
+                for i, pa in enumerate(a)
+                for j, pb in enumerate(b)
+                if i + j + shift <= top
+            )
+        )
+        kernel(slots, a, b, shift)
+
+    monkeypatch.setattr(modelfile, "add_truncated_product", counting)
+    so3 = MomentSystem.trivial(catalog_structure(1), 6).line
+    parse_tot_expression("(x + y + z + 1)^12*s^-1", so3)
+    assert sum(pairs) == 1907
+    pairs.clear()
+    parse_polynomial("(x + y)^200", PolyRing(["x", "y"]), 1)
+    assert sum(pairs) == 398
 
 
 def test_a_one_term_factor_is_reduced_before_its_power(monkeypatch):
@@ -706,10 +736,10 @@ def _evaluate(tree, line, order):
     return value, a[1] | b[1]
 
 
-def _fuzz_line(order):
+def _fuzz_line(order, bound=1000):
     # s-powers of the drawn trees can exceed the default Laurent degree bound,
     # which a LineData reads from the environment when it is built
-    with mock.patch.dict(os.environ, {DEGREE_BOUND_ENV: "1000"}):
+    with mock.patch.dict(os.environ, {DEGREE_BOUND_ENV: str(bound)}):
         return LineData(PoissonStructure(FUZZ_RING, order, {}), {})
 
 
@@ -756,6 +786,8 @@ def _outcome(evaluate):
         return evaluate()
     except ModelError as err:
         return ("error", err.message, err.line, err.col)
+    except OverflowError as err:  # the Laurent degree bound
+        return ("overflow", str(err))
 
 
 @settings(max_examples=300, deadline=None)
@@ -769,6 +801,64 @@ def test_evaluator_matches_term_map_oracle(tree, order):
         assert _outcome(lambda: parse_tot_expression(text, line)) == _outcome(
             lambda: evaluate_by_term_map(text, FUZZ_RING, order, line)
         ), text
+
+
+# the parts of a group's terms: t^2 and s^2 pass the order and the Laurent
+# bound in a few steps, and the two large powers, drawn less often, pass
+# MAX_TOTAL_DEGREE
+_GROUP_T_PARTS = ["", "", "t", "t^2"]
+_GROUP_ATOMS = ["x", "y"] * 6 + ["x^2147483648", "y^4294967295"]
+_GROUP_S_PARTS = ["", "s", "s^-1", "s^2", "s^-3"]
+
+
+@st.composite
+def _group_powers(draw, allow_s):
+    """``[factor*](t_1 ± .. ± t_m)^n[*factor]`` with m in 2..4 and n in 0..8.
+    A term is a product of an optional literal (unreduced ones such as 2/6
+    included), t-power, s-power and up to two generator atoms, so terms of
+    one t-power with different monomials, as in (t + t*x)^2, are common; a
+    factor is one atom."""
+    fractions = st.fractions(min_value=0, max_value=3, max_denominator=3).filter(bool)
+    literals = st.builds(
+        lambda c, scale: f"{c.numerator * scale}/{c.denominator * scale}",
+        fractions,
+        st.integers(1, 3),
+    )
+    s_parts = st.sampled_from(_GROUP_S_PARTS if allow_s else [""])
+    parts = st.tuples(
+        st.one_of(st.just(""), literals),
+        st.sampled_from(_GROUP_T_PARTS),
+        s_parts,
+        st.lists(st.sampled_from(_GROUP_ATOMS), max_size=2).map("*".join),
+    )
+    term = parts.map(lambda p: "*".join(filter(None, p)) or "1")
+    terms = draw(st.lists(term, min_size=2, max_size=4))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms)))
+    body = " ".join(f"{sign} {t}" for sign, t in zip(signs, terms))
+    text = f"({body.removeprefix('+ ')})^{draw(st.integers(0, 8))}"
+    factors = st.sampled_from(["x", "y", "t", "t^2"] + (_GROUP_S_PARTS[1:] if allow_s else []))
+    if draw(st.booleans()):
+        text = f"{draw(factors)}*{text}"
+    if draw(st.booleans()):
+        text = f"{text}*{draw(factors)}"
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), order=st.integers(1, 3))
+def test_group_powers_match_the_repeated_product(data, order):
+    # the parser takes a group power by the binomial theorem where the
+    # repeated product could find no error, and by that product elsewhere; the
+    # oracle always multiplies the group in as many times as the exponent says
+    text = data.draw(_group_powers(allow_s=False))
+    assert _outcome(lambda: parse_polynomial(text, FUZZ_RING, order)) == _outcome(
+        lambda: evaluate_by_term_map(text, FUZZ_RING, order)
+    ), text
+    text = data.draw(_group_powers(allow_s=True))
+    line = _fuzz_line(order, bound=16)
+    assert _outcome(lambda: parse_tot_expression(text, line)) == _outcome(
+        lambda: evaluate_by_term_map(text, FUZZ_RING, order, line)
+    ), text
 
 
 @st.composite
