@@ -28,13 +28,18 @@ the t-linear extension (no bump), at order N-1.  The t-linear choice is
 the one under which a change of trivialization intertwines the brackets
 exactly.
 
-``tot_bracket`` never forms alpha of a left coefficient.  For each right
-term g s^q, {f,g} + q g alpha(f) is one vector field applied to every left
-term f s^p: its value on x_j is -H_g(x_j) + q g alpha_j, given on the
-generators the left operand involves, and for left terms of degree 0 it
-also has D(t) = q g, which is alpha's t-power bump.  So H_g is contracted
-once per right term and f is differentiated once per pair.  The remaining
--p f alpha(g) is one kernel product into the same slots.
+The graded bracket never forms alpha of a left coefficient.  For each
+right term g s^q, {f,g} + q g alpha(f) is one vector field applied to every
+left term f s^p: its value on x_j is -H_g(x_j) + q g alpha_j, and for left
+terms of degree 0 it also has D(t) = q g, which is alpha's t-power bump.  So
+H_g is contracted once per right term and f is differentiated once per
+pair.  The remaining -p f alpha(g) is one kernel product into the same
+slots, with alpha(g) taken once per right term.  ``bracket_with`` builds
+these fields of a right operand once and returns u -> {u, v}, so a caller
+that brackets many left operands against one right operand (the conformal
+extension does) pays for its fields once.  The bracket is antisymmetric by
+its formula, so ``tot_bracket`` builds the fields of the side with fewer
+polynomial terms: when the right side is larger, it returns -{v, u}.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import os
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import (
     Derivation,
@@ -76,6 +81,11 @@ def default_degree_bound() -> int:
     if bound < 1:
         raise ValueError(f"{DEGREE_BOUND_ENV} must be positive")
     return bound
+
+
+def _term_count(coeffs: Sequence[Poly]) -> int:
+    """The number of polynomial terms in the t-slots ``coeffs``."""
+    return sum(len(c.nums) for c in coeffs)
 
 
 class LineData:
@@ -187,83 +197,81 @@ class LineData:
     def tot_bracket(self, u: TotElement, v: TotElement) -> TotElement:
         """Bilinear extension of {f s^p, g s^q} = ({f,g} + q g alpha(f) - p f alpha(g)) s^(p+q).
 
+        The bracket is antisymmetric by its formula, so when v has more
+        polynomial terms than u this is -{v, u}: the smaller side builds the
+        fields (``bracket_with``) and the larger one is differentiated.
+        """
+        left, right = (sum(_term_count(f.coeffs) for f in w.coeffs.values()) for w in (u, v))
+        if right > left:
+            return -self.bracket_with(u)(v)
+        return self.bracket_with(v)(u)
+
+    def bracket_with(self, v: TotElement) -> Callable[[TotElement], TotElement]:
+        """The map u -> {u, v}, with the fields of v built once for every
+        left operand it is applied to.
+
         {f,g} + q g alpha(f) is one vector field of the right term g s^q
-        applied to f: its value on x_j is -H_g(x_j) + q g alpha_j, with the
-        base's Hamiltonian field of g taken at g's order, and on t it is
-        q g, alpha's t-power bump, for left terms of degree 0 only (see
-        ``_right_fields``).  So each right term contracts H_g once, and each
-        pair differentiates f once.  -p f alpha(g) is one kernel product,
-        with alpha(g) taken once per right term.  A pair with p or q nonzero
-        is determined only below t^N, so it adds into the first N slots: the
-        zero-padded lift in degree 0, and all that ``from_slots`` keeps in
-        other degrees.
+        applied to f (``_right_fields``), so each right term contracts H_g
+        once, and each pair differentiates f once.  -p f alpha(g) is one
+        kernel product, with alpha(g) taken on first use, and the operand
+        with fewer terms outer.  A pair with p or q nonzero is determined
+        only below t^N, so it adds into the first N slots: the zero-padded
+        lift in degree 0, and all that ``from_slots`` keeps in other degrees.
         """
-        if u.line is not self and u.line != self:
-            raise GeneratorMismatch("left element belongs to different module data")
         if v.line is not self and v.line != self:
-            raise GeneratorMismatch("right element belongs to different module data")
-        if not u.coeffs or not v.coeffs:
-            return TotElement(self, {})
+            raise GeneratorMismatch("element belongs to different module data")
         n = self.order
-        involved = set().union(*(f.support() for f in u.coeffs.values()))
-        degrees = u.coeffs.keys()
-        moving = any(degrees)
-        out: dict[int, Slots] = {}
-        for q, g in v.coeffs.items():
-            fields = self._right_fields(q, g, involved, 0 in degrees, moving)
-            if moving:
-                alpha_g = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
-            for p, f in u.coeffs.items():
-                slots = out.get(p + q)
-                if slots is None:
-                    slots = out[p + q] = new_slots(n)
-                low = slots[:n] if p or q else slots
-                fields[p == 0].add_into(low, f.coeffs)
-                if p:
-                    add_truncated_product(low, f.coeffs, (alpha_g * -p).coeffs)
-        return TotElement.from_slots(self, out)
+        right = [(q, g, self._right_fields(q, g)) for q, g in v.coeffs.items()]
+        alphas: dict[int, TPoly] = {}
 
-    def _right_fields(
-        self, q: int, g: TPoly, involved: set[int], flat: bool, moving: bool
-    ) -> dict[bool, Derivation]:
-        """The field f -> {f,g} + q g alpha(f) of the right term g s^q, keyed
-        by ``p == 0`` for the left terms f s^p it serves.  Only the variants
-        asked for are built: degree 0 if ``flat``, nonzero degrees if
-        ``moving``; they coincide when q = 0.
+        def bracket(u: TotElement) -> TotElement:
+            v._check(u)
+            out: dict[int, Slots] = {}
+            for q, g, fields in right:
+                for p, f in u.coeffs.items():
+                    slots = out.get(p + q)
+                    if slots is None:
+                        slots = out[p + q] = new_slots(n)
+                    low = slots[:n] if p or q else slots
+                    fields[p == 0].add_into(low, f.coeffs)
+                    if p:
+                        if q not in alphas:
+                            alphas[q] = self.alpha_apply(g) if q == 0 else self.partial_alpha(g)
+                        a, b = f.coeffs, (alphas[q] * -p).coeffs
+                        if _term_count(b) < _term_count(a):
+                            a, b = b, a
+                        add_truncated_product(low, a, b)
+            return TotElement.from_slots(self, out)
 
-        Its value on x_j is -H_g(x_j) + q g alpha_j, at g's order, for the
-        ``involved`` generator indices only; every other value is zero, so a
-        generator no left term involves costs no kernel call.  The field of
-        degree 0 also has D(t) = q g, the t-power bump of ``alpha_apply``;
-        nonzero degrees take the t-linear ``partial_alpha``, with D(t) = 0.
+        return bracket
+
+    def _right_fields(self, q: int, g: TPoly) -> tuple[Derivation, Derivation]:
+        """The field f -> {f,g} + q g alpha(f) of the right term g s^q for
+        left terms of nonzero degree, then for degree 0, so that ``p == 0``
+        indexes it; they coincide when q = 0.
+
+        Its value on x_j is -H_g(x_j) + q g alpha_j, at g's order, on every
+        generator.  The field for degree 0 also has D(t) = q g, the t-power
+        bump of ``alpha_apply``; nonzero degrees take the t-linear
+        ``partial_alpha``, with D(t) = 0.
         """
-        ring = self.ring
-        order = g.order
         field = self.base.hamiltonian_field(-g)  # H_{-g} = -H_g
+        if not q:
+            return field, field
+        ring, order = self.ring, g.order
+        qg = g * q
         values = dict(field.values)
-        for i, x in enumerate(ring.gens):
-            if i not in involved and values[x]:
-                values[x] = TPoly._trusted(ring, order, (ring.zero(),) * (order + 1))
-        fields = {}
-        if q:
-            qg = g * q
-            for i in involved:
-                x = ring.gens[i]
-                alpha = self.alpha.values[x]
-                if alpha:
-                    slots = new_slots(order)
-                    add_truncated_product(slots, qg.coeffs, alpha.coeffs)
-                    # -H_g(x_j) joins the same slots as its product by 1
-                    add_truncated_product(slots, values[x].coeffs, (ring.one(),))
-                    values[x] = TPoly.from_slots(ring, slots)
-            if flat:
-                fields[True] = Derivation._trusted(ring, order, values, qg.coeffs)
-        if moving or not q:
-            if values != field.values:  # else the Hamiltonian field serves as is
-                field = Derivation._trusted(ring, order, values)
-            fields[False] = field
-            fields.setdefault(True, field)
-        return fields
+        for x, alpha in self.alpha.values.items():
+            if alpha:
+                slots = new_slots(order)
+                add_truncated_product(slots, qg.coeffs, alpha.coeffs)
+                # -H_g(x_j) joins the same slots as its product by 1
+                add_truncated_product(slots, values[x].coeffs, (ring.one(),))
+                values[x] = TPoly.from_slots(ring, slots)
+        return (
+            Derivation._trusted(ring, order, values),
+            Derivation._trusted(ring, order, values, qg.coeffs),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LineData):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .algebra import (
     Derivation,
@@ -290,6 +290,12 @@ class MomentSystem:
         constant ansatz for h (the defects must vanish, and h is then a free
         constant).
 
+        Each pair's defect is ``conformal_defect`` of the graded bracket:
+        three brackets per pair, whose right operands are the coordinates
+        that come second in a pair and their images under xi.  Each of these
+        builds its fields once, through ``LineData.bracket_with``, and xi
+        maps each coordinate once.
+
         Raises ``NotConformal`` when the field is not conformal of this weight
         on the undeformed base.
         """
@@ -302,7 +308,7 @@ class MomentSystem:
         mu = -weight
         field = Derivation(self.ring, self.n, xi, dt=TPoly.t(self.ring, self.n) * mu)
 
-        def tot_apply(w: TotElement) -> TotElement:
+        def xi_of(w: TotElement) -> TotElement:
             return TotElement(self.line, {d: field.apply(v) for d, v in w.coeffs.items()})
 
         coordinates: list[tuple[str, TotElement]] = [
@@ -311,8 +317,23 @@ class MomentSystem:
         ]
         coordinates.append(("s", self.line.s_power(1)))
         coordinates.append(("t", self.line.tot_t()))
+        # Keyed by identity, which the coordinates and their images keep:
+        # xi maps each coordinate once, and each right operand builds its
+        # fields once for all the left operands it meets.
+        images = {id(w): xi_of(w) for _, w in coordinates}
+        right: dict[int, Callable[[TotElement], TotElement]] = {}
+
+        def tot_apply(w: TotElement) -> TotElement:
+            image = images.get(id(w))
+            return xi_of(w) if image is None else image
+
+        def bracket(a: TotElement, b: TotElement) -> TotElement:
+            if id(b) not in right:
+                right[id(b)] = self.line.bracket_with(b)
+            return right[id(b)](a)
+
         defects = [
-            ((na, nb), conformal_defect(self.line.tot_bracket, tot_apply, weight, a, b))
+            ((na, nb), conformal_defect(bracket, tot_apply, weight, a, b))
             for (na, a), (nb, b) in combinations(coordinates, 2)
         ]
         # A defect on a (generator, s) pair is the module constraint

@@ -8,27 +8,33 @@ one) with the recording in ``tests/golden/<case>.json``.  Most cases pin the
 ``elapsed:`` line masked, and the ``error_`` cases pin an exit-2 message.  A
 refactor must leave every case unchanged.
 
+The module needs only the standard library unless pytest collects it, so any
+interpreter can compare the whole corpus (exit 1 when a case differs)::
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
 Re-record every case, after reviewing why the output changed, with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --record
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from momentkit.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 WORKED = """\
 ring x, y;
@@ -231,15 +237,55 @@ def run_case(name: str, workdir: Path) -> dict:
     return record
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # one test per case, without importing pytest here
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
+def _expected(name: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def test_golden(name, tmp_path, monkeypatch):
-    expected = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
     monkeypatch.chdir(tmp_path)
-    assert run_case(name, tmp_path) == expected
+    assert run_case(name, tmp_path) == _expected(name)
 
 
-def _record() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def _supported_interpreters() -> list[Path]:
+    """Each ``~/.pyenv/versions/X.Y.Z/bin/python`` whose version meets the
+    ``requires-python`` floor of ``pyproject.toml``."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'requires-python = ">=([\d.]+)"', pyproject).group(1).split(".")
+    found = []
+    for python in sorted((Path.home() / ".pyenv" / "versions").glob("*/bin/python")):
+        version = python.parent.parent.name
+        if re.fullmatch(r"\d+\.\d+\.\d+", version):
+            if [int(v) for v in version.split(".")] >= [int(v) for v in floor]:
+                found.append(python)
+    return found
+
+
+def test_every_supported_interpreter_matches_the_corpus():
+    import pytest  # here only: ``--check`` runs without it
+
+    pythons = _supported_interpreters()
+    if not pythons:
+        pytest.skip("no interpreter under ~/.pyenv/versions meets requires-python")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for python in pythons:
+        proc = subprocess.run(
+            [str(python), str(Path(__file__).resolve()), "--check"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (str(python), proc.stdout, proc.stderr)
+
+
+def _run_each():
+    """Yield each case's name and record, each run in a fresh directory."""
     here = os.getcwd()
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as workdir:
@@ -248,10 +294,30 @@ def _record() -> None:
                 record = run_case(name, Path(workdir))
             finally:
                 os.chdir(here)
+        yield name, record
+
+
+def _check() -> int:
+    differ = [name for name, record in _run_each() if record != _expected(name)]
+    for name in differ:
+        print(f"{name}: differs from {GOLDEN_DIR / name}.json", file=sys.stderr)
+    version = sys.version.split()[0]
+    print(f"{len(CASES) - len(differ)} of {len(CASES)} golden cases match under {version}")
+    return 1 if differ else 0
+
+
+def _record() -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, record in _run_each():
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
         (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
         print(f"{name}: exit {record['exit_code']}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    _record()
+    parser = argparse.ArgumentParser(description="Compare or re-record the golden corpus.")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="exit 1 if a case differs")
+    mode.add_argument("--record", action="store_true", help="overwrite every recording")
+    sys.exit(_check() if parser.parse_args().check else _record())

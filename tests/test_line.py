@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentkit import algebra, poisson
 from momentkit import line as line_module
-from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly, invert_unit
+from momentkit.algebra import GeneratorMismatch, OrderMismatch, Poly, PolyRing, TPoly, invert_unit
 from momentkit.line import LineData, TotElement
 from momentkit.modelfile import parse_polynomial, parse_tot_expression
 from momentkit.moment import MomentSystem
@@ -251,9 +254,10 @@ def test_matches_free_laurent_expansion():
             for _ in range(2)
         )
         assert line.tot_bracket(u, v) == tot_bracket_by_term_pairs(line, u, v), seed
-    # the shapes the per-right-term field has to get right: its values on the
-    # generators only the left operand involves, a right side larger than the
-    # left, and alpha's t-power bump for p = 0 against q != 0
+    # the shapes the per-right-term field has to get right: its values on
+    # generators the other operand does not involve, a right side larger than
+    # the left (taken swapped), and alpha's t-power bump for p = 0 against
+    # q != 0
     line = _twisted_inner_so3()
     assert any(line.alpha_of(g).coefficient(0) for g in line.ring.gens)
     for left, right in (
@@ -333,6 +337,74 @@ def test_tot_bracket_kernel_work_is_pinned(monkeypatch):
     pairs = _count_kernel_pairs(monkeypatch)
     line.tot_bracket(u, v)
     assert sum(pairs) == 10694
+
+
+def test_a_larger_right_side_costs_its_swap(monkeypatch):
+    # {u, v} = -{v, u}, so the side with fewer terms builds the fields
+    system = MomentSystem.trivial(catalog_structure(1), 4)
+    line = system.twist(random_gauge_twist(random.Random(1), system.ring, 4)).line
+    small = parse_tot_expression("x*s", line)
+    large = parse_tot_expression("(x + y + z + 1)^8*s^2", line)
+    pairs = _count_kernel_pairs(monkeypatch)
+    swapped = line.tot_bracket(large, small)
+    work = list(pairs)
+    pairs.clear()
+    assert line.tot_bracket(small, large) == -swapped
+    assert pairs == work and sum(work) > 0
+
+
+@lru_cache(maxsize=None)
+def _twisted_so3(order, seed):
+    system = MomentSystem.trivial(catalog_structure(1), order)
+    return system.twist(random_gauge_twist(random.Random(seed), system.ring, order)).line
+
+
+@st.composite
+def _tot_elements(draw, line):
+    """One to three degrees in -2..2; every t-slot of a coefficient gets up to
+    three terms, so a degree-0 coefficient depends on t."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(line.ring.gens))
+    rats = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    coeffs = {}
+    for p in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)):
+        order = line.coefficient_order(p)
+        slots = [
+            Poly(line.ring, draw(st.dictionaries(exponents, rats, max_size=3)))
+            for _ in range(order + 1)
+        ]
+        coeffs[p] = TPoly(line.ring, order, slots)
+    return TotElement(line, coeffs)
+
+
+def _term_count(w):
+    return sum(len(c.nums) for f in w.coeffs.values() for c in f.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tot_bracket_matches_the_term_pair_oracle_on_either_side(data):
+    # the oracle never swaps, so a swap that loses its sign fails here
+    line = _twisted_so3(data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2)))
+    u = data.draw(_tot_elements(line))
+    right = data.draw(st.sampled_from(["larger", "equal", "smaller"]))
+    if right == "equal":
+        # u with its generators permuted has as many terms
+        gens, ring = line.ring.gens, line.ring
+        cycle = list(zip(gens, gens[1:] + gens[:1]))
+        v = TotElement(
+            line,
+            {
+                p: f.substitute({a: TPoly.generator(ring, b, f.order) for a, b in cycle})
+                for p, f in u.coeffs.items()
+            },
+        )
+        assert _term_count(v) == _term_count(u)
+    else:
+        v = data.draw(_tot_elements(line))
+        assume(_term_count(u) != _term_count(v))
+        if (_term_count(v) > _term_count(u)) != (right == "larger"):
+            u, v = v, u
+    assert line.tot_bracket(u, v) == tot_bracket_by_term_pairs(line, u, v)
 
 
 def test_tot_jacobi_equivalence_documented_failure(plane2):

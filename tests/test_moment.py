@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkit.algebra import GeneratorMismatch, OrderMismatch, PolyRing, TPoly
+from momentkit.algebra import Derivation, GeneratorMismatch, OrderMismatch, PolyRing, TPoly
 from momentkit.instances import (
     CATALOG,
     _random_t_tail,
@@ -676,6 +677,45 @@ def test_conformal_scaling_is_forced_by_the_module_normalization():
             assert ext.mu == -weight, (seed, weight)
             extended.add(weight)
     assert extended == set(weights)
+
+
+def test_extend_conformal_builds_each_right_operand_once(monkeypatch):
+    # so3 has the total-space coordinates x, y, z, s, t: 10 pairs and 30
+    # brackets, whose right operands are the 4 coordinates that come second
+    # and their images under xi; xi(s) = 0 has no term to build a field of
+    system = MomentSystem.trivial(catalog_structure(1), 4)
+    system = system.twist(random_gauge_twist(random.Random(1), system.ring, 4))
+    line, weight = system.line, Fraction(-1)
+    euler = {g: system.ring.var(g) for g in system.ring.gens}
+    coordinates = [
+        (g, line.tot_term(0, TPoly.generator(system.ring, g, 4))) for g in system.ring.gens
+    ]
+    coordinates += [("s", line.s_power(1)), ("t", line.tot_t())]
+    xi = partial(tot_field_t_linear, line, euler, -weight)
+    defects = {
+        (na, nb): conformal_defect(line.tot_bracket, xi, weight, a, b)
+        for (na, a), (nb, b) in combinations(coordinates, 2)
+    }
+    brackets = [line.tot_bracket(a, b) for (_, a), (_, b) in combinations(coordinates, 2)]
+    fields, images = [], []
+    field, apply = PoissonStructure.hamiltonian_field, Derivation.apply
+    monkeypatch.setattr(
+        PoissonStructure, "hamiltonian_field", lambda self, f: fields.append(f) or field(self, f)
+    )
+    # xi is the one field here whose D(t) is a nonzero multiple of t
+    monkeypatch.setattr(
+        Derivation,
+        "apply",
+        lambda self, f: (self.dt and not self.dt[0] and images.append(f)) or apply(self, f),
+    )
+    ext = system.extend_conformal(euler, weight)
+    findings = [(f.witness, f.residual) for f in ext.pairs.findings + ext.module_check.findings]
+    assert findings
+    assert sorted(findings) == sorted((w, str(d)) for w, d in defects.items() if not d.is_zero())
+    # the base check brackets at order 0; one field per right term above it
+    assert len([f for f in fields if f.order]) == 7
+    # once per coordinate, and once per term of each bracket
+    assert len(images) == len(coordinates) + sum(len(b.coeffs) for b in brackets)
 
 
 def test_inner_datum_requires_nonconstant_h(worked):

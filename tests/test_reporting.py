@@ -139,6 +139,8 @@ def test_every_import_is_read():
 
 # ``name`` or ``name(..)`` in a docstring
 DOC_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)(?:\([^`]*\))?``")
+# `name` or `name(..)` in README.md, outside its code blocks
+README_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)*)(?:\([^`]*\))?`")
 
 
 def _reads_as_code(name):
@@ -215,7 +217,18 @@ def test_every_name_a_docstring_cites_exists():
     cited = {name: where for name, where in cited.items() if _reads_as_code(name)}
     assert len(cited) > 40
     missing = sorted(f"{where} ``{name}``" for name, where in cited.items() if not resolves(name))
-    assert not missing, f"docstrings name code that does not exist: {missing}"
+    # README.md names code the same way, and tests by their def names
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    in_readme = {name for name in README_NAME.findall(readme) if _reads_as_code(name)}
+    assert len(in_readme) > 20
+    tests = {
+        node.name
+        for path in TESTS.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    missing += sorted(f"README.md `{name}`" for name in in_readme - tests if not resolves(name))
+    assert not missing, f"docstrings and README.md name code that does not exist: {missing}"
 
 
 # Library functions that the golden corpus does not run, each with the user
