@@ -5,6 +5,14 @@ is the moment map of the G_m-action on the total space ({t, g s^p} = p g s^p)
 holds by construction, since alpha(t) = 1 and t is central; the tests check
 the graded bracket formula that gives it.
 
+A gauge twist (phi, u) applies the automorphism first, then the change of
+trivialization, in the target coordinates: with psi = phi^-1, one
+substitution takes psi*alpha(phi_g) and u' = psi*(u), and the trivialization
+of the twisted table then changes by u'.  For any table, Jacobi or not, the
+chain rule gives psi*{f, h} = {psi*f, psi*h}', so this equals the change by u
+in the source coordinates: psi*(u^-1 {phi_g, u}) = u'^-1 {x_g, u'}'.  No
+substitution takes in u^-1 H_u(phi_g), the largest object of the computation.
+
 The trivialization algorithm computes, for each generator x, the unique lift
 x' = x mod t whose module bracket with the trivializing section vanishes.  It
 sweeps t-orders from the bottom: a residual with lowest term t^(k-1)*r is
@@ -73,13 +81,10 @@ class GaugeTwist:
     unit: TPoly
 
     def validate(self, system: MomentSystem) -> None:
-        """The checks that ``algebra.invert_generator_map`` does not make (it
-        refuses a missing generator and a ``phi`` that is not the identity mod t).
-        A ``phi`` key outside the ring is a ``GeneratorMismatch``, as in
-        ``Derivation``; ring and order go through ``as_tpoly``
-        (``GeneratorMismatch`` / ``OrderMismatch``); a plain ``Poly`` or
-        rational is refused outright, since it carries no order; the unit
-        must be invertible."""
+        """The checks ``invert_generator_map`` does not make: a ``phi`` key
+        outside the ring is a ``GeneratorMismatch``, ring and order go through
+        ``as_tpoly``, a plain ``Poly`` or rational is refused (it carries no
+        order), and the unit must be invertible."""
         ring = system.ring
         for g, value in self.phi.items():
             ring.index(g)
@@ -158,19 +163,12 @@ class MomentSystem:
         base_check = base.verify_jacobi()
         if not base_check.passed:
             raise ValueError(f"base structure fails the Jacobi identity: {base_check}")
-        table = {
-            pair: TPoly.from_poly(value.coefficient(0), n)
-            for pair, value in base.table_items()
-        }
-        structure = PoissonStructure(base.ring, n, table)
+        structure = PoissonStructure(base.ring, n, base.base_table())
         return cls(structure, LineData(structure, {}))
 
     def verify(self) -> Report:
-        """Aggregate verification: Jacobi at order n, the cocycle condition,
-        and the structural normalizations on t.
-
-        Computed on first use and cached: every call returns the same Report.
-        """
+        """Aggregate verification: Jacobi at order n, the cocycle condition
+        and the structural normalizations on t; computed once, then cached."""
         return self._report
 
     @cached_property
@@ -189,8 +187,11 @@ class MomentSystem:
 
     def twist(self, g: GaugeTwist) -> MomentSystem:
         """Transport the system along (phi, unit): automorphism first, then the
-        trivialization change e -> unit*e.  The table entries share psi, and
-        the alpha components share psi mod t^n, in one substitution each."""
+        trivialization change e -> unit*e, in the target coordinates.  With
+        psi = phi^-1, one substitution through psi gives the table
+        psi*{phi_a, phi_b}, and one through psi mod t^n gives psi*alpha(phi_g)
+        and u' = psi*(unit); the trivialization then changes by u'.  By the
+        chain rule, psi*(u^-1 {phi_g, u}) = u'^-1 {x_g, u'}' for any table."""
         g.validate(self)
         gens = self.ring.gens
         psi = invert_generator_map(self.ring, self.n, g.phi)
@@ -199,11 +200,12 @@ class MomentSystem:
             [self.structure.bracket(g.phi[a], g.phi[b]) for a, b in pairs], psi
         )
         structure = PoissonStructure(self.ring, self.n, dict(zip(pairs, entries)))
-        changed = self.line.change_trivialization(g.unit)
         psi_low = {name: v.truncate(self.n - 1) for name, v in psi.items()}
-        moved = substitute_all([changed.alpha_apply(g.phi[name]) for name in gens], psi_low)
-        alpha = dict(zip(gens, moved))
-        return MomentSystem(structure, LineData(structure, alpha))
+        *moved, unit = substitute_all(
+            [self.line.alpha_apply(g.phi[name]) for name in gens] + [g.unit], psi_low
+        )
+        line = LineData(structure, dict(zip(gens, moved))).change_trivialization(unit)
+        return MomentSystem(structure, line)
 
     # -- trivialization ------------------------------------------------------
 
@@ -317,9 +319,7 @@ class MomentSystem:
         ]
         coordinates.append(("s", self.line.s_power(1)))
         coordinates.append(("t", self.line.tot_t()))
-        # Keyed by identity, which the coordinates and their images keep:
-        # xi maps each coordinate once, and each right operand builds its
-        # fields once for all the left operands it meets.
+        # keyed by identity, which the coordinates and their images keep
         images = {id(w): xi_of(w) for _, w in coordinates}
         right: dict[int, Callable[[TotElement], TotElement]] = {}
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from momentkit import algebra
 from momentkit.algebra import PolyRing, TPoly
 from momentkit.poisson import PoissonStructure
 
@@ -48,3 +49,32 @@ def tfree(ring, poly, order):
 @pytest.fixture
 def half():
     return Fraction(1, 2)
+
+
+@pytest.fixture
+def kernel_pairs(monkeypatch):
+    """``kernel_pairs(*modules)`` patches the product kernel where each of
+    ``modules`` reaches it and returns a list that collects the term pairs of
+    each call from then on, within the kept slots."""
+    kernel = algebra.add_truncated_product
+
+    def start(*modules):
+        pairs = []
+
+        def counting(slots, a, b, shift=0):
+            top = len(slots) - 1
+            pairs.append(
+                sum(
+                    len(pa.nums) * len(pb.nums)
+                    for i, pa in enumerate(a)
+                    for j, pb in enumerate(b)
+                    if i + j + shift <= top
+                )
+            )
+            kernel(slots, a, b, shift)
+
+        for module in modules:
+            monkeypatch.setattr(module, "add_truncated_product", counting)
+        return pairs
+
+    return start

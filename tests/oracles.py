@@ -15,10 +15,11 @@ derivatives, truncated products by plain ``Fraction`` accumulation, the
 inverse of a generator map by error correction, the inverse of a unit by
 its geometric series of whole ``TPoly`` products, the cocycle defect as
 three subtracted parts, the composite and inverse of gauge twists by
-term-by-term substitution, model-file expressions by a flat ``Fraction``
-term map, the canonical text by sorting ``Fraction`` terms, model-file
-tokens one character at a time, and partial derivatives term by term from
-the public ``terms`` view.  Keep these independent of the code under test.
+term-by-term substitution, a gauge twist with the trivialization changed
+first, in the source coordinates, model-file expressions by a flat
+``Fraction`` term map, the canonical text by sorting ``Fraction`` terms,
+model-file tokens one character at a time, and partial derivatives term by
+term from the public ``terms`` view.  Keep these independent of the code under test.
 
 Two checks of identities that hold by construction live here too, because
 only tests call them: the Jacobiator of the graded bracket, equivalent to
@@ -492,6 +493,31 @@ def compose_twists(g1, g2, n):
     low = {x: v.truncate(n - 1) for x, v in g1.phi.items()}
     phi = {x: substitute_by_terms(v, g1.phi) for x, v in g2.phi.items()}
     return GaugeTwist(phi, g1.unit * substitute_by_terms(g2.unit, low))
+
+
+def twist_by_change_then_transport(system, g):
+    """``system.twist(g)`` in the other order: the trivialization changes by
+    the unit first, in the source coordinates (``changed_alpha_by_generators``),
+    and the table and the changed datum are then transported along
+    psi = phi^-1, found by error correction.  alpha'(phi_x) is summed from
+    the changed values on generators, and every substitution is term by
+    term; the library substitutes the unit instead and changes the
+    trivialization in the target coordinates."""
+    ring, n = system.ring, system.n
+    psi = invert_generator_map_by_error_correction(ring, n, g.phi)
+    low = {x: v.truncate(n - 1) for x, v in psi.items()}
+    table = {
+        (a, b): substitute_by_terms(bracket_by_pairs(system.structure, g.phi[a], g.phi[b]), psi)
+        for a, b in combinations(ring.gens, 2)
+    }
+    structure = PoissonStructure(ring, n, table)
+    changed = changed_alpha_by_generators(system.line, g.unit)
+    bump = TPoly.constant(ring, 1, n - 1)
+    alpha = {
+        x: substitute_by_terms(derivation_by_sum(changed, bump, g.phi[x]), low)
+        for x in ring.gens
+    }
+    return MomentSystem(structure, LineData(structure, alpha))
 
 
 def invert_twist(g, n):

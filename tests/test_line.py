@@ -282,29 +282,6 @@ def _twisted_inner_so3():
     return system.twist(random_gauge_twist(random.Random(5), ring, 3)).line
 
 
-def _count_kernel_pairs(monkeypatch):
-    """Patch the product kernel where the bracket reaches it; the returned
-    list collects the term pairs of each call, within the kept slots."""
-    pairs = []
-    kernel = algebra.add_truncated_product
-
-    def counting(slots, a, b, shift=0):
-        top = len(slots) - 1
-        pairs.append(
-            sum(
-                len(pa.nums) * len(pb.nums)
-                for i, pa in enumerate(a)
-                for j, pb in enumerate(b)
-                if i + j + shift <= top
-            )
-        )
-        kernel(slots, a, b, shift)
-
-    for module in (algebra, line_module, poisson):
-        monkeypatch.setattr(module, "add_truncated_product", counting)
-    return pairs
-
-
 def test_each_right_term_is_one_field(monkeypatch):
     # {f,g} + q g alpha(f) is one field per right term applied to each f:
     # H_g is contracted once per right term, and alpha never sees a left
@@ -328,24 +305,24 @@ def test_each_right_term_is_one_field(monkeypatch):
     assert alphas and not [a for a in alphas if a in u.coeffs.values()]
 
 
-def test_tot_bracket_kernel_work_is_pinned(monkeypatch):
+def test_tot_bracket_kernel_work_is_pinned(kernel_pairs):
     # the shape of the benchmark's tot operations on a twisted so3 at order 4
     system = MomentSystem.trivial(catalog_structure(1), 4)
     line = system.twist(random_gauge_twist(random.Random(1), system.ring, 4)).line
     u = parse_tot_expression("(x + y + z + 1)^6*s^-1", line)
     v = parse_tot_expression("6*x*z*s^2 + 1/4*x", line)
-    pairs = _count_kernel_pairs(monkeypatch)
+    pairs = kernel_pairs(algebra, line_module, poisson)
     line.tot_bracket(u, v)
     assert sum(pairs) == 10694
 
 
-def test_a_larger_right_side_costs_its_swap(monkeypatch):
+def test_a_larger_right_side_costs_its_swap(kernel_pairs):
     # {u, v} = -{v, u}, so the side with fewer terms builds the fields
     system = MomentSystem.trivial(catalog_structure(1), 4)
     line = system.twist(random_gauge_twist(random.Random(1), system.ring, 4)).line
     small = parse_tot_expression("x*s", line)
     large = parse_tot_expression("(x + y + z + 1)^8*s^2", line)
-    pairs = _count_kernel_pairs(monkeypatch)
+    pairs = kernel_pairs(algebra, line_module, poisson)
     swapped = line.tot_bracket(large, small)
     work = list(pairs)
     pairs.clear()

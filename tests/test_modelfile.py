@@ -488,25 +488,10 @@ def test_one_term_groups_fold_without_kernel_products(monkeypatch):
         assert value == evaluate_by_term_map(text, model.ring, line.order, line), text
 
 
-def test_group_power_kernel_work_is_pinned(monkeypatch):
+def test_group_power_kernel_work_is_pinned(kernel_pairs):
     # term pairs of every kernel product the parser makes, within the kept
     # slots; the repeated product took 6,370 and 40,401
-    pairs = []
-    kernel = modelfile.add_truncated_product
-
-    def counting(slots, a, b, shift=0):
-        top = len(slots) - 1
-        pairs.append(
-            sum(
-                len(pa.nums) * len(pb.nums)
-                for i, pa in enumerate(a)
-                for j, pb in enumerate(b)
-                if i + j + shift <= top
-            )
-        )
-        kernel(slots, a, b, shift)
-
-    monkeypatch.setattr(modelfile, "add_truncated_product", counting)
+    pairs = kernel_pairs(modelfile)
     so3 = MomentSystem.trivial(catalog_structure(1), 6).line
     parse_tot_expression("(x + y + z + 1)^12*s^-1", so3)
     assert sum(pairs) == 1907

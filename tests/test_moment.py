@@ -1,15 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentkit import algebra, poisson
+from momentkit import line as line_module
 from momentkit.algebra import Derivation, GeneratorMismatch, OrderMismatch, PolyRing, TPoly
 from momentkit.instances import (
     CATALOG,
+    _random_poly,
     _random_t_tail,
     catalog_structure,
     random_gauge_twist,
@@ -25,6 +32,7 @@ from oracles import (
     invert_generator_map_by_error_correction,
     invert_twist,
     pfaffian,
+    random_table,
     rank_by_minors,
     restrict,
     substitute_by_terms,
@@ -32,6 +40,7 @@ from oracles import (
     tot_field_t_linear,
     tot_matrix_by_items,
     trivialize_by_full_recompute,
+    twist_by_change_then_transport,
     verify_gm_hamiltonian,
 )
 
@@ -255,6 +264,127 @@ def test_twisting_by_the_flat_lifts_gives_the_trivial_system(case):
     trivial = MomentSystem.trivial(restrict(system.structure, 0), system.n)
     assert flat.structure.table_items() == trivial.structure.table_items()
     assert flat.line.alpha_items() == []
+
+
+# -- the order of the twist: automorphism first, then the trivialization
+# change in the target coordinates, against the oracle that changes the
+# trivialization first, in the source coordinates.
+
+
+def _table_system(rng):
+    """A ``random_table`` of order >= 1, which almost always fails Jacobi,
+    with random module data of degree <= 2 at the order below."""
+    structure = random_table(rng, 1)
+    ring, low = structure.ring, structure.order - 1
+    alpha = {
+        g: TPoly.from_poly(_random_poly(rng, ring, 2), low) + _random_t_tail(rng, ring, low, 2)
+        for g in ring.gens
+    }
+    return MomentSystem(structure, LineData(structure, alpha))
+
+
+@st.composite
+def systems_and_twists(draw):
+    """A ``_table_system`` with a seeded twist, or a drawn instance with its own."""
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        system = _table_system(rng)
+        return system, random_gauge_twist(rng, system.ring, system.n)
+    model, gauge = random_instance(seed)
+    return model.build_system(), gauge
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_twists())
+def test_twist_matches_the_change_then_transport_oracle(case):
+    system, g = case
+    assert _same_system(system.twist(g), twist_by_change_then_transport(system, g))
+
+
+def test_twist_keeps_the_verdicts():
+    # The twisted table is the transport of the table, so the Jacobi verdict
+    # holds for any table.  The cocycle verdict is compared only where the
+    # table passes Jacobi: elsewhere u^-1 H(u) need not be a cocycle.
+    seen = set()
+    for seed in range(150):
+        rng = random.Random(f"verdict/{seed}")
+        system = _table_system(rng)
+        if rng.random() < 0.5:
+            # the t^0 slot lifted t-free with an inner datum, a cocycle
+            # whenever that slot passes Jacobi
+            base = restrict(system.structure, 0)
+            if base.verify_jacobi().passed:
+                trivial = MomentSystem.trivial(base, system.n)
+                h = TPoly.from_poly(_random_poly(rng, base.ring, 2), system.n - 1)
+                field = trivial.structure.hamiltonian_field(h).values
+                system = MomentSystem(trivial.structure, LineData(trivial.structure, field))
+        twisted = system.twist(random_gauge_twist(rng, system.ring, system.n))
+        jacobi = system.structure.verify_jacobi().passed
+        assert twisted.structure.verify_jacobi().passed == jacobi, seed
+        cocycle = None
+        if jacobi:
+            cocycle = system.line.verify_cocycle().passed
+            assert twisted.line.verify_cocycle().passed == cocycle, seed
+        seen.add((jacobi, cocycle))
+    assert seen == {(False, None), (True, False), (True, True)}
+
+
+def _linear_pinned_twist(rng, ring, top):
+    """phi(x_i) gets c * x_(i+k) at t^k and the unit is 1 + sum c_k t^k x_k,
+    with c drawn from the fractions p/q, 0 < |p| <= 9, q <= 4."""
+    coeffs = [Fraction(p, q) for p in range(-9, 10) if p for q in (1, 2, 3, 4)]
+    gens = ring.gens
+
+    def slot(i, k):
+        return ring.var(gens[(i + k) % len(gens)]) * rng.choice(coeffs)
+
+    phi = {
+        g: TPoly(ring, top, [ring.var(g)] + [slot(i, k) for k in range(1, top + 1)])
+        for i, g in enumerate(gens)
+    }
+    unit = TPoly(ring, top - 1, [ring.one()] + [slot(0, k) for k in range(1, top)])
+    return GaugeTwist(phi, unit)
+
+
+def test_twist_kernel_work_is_pinned(kernel_pairs):
+    # so3 at order 8 under a linear twist of the benchmark ladder's shape.
+    # Changing the trivialization in the source coordinates and substituting
+    # into u^-1 H_u(phi_g) took 437 kernel calls for 1,908 term pairs.
+    system = MomentSystem.trivial(catalog_structure(1), 8)
+    g = _linear_pinned_twist(random.Random("ladder/1/so3"), system.ring, 8)
+    pairs = kernel_pairs(algebra, line_module, poisson)
+    system.twist(g)
+    assert (len(pairs), sum(pairs)) == (232, 1057)
+
+
+ENVELOPE_TWIST = """
+import random, resource
+from momentkit.instances import random_gauge_twist
+from momentkit.modelfile import parse_model
+
+_, hard = resource.getrlimit(resource.RLIMIT_CPU)
+resource.setrlimit(resource.RLIMIT_CPU, (10, hard))
+model = parse_model("ring x, y; order 40; bracket {x, y} = 1; alpha y = x;")
+system = model.build_system()
+twisted = system.twist(random_gauge_twist(random.Random(1), system.ring, 40))
+print(len(twisted.line.alpha_of("y").coefficient(39).nums))
+"""
+
+
+def test_plane_twist_at_order_40_fits_ten_cpu_seconds():
+    # The child limits its own CPU time, so a regression is killed rather
+    # than stalling the suite.  Substituting into u^-1 H_u(phi_g) took about
+    # six times as long as substituting only the unit, past the limit.
+    done = subprocess.run(
+        [sys.executable, "-c", ENVELOPE_TWIST],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert done.returncode == 0, done.stderr[-2000:] or f"killed by signal {-done.returncode}"
+    assert int(done.stdout) > 0
 
 
 def test_inversion_needs_the_identity_mod_t(plane_ring):
